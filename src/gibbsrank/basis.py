@@ -113,9 +113,6 @@ class FeatureMatrix:
         active = np.flatnonzero(mask.bits)
         return (active[:, None] * self.M + np.arange(self.M)).ravel()
 
-    def restricted(self, mask: "ModelMask") -> np.ndarray:
-        return self.values[:, self.columns_for(mask)]
-
 
 def build_features(X: np.ndarray, dictionary: BasisDictionary = DEFAULT_DICTIONARY) -> FeatureMatrix:
     """Evaluate the dictionary on every entry of X (shape (n, d))."""
@@ -132,14 +129,18 @@ def build_features(X: np.ndarray, dictionary: BasisDictionary = DEFAULT_DICTIONA
 
 
 class ModelMask:
-    """Binary inclusion vector over covariates."""
+    """Binary inclusion vector over covariates.
 
-    __slots__ = ("bits",)
+    Masks are immutable, so the model size is counted once, here.
+    """
+
+    __slots__ = ("bits", "size")
 
     def __init__(self, bits):
         bits = np.array(bits, dtype=bool)
         bits.setflags(write=False)
         self.bits = bits
+        self.size = int(bits.sum())
 
     @classmethod
     def empty(cls, d: int) -> "ModelMask":
@@ -154,10 +155,6 @@ class ModelMask:
     @property
     def d(self) -> int:
         return self.bits.size
-
-    @property
-    def size(self) -> int:
-        return int(self.bits.sum())
 
     @property
     def active(self) -> np.ndarray:
@@ -220,9 +217,13 @@ def score(coef: SparseCoef, features: FeatureMatrix) -> np.ndarray:
     coef.check(features.M)
     if coef.mask.d != features.d:
         raise ValueError(f"mask over {coef.mask.d} covariates, features built for {features.d}")
-    if coef.mask.size == 0:
-        return np.zeros(features.n)
-    return features.restricted(coef.mask) @ coef.values
+    # One GEMV per active covariate on a view of its M columns: gathering
+    # the active columns would copy n * |m|_0 * M doubles per call.
+    M = features.M
+    out = np.zeros(features.n)
+    for slot, j in enumerate(coef.mask.active):
+        out += features.values[:, j * M : (j + 1) * M] @ coef.values[slot * M : (slot + 1) * M]
+    return out
 
 
 def score_dense(theta: np.ndarray, features: FeatureMatrix) -> np.ndarray:

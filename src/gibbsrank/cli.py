@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -199,8 +200,13 @@ def cmd_auc(args) -> int:
     with open(args.data, newline="") as fh:
         reader = _csv.DictReader(fh)
         scores, labels = [], []
-        for row in reader:
-            scores.append(float(row[args.score_column]))
+        for i, row in enumerate(reader, 1):
+            value = float(row[args.score_column])
+            if math.isnan(value):
+                print(f"gibbsrank auc: {args.data}: data row {i} (line {reader.line_num}) "
+                      f"has a NaN score", file=sys.stderr)
+                return 1
+            scores.append(value)
             labels.append(float(row[args.label_column]))
     labels = np.where(np.array(labels) > 0, 1.0, -1.0)
     print(f"auc_half {auc(scores, labels, 'half'):.6f}")

@@ -14,8 +14,11 @@ value verbatim.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -28,6 +31,8 @@ from .data import Dataset, derive_seed, gen_synthetic, make_splits
 from .gibbs import GibbsConfig
 from .risk import auc
 from .sampler import SamplerConfig, run_chain
+
+logger = logging.getLogger(__name__)
 
 TABLE_DELTAS = (100.0, 10.0, 1.0, 0.1, 0.01)
 TABLE_SIGMA2S = (1.0, 0.1, 0.01, 0.001)
@@ -161,18 +166,45 @@ class GridResultRow:
         return float(sum(f for j, f in enumerate(self.selection_frequency) if j not in signal))
 
 
-def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float) -> GridResultRow:
-    """Run all replications of one (delta, sigma2) cell and aggregate."""
+def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float,
+                  on_error: str = "record") -> GridResultRow:
+    """Run all replications of one (delta, sigma2) cell and aggregate.
+
+    With on_error="record" a failed replication is logged and counted in
+    `failures`, and the cell aggregates the replications that succeeded; its
+    row is NaN only when every replication failed.  on_error="raise"
+    re-raises the first failure.
+    """
+    if on_error not in ("record", "raise"):
+        raise ValueError("on_error must be 'record' or 'raise'")
     jobs = [(asdict(cfg), delta, sigma2, rep) for rep in range(cfg.reps)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            metrics = list(pool.map(_run_grid_replication, jobs))
-    else:
-        metrics = [_run_grid_replication(job) for job in jobs]
+    metrics = []
+    with contextlib.ExitStack() as stack:
+        if cfg.workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+            results = [pool.submit(_run_grid_replication, job).result for job in jobs]
+        else:
+            results = [functools.partial(_run_grid_replication, job) for job in jobs]
+        for rep, result in enumerate(results):
+            try:
+                metrics.append(result())
+            except Exception:
+                if on_error == "raise":
+                    raise
+                logger.exception("grid cell delta=%r sigma2=%r: replication %d failed",
+                                 delta, sigma2, rep)
+    failures = cfg.reps - len(metrics)
+    if not metrics:
+        return GridResultRow(
+            delta=delta, sigma2=sigma2,
+            auc_averaged_mean=math.nan, auc_averaged_var=math.nan,
+            auc_randomized_mean=math.nan, auc_randomized_var=math.nan,
+            selection_frequency=np.full(cfg.d, math.nan), failures=failures,
+        )
     avg = np.array([m["test_auc_averaged"] for m in metrics])
     rand = np.array([m["test_auc_randomized"] for m in metrics])
     freq = np.mean([m["selection_frequency"] for m in metrics], axis=0)
-    ddof = 1 if cfg.reps > 1 else 0
+    ddof = 1 if len(metrics) > 1 else 0
     return GridResultRow(
         delta=delta,
         sigma2=sigma2,
@@ -181,27 +213,15 @@ def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float) -> GridRes
         auc_randomized_mean=float(rand.mean()),
         auc_randomized_var=float(rand.var(ddof=ddof)),
         selection_frequency=freq,
+        failures=failures,
     )
 
 
 def run_grid(cfg: ExperimentConfig, deltas=TABLE_DELTAS, sigma2s=TABLE_SIGMA2S,
              on_error: str = "record") -> list[GridResultRow]:
-    """Sweep the (delta, sigma2) grid; failed cells are recorded, not fatal."""
-    rows = []
-    for delta in deltas:
-        for sigma2 in sigma2s:
-            try:
-                rows.append(run_grid_cell(cfg, delta, sigma2))
-            except Exception:
-                if on_error == "raise":
-                    raise
-                rows.append(GridResultRow(
-                    delta=delta, sigma2=sigma2,
-                    auc_averaged_mean=math.nan, auc_averaged_var=math.nan,
-                    auc_randomized_mean=math.nan, auc_randomized_var=math.nan,
-                    selection_frequency=np.full(cfg.d, math.nan), failures=cfg.reps,
-                ))
-    return rows
+    """Sweep the (delta, sigma2) grid; failed replications are recorded, not fatal."""
+    return [run_grid_cell(cfg, delta, sigma2, on_error)
+            for delta in deltas for sigma2 in sigma2s]
 
 
 def grid_to_csv(rows: list[GridResultRow], path, signal_covariates=(3, 5)) -> None:

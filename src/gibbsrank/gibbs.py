@@ -12,6 +12,7 @@ delta can be large without overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,9 @@ class GibbsConfig:
         return n_active
 
 
+# Both constants depend only on the model size, so the sampler's per-candidate
+# prior evaluations share a handful of values per chain.
+@functools.cache
 def log_ball_volume(dim: int, radius: float) -> float:
     """log of the volume of the l2-ball of the given dimension and radius."""
     if dim == 0:
@@ -61,6 +65,7 @@ def log_ball_volume(dim: int, radius: float) -> float:
     return 0.5 * dim * math.log(math.pi) + dim * math.log(radius) - gammaln(0.5 * dim + 1.0)
 
 
+@functools.cache
 def log_binomial(d: int, k: int) -> float:
     return gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)
 
@@ -77,7 +82,8 @@ def log_prior(theta: SparseCoef, cfg: GibbsConfig) -> float:
     k = theta.mask.size
     if k == 0:
         return 0.0
-    if float(np.linalg.norm(theta.values)) > cfg.ball_radius:
+    values = theta.values
+    if math.sqrt(values @ values) > cfg.ball_radius:
         return -math.inf
     out = -log_binomial(cfg.d, k) + k * cfg.M * math.log(cfg.beta)
     if cfg.norm_mode != "kernel":

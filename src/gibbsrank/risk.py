@@ -5,14 +5,22 @@ The empirical ranking risk of a score vector s over labels y in {-1, +1} is
     L_n(s) = 1/(n(n-1)) * sum_{i != j} 1{(y_i - y_j)(s_i - s_j) < 0},
 
 i.e. twice the number of strictly discordant positive/negative pairs over
-the number of ordered pairs.  The kernel here sorts once and counts
-inversions group-by-group, so it runs in O(n log n); the O(n^2) double loop
-lives in the test suite as an oracle.
+the number of ordered pairs.  The kernel sorts once and counts in O(n log n);
+the O(n^2) double loop lives in the test suite as an oracle.
+
+Tie-free scores (in practice every scorer with an active covariate) take a
+rank-sum path: the sorted positions of the positives add up to the number of
+instances below each positive, and subtracting the n_pos(n_pos-1)/2
+positive/positive pairs leaves the negatives ranked below a positive.  With
+ties, runs of equal sorted scores form groups whose positive counts come from
+one reduction over the sorted labels, and pairs are counted group by group.
+NaN scores have no rank and are rejected.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,22 +38,36 @@ def _pair_counts(scores, labels):
     Returns (pos_below_neg, neg_below_pos, tied, n_pos, n_neg) where
     pos_below_neg counts pairs with the positive scored strictly below the
     negative, neg_below_pos the reverse, and tied the opposite-label pairs
-    with equal scores.
+    with equal scores.  A NaN score raises ValueError; +-inf are ordinary
+    scores.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-d arrays of equal length")
     pos = labels > 0
-    uniq, inv = np.unique(scores, return_inverse=True)
-    pos_g = np.bincount(inv[pos], minlength=uniq.size)
-    neg_g = np.bincount(inv[~pos], minlength=uniq.size)
+    n = scores.size
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = n - n_pos
+    order = np.argsort(scores)
+    s = scores[order]
+    if n and math.isnan(s[-1]):  # argsort puts NaNs last
+        first = int(np.flatnonzero(np.isnan(scores))[0])
+        raise ValueError(f"NaN score at index {first}")
+    p = pos[order]
+    tied_next = s[1:] == s[:-1]
+    if not tied_next.any():
+        neg_below_pos = int(np.flatnonzero(p).sum()) - n_pos * (n_pos - 1) // 2
+        return n_pos * n_neg - neg_below_pos, neg_below_pos, 0, n_pos, n_neg
+    starts = np.flatnonzero(np.concatenate(([True], ~tied_next)))
+    pos_g = np.add.reduceat(p.astype(np.int64), starts)
+    neg_g = np.diff(np.append(starts, n)) - pos_g
     below_pos = np.cumsum(pos_g) - pos_g  # positives strictly below each group
     below_neg = np.cumsum(neg_g) - neg_g
     pos_below_neg = int(np.sum(neg_g * below_pos))
     neg_below_pos = int(np.sum(pos_g * below_neg))
     tied = int(np.sum(pos_g * neg_g))
-    return pos_below_neg, neg_below_pos, tied, int(pos.sum()), int((~pos).sum())
+    return pos_below_neg, neg_below_pos, tied, n_pos, n_neg
 
 
 def empirical_rank_risk(scores, labels, tie_value: float = 0.0) -> float:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .basis import BasisDictionary, DEFAULT_DICTIONARY, FeatureMatrix, ModelMask, SparseCoef, build_features, score
 from .gibbs import GibbsConfig, log_gibbs, log_prior
@@ -159,9 +158,12 @@ def log_proposal_density(values: np.ndarray, mean: np.ndarray, cfg: GibbsConfig,
 
 
 def select_index(rng: np.random.Generator, log_weights: np.ndarray) -> int:
-    """Draw an index with probability proportional to exp(log_weights)."""
-    total = logsumexp(log_weights)
-    p = np.exp(log_weights - total)
+    """Draw an index with probability proportional to exp(log_weights).
+
+    At least one weight must be finite; shifting by the maximum keeps exp
+    from overflowing.
+    """
+    p = np.exp(log_weights - log_weights.max())
     p /= p.sum()
     return int(rng.choice(log_weights.size, p=p))
 

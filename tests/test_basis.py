@@ -127,6 +127,19 @@ def test_score_matches_naive_evaluation():
     assert np.allclose(score_dense(coef.padded(13), fm), expected, atol=1e-10)
 
 
+def test_score_matches_column_gather():
+    """Per-covariate products agree with one product on the gathered columns."""
+    rng = np.random.default_rng(5)
+    cases = [(6, [2, 3]), (6, [0, 4]), (6, [1, 2, 5]), (6, range(6)), (1, [0])]
+    cases += [(9, rng.choice(9, size=k, replace=False)) for k in range(1, 10)]
+    for d, active in cases:
+        fm = build_features(rng.random((40, d)))
+        mask = ModelMask.from_active(d, active)
+        coef = SparseCoef(mask=mask, values=rng.standard_normal(mask.size * 13))
+        expected = fm.values[:, fm.columns_for(mask)] @ coef.values
+        assert np.allclose(score(coef, fm), expected, rtol=0.0, atol=1e-12)
+
+
 def test_smaller_dictionary():
     small = BasisDictionary(n_legendre=2, n_harmonics=1)
     assert small.size == 4

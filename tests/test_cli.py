@@ -154,3 +154,12 @@ def test_auc_subcommand(tmp_path):
     )
     assert "auc_half 1.000000" in proc.stdout
     assert "auc_strict 1.000000" in proc.stdout
+
+
+def test_auc_subcommand_rejects_nan_score(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_text("score,label\n0.1,1\nnan,0\n0.3,0\nnan,1\n")
+    assert main(["auc", "--data", str(path)]) != 0
+    captured = capsys.readouterr()
+    assert "auc_half" not in captured.out
+    assert "data row 2 (line 3)" in captured.err

@@ -1,5 +1,7 @@
 """Experiment harness: temperature mapping, grid aggregation, CV."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,37 @@ def test_single_replication_cell_has_zero_variance(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].split(",")[0] == "delta"
+
+
+def test_failed_replication_is_counted_not_fatal(monkeypatch):
+    from gibbsrank import experiments
+
+    cfg = ExperimentConfig(**{**FAST, "reps": 3})
+    real = experiments._run_grid_replication
+
+    def flaky(args):
+        if args[3] == 1:
+            raise RuntimeError("replication 1 broke")
+        return real(args)
+
+    def broken(args):
+        raise RuntimeError("every replication broke")
+
+    monkeypatch.setattr(experiments, "_run_grid_replication", flaky)
+    row = run_grid(cfg, deltas=(1.0,), sigma2s=(0.01,))[0]
+    assert row.failures == 1
+    survivors = [real((asdict(cfg), 1.0, 0.01, rep))["test_auc_averaged"] for rep in (0, 2)]
+    assert row.auc_averaged_mean == pytest.approx(np.mean(survivors), abs=1e-15)
+    assert row.auc_averaged_var == pytest.approx(np.var(survivors, ddof=1), abs=1e-15)
+    assert np.all(np.isfinite(row.selection_frequency))
+    with pytest.raises(RuntimeError, match="replication 1 broke"):
+        run_grid_cell(cfg, 1.0, 0.01, on_error="raise")
+
+    monkeypatch.setattr(experiments, "_run_grid_replication", broken)
+    row = run_grid_cell(cfg, 1.0, 0.01)
+    assert row.failures == 3
+    assert np.isnan(row.auc_averaged_mean)
+    assert np.all(np.isnan(row.selection_frequency))
 
 
 def test_run_grid_covers_requested_cells():

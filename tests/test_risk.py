@@ -56,6 +56,15 @@ def random_instance(rng):
     return scores, labels
 
 
+def tie_free_instances(rng):
+    """Continuous scores, which reach the kernel's tie-free path, from n=2 to ~200."""
+    for n in [2, 2, 3, *rng.integers(4, 201, size=40)]:
+        scores = rng.standard_normal(int(n))
+        labels = np.where(rng.random(int(n)) < 0.5, 1.0, -1.0)
+        labels[0], labels[-1] = 1.0, -1.0
+        yield scores, labels
+
+
 def test_risk_concordant_pair():
     assert empirical_rank_risk([1.0, 2.0], [-1.0, 1.0]) == 0.0
 
@@ -72,6 +81,40 @@ def test_risk_matches_brute_force():
             assert empirical_rank_risk(scores, labels, tie_value) == pytest.approx(
                 brute_risk(scores, labels, tie_value), abs=1e-15
             )
+
+
+def test_risk_matches_brute_force_without_ties():
+    rng = np.random.default_rng(43)
+    for scores, labels in tie_free_instances(rng):
+        assert np.unique(scores).size == scores.size
+        for tie_value in (0.0, 0.5):
+            assert empirical_rank_risk(scores, labels, tie_value) == pytest.approx(
+                brute_risk(scores, labels, tie_value), abs=1e-15
+            )
+
+
+def test_all_tied_scores():
+    labels = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+    scores = np.full(5, 0.25)
+    for tie_value in (0.0, 0.5):
+        assert empirical_rank_risk(scores, labels, tie_value) == pytest.approx(
+            brute_risk(scores, labels, tie_value), abs=1e-15
+        )
+    for policy in ("strict", "half"):
+        assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
+
+
+def test_nan_score_raises_with_its_index():
+    for call in (auc, empirical_rank_risk, risk_report):
+        with pytest.raises(ValueError, match="NaN score at index 1"):
+            call([0.1, np.nan, 0.3, np.nan], [1.0, -1.0, -1.0, 1.0])
+
+
+def test_infinite_scores_are_ranked():
+    scores = [-np.inf, 0.0, np.inf, np.inf]
+    labels = [-1.0, 1.0, -1.0, 1.0]
+    for policy in ("strict", "half"):
+        assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
 
 
 def test_risk_needs_two_instances():
@@ -101,6 +144,15 @@ def test_auc_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(200):
         scores, labels = random_instance(rng)
+        for policy in ("strict", "half"):
+            assert auc(scores, labels, policy) == pytest.approx(
+                brute_auc(scores, labels, policy), abs=1e-15
+            )
+
+
+def test_auc_matches_brute_force_without_ties():
+    rng = np.random.default_rng(8)
+    for scores, labels in tie_free_instances(rng):
         for policy in ("strict", "half"):
             assert auc(scores, labels, policy) == pytest.approx(
                 brute_auc(scores, labels, policy), abs=1e-15
