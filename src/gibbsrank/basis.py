@@ -56,35 +56,28 @@ def rescale(x):
     return 2.0 * x - 1.0
 
 
-def _legendre_table(t: np.ndarray, max_degree: int) -> np.ndarray:
-    """Legendre P_0..P_max_degree via the three-term recurrence.
-
-    Returns an array of shape t.shape + (max_degree + 1,).
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape + (max_degree + 1,))
-    out[..., 0] = 1.0
-    if max_degree >= 1:
-        out[..., 1] = t
-    for deg in range(2, max_degree + 1):
-        out[..., deg] = (
-            (2 * deg - 1) * t * out[..., deg - 1] - (deg - 1) * out[..., deg - 2]
-        ) / deg
-    return out
-
-
 def eval_dictionary(t, dictionary: BasisDictionary = DEFAULT_DICTIONARY) -> np.ndarray:
     """Evaluate all dictionary functions at t in [-1, 1].
 
-    Returns an array of shape t.shape + (dictionary.size,).
+    Returns a C-contiguous array of shape t.shape + (dictionary.size,), each
+    function written in place into its slot of the last axis.  Legendre
+    polynomials follow the three-term recurrence.
     """
     t = np.asarray(t, dtype=float)
-    cols = [_legendre_table(t, dictionary.n_legendre - 1)]
-    harmonics = np.arange(1, dictionary.n_harmonics + 1)
-    angles = np.pi * t[..., None] * harmonics
-    cols.append(np.sin(angles))
-    cols.append(np.cos(angles))
-    return np.concatenate(cols, axis=-1)
+    out = np.empty(t.shape + (dictionary.size,))
+    L, H = dictionary.n_legendre, dictionary.n_harmonics
+    out[..., 0] = 1.0
+    if L >= 2:
+        out[..., 1] = t
+    for deg in range(2, L):
+        out[..., deg] = (
+            (2 * deg - 1) * t * out[..., deg - 1] - (deg - 1) * out[..., deg - 2]
+        ) / deg
+    for h in range(1, H + 1):
+        angle = np.pi * t * h
+        np.sin(angle, out=out[..., L + h - 1])
+        np.cos(angle, out=out[..., L + H + h - 1])
+    return out
 
 
 def eval_basis(k: int, t, dictionary: BasisDictionary = DEFAULT_DICTIONARY):
@@ -98,20 +91,36 @@ def eval_basis(k: int, t, dictionary: BasisDictionary = DEFAULT_DICTIONARY):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Cached basis evaluations, shape (n, d * M) with columns grouped by covariate."""
+    """Cached basis evaluations, stored covariate-major.
 
-    values: np.ndarray
-    d: int
-    M: int
+    blocks is one C-contiguous array of shape (d, n, M): blocks[j] holds the
+    M dictionary functions of covariate j on all n rows, so scoring a
+    covariate reads one contiguous n x M block instead of a strided view.
+    """
+
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        blocks = np.ascontiguousarray(self.blocks, dtype=float)
+        if blocks.ndim != 3:
+            raise ValueError(f"feature blocks must have shape (d, n, M), got {blocks.shape}")
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def d(self) -> int:
+        return self.blocks.shape[0]
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.blocks.shape[1]
+
+    @property
+    def M(self) -> int:
+        return self.blocks.shape[2]
 
     def columns_for(self, mask: "ModelMask") -> np.ndarray:
-        """Column indices of the active covariates, in covariate order."""
-        active = np.flatnonzero(mask.bits)
-        return (active[:, None] * self.M + np.arange(self.M)).ravel()
+        """Columns of the active covariates in the row-major (n, d * M) layout."""
+        return (mask.active[:, None] * self.M + np.arange(self.M)).ravel()
 
 
 def build_features(X: np.ndarray, dictionary: BasisDictionary = DEFAULT_DICTIONARY) -> FeatureMatrix:
@@ -123,24 +132,27 @@ def build_features(X: np.ndarray, dictionary: BasisDictionary = DEFAULT_DICTIONA
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"non-finite feature at row {i}, column {j}")
-    n, d = X.shape
-    phi = eval_dictionary(rescale(X), dictionary)  # (n, d, M)
-    return FeatureMatrix(values=phi.reshape(n, d * dictionary.size), d=d, M=dictionary.size)
+    # evaluated on the (d, n) transpose, the dictionary fills (d, n, M) blocks
+    return FeatureMatrix(blocks=eval_dictionary(np.ascontiguousarray(rescale(X).T), dictionary))
 
 
 class ModelMask:
     """Binary inclusion vector over covariates.
 
-    Masks are immutable, so the model size is counted once, here.
+    Masks are immutable, so the active covariates and the model size are
+    found once, here.
     """
 
-    __slots__ = ("bits", "size")
+    __slots__ = ("bits", "active", "size")
 
     def __init__(self, bits):
         bits = np.array(bits, dtype=bool)
         bits.setflags(write=False)
+        active = np.flatnonzero(bits)
+        active.setflags(write=False)
         self.bits = bits
-        self.size = int(bits.sum())
+        self.active = active
+        self.size = active.size
 
     @classmethod
     def empty(cls, d: int) -> "ModelMask":
@@ -155,10 +167,6 @@ class ModelMask:
     @property
     def d(self) -> int:
         return self.bits.size
-
-    @property
-    def active(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
 
     def with_covariate(self, j: int) -> "ModelMask":
         bits = self.bits.copy()
@@ -206,10 +214,21 @@ class SparseCoef:
     def padded(self, M: int) -> np.ndarray:
         """Embed into the full d*M coefficient vector, zero outside the support."""
         self.check(M)
-        full = np.zeros(self.mask.d * M)
-        for slot, j in enumerate(self.mask.active):
-            full[j * M : (j + 1) * M] = self.values[slot * M : (slot + 1) * M]
-        return full
+        full = np.zeros((self.mask.d, M))
+        full[self.mask.active] = self.values.reshape(-1, M)
+        return full.ravel()
+
+
+def _additive_score(features: FeatureMatrix, covariates, values: np.ndarray) -> np.ndarray:
+    """Sum of one GEMV per listed covariate over its contiguous feature block.
+
+    values holds M coefficients per listed covariate, in list order.
+    Gathering the covariates' columns instead would copy n * M doubles each.
+    """
+    out = np.zeros(features.n)
+    for j, theta_j in zip(covariates, values.reshape(-1, features.M)):
+        out += features.blocks[j] @ theta_j
+    return out
 
 
 def score(coef: SparseCoef, features: FeatureMatrix) -> np.ndarray:
@@ -217,13 +236,7 @@ def score(coef: SparseCoef, features: FeatureMatrix) -> np.ndarray:
     coef.check(features.M)
     if coef.mask.d != features.d:
         raise ValueError(f"mask over {coef.mask.d} covariates, features built for {features.d}")
-    # One GEMV per active covariate on a view of its M columns: gathering
-    # the active columns would copy n * |m|_0 * M doubles per call.
-    M = features.M
-    out = np.zeros(features.n)
-    for slot, j in enumerate(coef.mask.active):
-        out += features.values[:, j * M : (j + 1) * M] @ coef.values[slot * M : (slot + 1) * M]
-    return out
+    return _additive_score(features, coef.mask.active, coef.values)
 
 
 def score_dense(theta: np.ndarray, features: FeatureMatrix) -> np.ndarray:
@@ -231,4 +244,4 @@ def score_dense(theta: np.ndarray, features: FeatureMatrix) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.size != features.d * features.M:
         raise ValueError(f"expected {features.d * features.M} coefficients, got {theta.size}")
-    return features.values @ theta
+    return _additive_score(features, range(features.d), theta)

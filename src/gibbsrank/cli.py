@@ -201,13 +201,20 @@ def cmd_auc(args) -> int:
         reader = _csv.DictReader(fh)
         scores, labels = [], []
         for i, row in enumerate(reader, 1):
-            value = float(row[args.score_column])
-            if math.isnan(value):
-                print(f"gibbsrank auc: {args.data}: data row {i} (line {reader.line_num}) "
-                      f"has a NaN score", file=sys.stderr)
-                return 1
-            scores.append(value)
-            labels.append(float(row[args.label_column]))
+            for what, column, values in (("score", args.score_column, scores),
+                                         ("label", args.label_column, labels)):
+                cell = (row[column] or "").strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    problem = f"a non-numeric {what} {cell!r}" if cell else f"an empty {what}"
+                else:
+                    problem = f"a NaN {what}" if math.isnan(value) else None
+                if problem:
+                    print(f"gibbsrank auc: {args.data}: data row {i} (line {reader.line_num}) "
+                          f"has {problem}", file=sys.stderr)
+                    return 1
+                values.append(value)
     labels = np.where(np.array(labels) > 0, 1.0, -1.0)
     print(f"auc_half {auc(scores, labels, 'half'):.6f}")
     print(f"auc_strict {auc(scores, labels, 'strict'):.6f}")

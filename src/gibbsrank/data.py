@@ -106,10 +106,18 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
-    header = [h.strip() for h in header]
-    if label_column not in header:
-        raise DataError(f"{path}: no column named {label_column!r} in header {header}")
+        header = [h.strip() for h in header]
+        if label_column not in header:
+            raise DataError(f"{path}: no column named {label_column!r} in header {header}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue  # csv yields [] for a blank line
+            if len(row) != len(header):
+                raise DataError(f"{path}: ragged rows: data row {len(rows) + 1} (line "
+                                f"{reader.line_num}) has {len(row)} cells, the header has "
+                                f"{len(header)}")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -123,8 +131,6 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
             return np.nan
 
     table = np.array([[parse(c) for c in row] for row in rows])
-    if table.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows")
     keep = ~np.isnan(table).any(axis=1)
     dropped = int((~keep).sum())
     if dropped:

@@ -20,7 +20,8 @@ import functools
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -166,25 +167,41 @@ class GridResultRow:
         return float(sum(f for j, f in enumerate(self.selection_frequency) if j not in signal))
 
 
+def _check_on_error(on_error: str) -> None:
+    if on_error not in ("record", "raise"):
+        raise ValueError("on_error must be 'record' or 'raise'")
+
+
+def _queue(pool, cfg: ExperimentConfig, delta: float, sigma2: float) -> list[Future]:
+    """Submit one cell's replications to pool, in replication order."""
+    return [pool.submit(_run_grid_replication, (asdict(cfg), delta, sigma2, rep))
+            for rep in range(cfg.reps)]
+
+
 def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float,
-                  on_error: str = "record") -> GridResultRow:
+                  on_error: str = "record", futures=None) -> GridResultRow:
     """Run all replications of one (delta, sigma2) cell and aggregate.
 
     With on_error="record" a failed replication is logged and counted in
     `failures`, and the cell aggregates the replications that succeeded; its
     row is NaN only when every replication failed.  on_error="raise"
     re-raises the first failure.
+
+    futures, if given, holds the cell's replications already queued on a
+    pool, in replication order (run_grid passes them); by default the cell
+    runs its own, in a pool of its own when cfg.workers > 1.
     """
-    if on_error not in ("record", "raise"):
-        raise ValueError("on_error must be 'record' or 'raise'")
-    jobs = [(asdict(cfg), delta, sigma2, rep) for rep in range(cfg.reps)]
+    _check_on_error(on_error)
     metrics = []
     with contextlib.ExitStack() as stack:
-        if cfg.workers > 1:
+        if futures is None and cfg.workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
-            results = [pool.submit(_run_grid_replication, job).result for job in jobs]
+            futures = _queue(pool, cfg, delta, sigma2)
+        if futures is None:
+            results = [functools.partial(_run_grid_replication, (asdict(cfg), delta, sigma2, rep))
+                       for rep in range(cfg.reps)]
         else:
-            results = [functools.partial(_run_grid_replication, job) for job in jobs]
+            results = [future.result for future in futures]
         for rep, result in enumerate(results):
             try:
                 metrics.append(result())
@@ -219,9 +236,33 @@ def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float,
 
 def run_grid(cfg: ExperimentConfig, deltas=TABLE_DELTAS, sigma2s=TABLE_SIGMA2S,
              on_error: str = "record") -> list[GridResultRow]:
-    """Sweep the (delta, sigma2) grid; failed replications are recorded, not fatal."""
-    return [run_grid_cell(cfg, delta, sigma2, on_error)
-            for delta in deltas for sigma2 in sigma2s]
+    """Sweep the (delta, sigma2) grid; failed replications are recorded, not fatal.
+
+    With cfg.workers > 1 one process pool serves the whole grid: every
+    (cell, replication) job is queued up front, so a worker that finishes
+    early takes the next cell's job instead of idling at the end of a cell.
+    A worker that dies breaks the pool: the cell being aggregated counts its
+    lost replications as failures, as a cell's own pool would, and the cells
+    after it are queued again on a fresh pool.
+    """
+    _check_on_error(on_error)
+    cells = [(delta, sigma2) for delta in deltas for sigma2 in sigma2s]
+    if cfg.workers <= 1:
+        return [run_grid_cell(cfg, delta, sigma2, on_error) for delta, sigma2 in cells]
+    rows = []
+    while len(rows) < len(cells):
+        pending = cells[len(rows):]
+        pool = ProcessPoolExecutor(max_workers=cfg.workers)
+        try:
+            queued = [_queue(pool, cfg, delta, sigma2) for delta, sigma2 in pending]
+            for (delta, sigma2), futures in zip(pending, queued):
+                rows.append(run_grid_cell(cfg, delta, sigma2, on_error, futures))
+                if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
+                    break
+        finally:
+            # after a raise, an interrupt or a break, drop the jobs not yet started
+            pool.shutdown(cancel_futures=True)
+    return rows
 
 
 def grid_to_csv(rows: list[GridResultRow], path, signal_covariates=(3, 5)) -> None:

@@ -77,8 +77,12 @@ class BenchmarkCache:
         self.features = features
         self.ridge_lambda = ridge_lambda
         self.ball_radius = ball_radius
-        self.gram = features.values.T @ features.values
-        self.xty = features.values.T @ y
+        # A transient row-major (n, d * M) copy, freed on return, gives the
+        # Gram and X^T y the same BLAS calls, and so the same bits, as a
+        # row-major feature matrix would.
+        X = features.blocks.transpose(1, 0, 2).reshape(features.n, -1)
+        self.gram = X.T @ X
+        self.xty = X.T @ y
         self._cache: dict[bytes, np.ndarray] = {}
 
     def fit(self, mask: ModelMask) -> np.ndarray:
@@ -149,7 +153,9 @@ def log_proposal_density(values: np.ndarray, mean: np.ndarray, cfg: GibbsConfig,
     """
     if values.size == 0:
         return 0.0
-    quad = -float(np.sum((values - mean) ** 2)) / (2.0 * sigma2)
+    resid = values - mean
+    np.square(resid, out=resid)
+    quad = -float(np.add.reduce(resid)) / (2.0 * sigma2)
     if cfg.norm_mode == "kernel":
         return quad
     n_active = values.size // cfg.M

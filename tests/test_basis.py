@@ -6,6 +6,7 @@ import pytest
 from gibbsrank.basis import (
     BasisDictionary,
     DEFAULT_DICTIONARY,
+    FeatureMatrix,
     ModelMask,
     SparseCoef,
     build_features,
@@ -62,19 +63,19 @@ def test_feature_row_at_center():
     # t = 0: even Legendre degrees alternate, odd degrees and sines vanish
     expected = [1.0, 0.0, -0.5, 0.0, 3.0 / 8.0, 0.0, -5.0 / 16.0,
                 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-    assert np.allclose(fm.values[0], expected, atol=1e-14)
+    assert np.allclose(fm.blocks[0, 0], expected, atol=1e-14)
 
 
 def test_identical_rows_give_identical_features():
     X = np.array([[0.3, 0.8], [0.3, 0.8]])
     fm = build_features(X)
-    assert np.array_equal(fm.values[0], fm.values[1])
+    assert np.array_equal(fm.blocks[:, 0], fm.blocks[:, 1])
 
 
 def test_dictionary_values_bounded():
     rng = np.random.default_rng(0)
     fm = build_features(rng.random((5, 3)))
-    assert np.all(np.abs(fm.values) <= 1.0 + 1e-12)
+    assert np.all(np.abs(fm.blocks) <= 1.0 + 1e-12)
 
 
 def test_build_features_rejects_non_finite():
@@ -86,6 +87,33 @@ def test_build_features_rejects_non_finite():
 def test_build_features_rejects_bad_shape():
     with pytest.raises(ValueError):
         build_features(np.zeros(4))
+    with pytest.raises(ValueError, match="shape"):
+        FeatureMatrix(blocks=np.zeros((4, 2)))
+
+
+def concatenated_dictionary(t, dictionary):
+    """The dictionary as a Legendre table concatenated with sin and cos arrays."""
+    legendre = np.empty(t.shape + (dictionary.n_legendre,))
+    legendre[..., 0] = 1.0
+    legendre[..., 1] = t
+    for deg in range(2, dictionary.n_legendre):
+        legendre[..., deg] = (
+            (2 * deg - 1) * t * legendre[..., deg - 1] - (deg - 1) * legendre[..., deg - 2]
+        ) / deg
+    angles = np.pi * t[..., None] * np.arange(1, dictionary.n_harmonics + 1)
+    return np.concatenate([legendre, np.sin(angles), np.cos(angles)], axis=-1)
+
+
+@pytest.mark.parametrize("d", [1, 3, 100])
+def test_build_features_is_covariate_major_and_exact(d):
+    rng = np.random.default_rng(d)
+    X = rng.random((57, d))
+    fm = build_features(X)
+    assert fm.blocks.shape == (d, 57, 13) and fm.blocks.flags.c_contiguous
+    assert (fm.d, fm.n, fm.M) == (d, 57, 13)
+    reference = eval_dictionary(rescale(X))  # (n, d, M)
+    assert np.array_equal(reference, concatenated_dictionary(rescale(X), DEFAULT_DICTIONARY))
+    assert np.array_equal(fm.blocks, reference.transpose(1, 0, 2))
 
 
 def test_score_empty_mask_is_zero():
@@ -127,24 +155,48 @@ def test_score_matches_naive_evaluation():
     assert np.allclose(score_dense(coef.padded(13), fm), expected, atol=1e-10)
 
 
+def row_major_features(X):
+    """The (n, d * M) feature matrix, columns grouped by covariate."""
+    return eval_dictionary(rescale(X)).reshape(X.shape[0], -1)
+
+
 def test_score_matches_column_gather():
-    """Per-covariate products agree with one product on the gathered columns."""
+    """Per-covariate products on the contiguous blocks give the same bits as
+    on strided (n, d * M) column views, and agree with one product on the
+    gathered columns."""
     rng = np.random.default_rng(5)
     cases = [(6, [2, 3]), (6, [0, 4]), (6, [1, 2, 5]), (6, range(6)), (1, [0])]
     cases += [(9, rng.choice(9, size=k, replace=False)) for k in range(1, 10)]
+    cases += [(100, [2, 4]), (100, [0, 57, 99]), (100, rng.choice(100, size=30, replace=False))]
     for d, active in cases:
-        fm = build_features(rng.random((40, d)))
+        X = rng.random((40, d))
+        fm = build_features(X)
+        values = row_major_features(X)
         mask = ModelMask.from_active(d, active)
         coef = SparseCoef(mask=mask, values=rng.standard_normal(mask.size * 13))
-        expected = fm.values[:, fm.columns_for(mask)] @ coef.values
+        strided = np.zeros(40)
+        for slot, j in enumerate(mask.active):
+            strided += values[:, j * 13 : (j + 1) * 13] @ coef.values[slot * 13 : (slot + 1) * 13]
+        assert np.array_equal(score(coef, fm), strided)
+        expected = values[:, fm.columns_for(mask)] @ coef.values
         assert np.allclose(score(coef, fm), expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3, 100])
+def test_score_dense_matches_row_major_product(d):
+    rng = np.random.default_rng(10 + d)
+    X = rng.random((50, d))
+    theta = rng.standard_normal(d * 13)
+    theta[: 13 * (d // 2)] = 0.0  # the averaged estimator is zero off its support
+    expected = row_major_features(X) @ theta
+    assert np.allclose(score_dense(theta, build_features(X)), expected, rtol=0.0, atol=1e-12)
 
 
 def test_smaller_dictionary():
     small = BasisDictionary(n_legendre=2, n_harmonics=1)
     assert small.size == 4
     fm = build_features(np.array([[0.5], [1.0]]), small)
-    assert fm.values.shape == (2, 4)
+    assert fm.blocks.shape == (1, 2, 4)
 
 
 def test_mask_operations():

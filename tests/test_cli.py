@@ -163,3 +163,16 @@ def test_auc_subcommand_rejects_nan_score(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "auc_half" not in captured.out
     assert "data row 2 (line 3)" in captured.err
+
+
+@pytest.mark.parametrize("row, problem", [("0.2,nan", "a NaN label"), ("0.2,", "an empty label"),
+                                          ("0.2,  ", "an empty label"), ("0.2", "an empty label"),
+                                          ("0.2,yes", "a non-numeric label 'yes'"),
+                                          (",1", "an empty score")])
+def test_auc_subcommand_rejects_bad_cells(tmp_path, capsys, row, problem):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"score,label\n0.1,1\n{row}\n0.3,0\n0.4,1\n")
+    assert main(["auc", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "auc_half" not in captured.out
+    assert f"data row 2 (line 3) has {problem}" in captured.err

@@ -1,5 +1,7 @@
 """Synthetic generator, CSV round-trips, splits, and seed derivation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,26 @@ def test_empty_and_missing_column_errors(tmp_path):
     path.write_text("x1,y\n0.1,1\n")
     with pytest.raises(DataError):
         load_csv(path, label_column="label")
+
+
+@pytest.mark.parametrize("rows, where", [
+    ("0.1,0.2,1\n0.3,0\n", "data row 2 (line 3)"),
+    ("0.1,0.2,1\n0.3,0.4,0,9\n", "data row 2 (line 3)"),
+    ("0.1,0\n0.3,1\n", "data row 1 (line 2)"),
+    ("0.1,0.2,1\n\n0.3,0\n", "data row 2 (line 4)"),  # a blank line is not a data row
+])
+def test_ragged_rows_are_rejected(tmp_path, rows, where):
+    path = tmp_path / "r.csv"
+    path.write_text("x1,x2,label\n" + rows)
+    with pytest.raises(DataError, match=re.escape(f"ragged rows: {where} has")):
+        load_csv(path)
+
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("x1,label\n0.1,1\n\n0.2,0\n\n")
+    assert load_csv(path).n == 2
 
 
 def test_kfold_partition():

@@ -1,10 +1,12 @@
 """Experiment harness: temperature mapping, grid aggregation, CV."""
 
-from dataclasses import asdict
+import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from gibbsrank import experiments
 from gibbsrank.data import gen_synthetic, save_csv, load_csv
 from gibbsrank.experiments import (
     ExperimentConfig,
@@ -18,6 +20,21 @@ from gibbsrank.experiments import (
 )
 
 FAST = dict(iters=60, burnin=40, n_train=80, n_test=80, reps=1)
+_real_replication = experiments._run_grid_replication
+
+
+def _flaky_replication(args):
+    # module level, so a pool worker can unpickle it
+    if args[3] == 1:
+        raise RuntimeError("replication 1 broke")
+    return _real_replication(args)
+
+
+def _dying_replication(args):
+    # replication 1 of the delta=1 cell kills its pool worker outright
+    if args[1] == 1.0 and args[3] == 1:
+        os._exit(1)
+    return _real_replication(args)
 
 
 def test_config_validation():
@@ -107,6 +124,54 @@ def test_run_grid_covers_requested_cells():
     cfg = ExperimentConfig(**FAST)
     rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
     assert [(r.delta, r.sigma2) for r in rows] == [(1.0, 0.01), (0.1, 0.01)]
+
+
+def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch):
+    cfg = ExperimentConfig(**{**FAST, "reps": 2, "workers": 2})
+    starts = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
+    assert len(starts) == 1
+    for row in rows:
+        alone = run_grid_cell(replace(cfg, workers=1), row.delta, row.sigma2)
+        assert asdict(row).keys() == asdict(alone).keys()
+        for key, value in asdict(row).items():
+            assert np.array_equal(value, asdict(alone)[key]), key
+
+    monkeypatch.setattr(experiments, "_run_grid_replication", _flaky_replication)
+    rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
+    assert [row.failures for row in rows] == [1, 1]
+    assert all(np.isfinite(row.auc_averaged_mean) for row in rows)
+    with pytest.raises(RuntimeError, match="replication 1 broke"):
+        run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,), on_error="raise")
+
+
+def test_worker_death_costs_only_the_cell_being_aggregated(monkeypatch):
+    cfg = ExperimentConfig(**{**FAST, "reps": 2, "workers": 2})
+    starts = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiments, "_run_grid_replication", _dying_replication)
+    rows = run_grid(cfg, deltas=(1.0, 0.1, 0.01), sigma2s=(0.01,))
+    assert len(starts) == 2  # the broken pool and the fresh one
+    assert [(r.delta, r.sigma2) for r in rows] == [(1.0, 0.01), (0.1, 0.01), (0.01, 0.01)]
+    assert rows[0].failures >= 1
+    for row in rows[1:]:
+        alone = run_grid_cell(replace(cfg, workers=1), row.delta, row.sigma2)
+        assert row.failures == 0
+        for key, value in asdict(row).items():
+            assert np.array_equal(value, asdict(alone)[key]), key
 
 
 def test_grid_replication_is_deterministic():

@@ -65,7 +65,7 @@ def test_benchmark_orthonormal_design():
     # weight 1 there and ~0 elsewhere, up to the ridge perturbation
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
-    fm = FeatureMatrix(values=Q, d=1, M=4)
+    fm = FeatureMatrix(blocks=Q[None])
     y = Q[:, 1]
     coef = benchmark_estimator(ModelMask.from_active(1, [0]), fm, y, ridge_lambda=1e-6)
     expected = np.array([0.0, 1.0, 0.0, 0.0])
@@ -90,7 +90,7 @@ def test_benchmark_matches_independent_solve():
     y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
     lam = 0.1
     coef = benchmark_estimator(ModelMask.from_active(1, [0]), fm, y, ridge_lambda=lam)
-    Phi = fm.values
+    Phi = fm.blocks[0]
     direct = np.linalg.inv(Phi.T @ Phi + lam * np.eye(4)) @ (Phi.T @ y)
     assert np.allclose(coef.values, direct, atol=1e-10)
 
@@ -101,7 +101,7 @@ def test_benchmark_shrinks_into_ball():
     rng = np.random.default_rng(3)
     base = rng.standard_normal(15)
     Phi = np.column_stack([base, base + 1e-8 * rng.standard_normal(15)])
-    fm = FeatureMatrix(values=Phi, d=1, M=2)
+    fm = FeatureMatrix(blocks=Phi[None])
     y = rng.standard_normal(15)
     coef = benchmark_estimator(ModelMask.from_active(1, [0]), fm, y,
                                ridge_lambda=1e-12, ball_radius=2.0)
@@ -109,7 +109,7 @@ def test_benchmark_shrinks_into_ball():
 
 
 def test_benchmark_rejects_empty_mask():
-    fm = FeatureMatrix(values=np.zeros((4, 2)), d=1, M=2)
+    fm = FeatureMatrix(blocks=np.zeros((1, 4, 2)))
     with pytest.raises(ValueError):
         benchmark_estimator(ModelMask.empty(1), fm, np.ones(4))
 
