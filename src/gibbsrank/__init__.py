@@ -23,7 +23,6 @@ from .sampler import (
     ChainTrace,
     FinalEstimators,
     SamplerConfig,
-    benchmark_estimator,
     mcmc_step,
     propose_neighborhood,
     run_chain,
@@ -58,7 +57,6 @@ __all__ = [
     "ChainTrace",
     "FinalEstimators",
     "SamplerConfig",
-    "benchmark_estimator",
     "mcmc_step",
     "propose_neighborhood",
     "run_chain",

@@ -20,8 +20,6 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-_clamp_warned = False
-
 
 @dataclass(frozen=True)
 class BasisDictionary:
@@ -45,13 +43,11 @@ DEFAULT_DICTIONARY = BasisDictionary()
 
 
 def rescale(x):
-    """Map [0, 1] to [-1, 1] via 2x - 1; values slightly outside are clamped."""
-    global _clamp_warned
+    """Map [0, 1] to [-1, 1] via 2x - 1; values outside are clamped, with a warning."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        if not _clamp_warned:
-            logger.warning("input outside [0, 1]; clamping (reported once)")
-            _clamp_warned = True
+    outside = np.count_nonzero((x < 0.0) | (x > 1.0))
+    if outside:
+        logger.warning("%d input value(s) outside [0, 1]; clamping", outside)
         x = np.clip(x, 0.0, 1.0)
     return 2.0 * x - 1.0
 

@@ -10,12 +10,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .basis import score_dense
 from .data import derive_seed, gen_synthetic, load_csv, save_csv
 from .experiments import (
     ExperimentConfig,
@@ -28,18 +27,8 @@ from .experiments import (
 from .risk import auc
 from .sampler import trace_to_csv
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
-def _coerce(name: str, raw: str):
-    if name == "signal_covariates":
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if name in ("delta_scale", "norm_mode"):
-        return raw
-    if name in ("iters", "burnin", "reps", "folds", "seed", "d",
-                "n_train", "n_test", "workers"):
-        return int(raw)
-    return float(raw)
+# each config field parses with the type of its default
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def read_config_file(path) -> dict:
@@ -52,10 +41,14 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
+        key, raw = key.strip(), raw.strip()
+        kind = _CONFIG_FIELDS.get(key)
+        if kind is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} expects {kind.__name__}, got {raw!r}") from None
     return values
 
 
@@ -84,9 +77,6 @@ def _add_common(parser):
     parser.add_argument("--d", type=int)
     parser.add_argument("--n-train", dest="n_train", type=int)
     parser.add_argument("--n-test", dest="n_test", type=int)
-    parser.add_argument("--delta-scale", dest="delta_scale", choices=("power", "n", "none"))
-    parser.add_argument("--norm-mode", dest="norm_mode",
-                        choices=("coefficient", "covariate", "kernel"))
     parser.add_argument("--out", default=".", help="output directory")
 
 
@@ -164,14 +154,14 @@ def cmd_grid(args) -> int:
     deltas = _parse_grid_list(args.deltas, TABLE_DELTAS)
     sigma2s = _parse_grid_list(args.sigma2s, TABLE_SIGMA2S)
     rows = run_grid(cfg, deltas, sigma2s)
-    grid_to_csv(rows, out / "grid.csv", cfg.signal_covariates)
+    grid_to_csv(rows, out / "grid.csv")
     write_metadata(out / "grid_metadata.json", cfg,
                    {"deltas": list(deltas), "sigma2s": list(sigma2s)})
     for row in rows:
         print(f"delta={row.delta:g} sigma2={row.sigma2:g} "
               f"averaged {row.auc_averaged_mean:.3f} ({row.auc_averaged_var:.3f}) "
               f"randomized {row.auc_randomized_mean:.3f} ({row.auc_randomized_var:.3f}) "
-              f"junk {row.junk_frequency_sum(cfg.signal_covariates):.4f}")
+              f"junk {row.junk_frequency_sum():.4f}")
     return 0
 
 

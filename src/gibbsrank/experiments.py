@@ -6,15 +6,14 @@ the whole pipeline is deterministic byte-for-byte.
 
 The `delta` values in experiment configs are on the scale of the published
 grid; before entering the Gibbs exponent they are mapped to an internal
-inverse temperature.  The default map (delta_scale="power") is the
-calibrated delta_coeff * n_train * delta**delta_power; delta_scale="n"
-multiplies by the training-set size only, and delta_scale="none" uses the
-value verbatim.
+inverse temperature by the calibrated power map
+DELTA_COEFF * n_train * delta**DELTA_POWER.  Every chain runs the "kernel"
+normalization with move probability 0.4 and the prior-ball radius and
+ridge penalty that GibbsConfig and SamplerConfig default to.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import json
@@ -22,13 +21,13 @@ import logging
 import math
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .basis import DEFAULT_DICTIONARY, build_features, score, score_dense
-from .data import Dataset, derive_seed, gen_synthetic, make_splits
+from .data import SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits
 from .gibbs import GibbsConfig
 from .risk import auc
 from .sampler import SamplerConfig, run_chain
@@ -37,6 +36,9 @@ logger = logging.getLogger(__name__)
 
 TABLE_DELTAS = (100.0, 10.0, 1.0, 0.1, 0.01)
 TABLE_SIGMA2S = (1.0, 0.1, 0.01, 0.001)
+# Calibration of the grid-scale delta to the internal inverse temperature.
+DELTA_COEFF = 1.5
+DELTA_POWER = 0.70
 
 
 @dataclass(frozen=True)
@@ -53,47 +55,22 @@ class ExperimentConfig:
     n_train: int = 1000
     n_test: int = 2000
     workers: int = 1
-    delta_scale: str = "power"    # "power", "n", or "none"
-    delta_coeff: float = 1.5
-    delta_power: float = 0.70
-    norm_mode: str = "kernel"
-    ball_radius: float = 2.0
-    ridge_lambda: float = 1.0
-    move_prob: float = 0.4
-    signal_covariates: tuple = (3, 5)  # 1-based
 
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if self.delta_scale not in ("power", "n", "none"):
-            raise ValueError("delta_scale must be 'power', 'n', or 'none'")
 
 
 def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
     """Map a grid-scale delta to the internal inverse temperature."""
-    if cfg.delta_scale == "power":
-        return cfg.delta_coeff * n_train * cfg.delta ** cfg.delta_power
-    if cfg.delta_scale == "n":
-        return cfg.delta * n_train
-    return cfg.delta
+    return DELTA_COEFF * n_train * cfg.delta ** DELTA_POWER
 
 
 def chain_configs(cfg: ExperimentConfig, n_train: int, d: int, seed: int = 0):
-    gcfg = GibbsConfig(
-        delta=effective_delta(cfg, n_train),
-        d=d,
-        beta=cfg.beta,
-        ball_radius=cfg.ball_radius,
-        norm_mode=cfg.norm_mode,
-    )
-    scfg = SamplerConfig(
-        horizon=cfg.iters,
-        burnin=cfg.burnin,
-        sigma2=cfg.sigma2,
-        move_prob=cfg.move_prob,
-        seed=seed,
-        ridge_lambda=cfg.ridge_lambda,
-    )
+    gcfg = GibbsConfig(delta=effective_delta(cfg, n_train), d=d, beta=cfg.beta,
+                       norm_mode="kernel")
+    scfg = SamplerConfig(horizon=cfg.iters, burnin=cfg.burnin, sigma2=cfg.sigma2,
+                         move_prob=0.4, seed=seed)
     return gcfg, scfg
 
 
@@ -162,7 +139,8 @@ class GridResultRow:
     selection_frequency: np.ndarray  # per covariate, averaged over replications
     failures: int = 0
 
-    def junk_frequency_sum(self, signal_covariates) -> float:
+    def junk_frequency_sum(self, signal_covariates=SIGNAL_COVARIATES) -> float:
+        """Summed selection frequency of the covariates outside signal_covariates (1-based)."""
         signal = {j - 1 for j in signal_covariates}
         return float(sum(f for j, f in enumerate(self.selection_frequency) if j not in signal))
 
@@ -188,28 +166,27 @@ def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float,
     re-raises the first failure.
 
     futures, if given, holds the cell's replications already queued on a
-    pool, in replication order (run_grid passes them); by default the cell
-    runs its own, in a pool of its own when cfg.workers > 1.
+    pool, in replication order (run_grid passes them).  Otherwise the cell
+    runs its replications in this process, or with cfg.workers > 1 as a
+    one-cell run_grid.
     """
     _check_on_error(on_error)
+    if futures is None and cfg.workers > 1:
+        return run_grid(cfg, (delta,), (sigma2,), on_error)[0]
+    if futures is None:
+        results = [functools.partial(_run_grid_replication, (asdict(cfg), delta, sigma2, rep))
+                   for rep in range(cfg.reps)]
+    else:
+        results = [future.result for future in futures]
     metrics = []
-    with contextlib.ExitStack() as stack:
-        if futures is None and cfg.workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
-            futures = _queue(pool, cfg, delta, sigma2)
-        if futures is None:
-            results = [functools.partial(_run_grid_replication, (asdict(cfg), delta, sigma2, rep))
-                       for rep in range(cfg.reps)]
-        else:
-            results = [future.result for future in futures]
-        for rep, result in enumerate(results):
-            try:
-                metrics.append(result())
-            except Exception:
-                if on_error == "raise":
-                    raise
-                logger.exception("grid cell delta=%r sigma2=%r: replication %d failed",
-                                 delta, sigma2, rep)
+    for rep, result in enumerate(results):
+        try:
+            metrics.append(result())
+        except Exception:
+            if on_error == "raise":
+                raise
+            logger.exception("grid cell delta=%r sigma2=%r: replication %d failed",
+                             delta, sigma2, rep)
     failures = cfg.reps - len(metrics)
     if not metrics:
         return GridResultRow(
@@ -242,8 +219,8 @@ def run_grid(cfg: ExperimentConfig, deltas=TABLE_DELTAS, sigma2s=TABLE_SIGMA2S,
     (cell, replication) job is queued up front, so a worker that finishes
     early takes the next cell's job instead of idling at the end of a cell.
     A worker that dies breaks the pool: the cell being aggregated counts its
-    lost replications as failures, as a cell's own pool would, and the cells
-    after it are queued again on a fresh pool.
+    lost replications as failures, and the cells after it are queued again
+    on a fresh pool.
     """
     _check_on_error(on_error)
     cells = [(delta, sigma2) for delta in deltas for sigma2 in sigma2s]
@@ -265,7 +242,7 @@ def run_grid(cfg: ExperimentConfig, deltas=TABLE_DELTAS, sigma2s=TABLE_SIGMA2S,
     return rows
 
 
-def grid_to_csv(rows: list[GridResultRow], path, signal_covariates=(3, 5)) -> None:
+def grid_to_csv(rows: list[GridResultRow], path) -> None:
     d = rows[0].selection_frequency.size if rows else 0
     header = ["delta", "sigma2", "auc_averaged_mean", "auc_averaged_var",
               "auc_randomized_mean", "auc_randomized_var"]
@@ -279,7 +256,7 @@ def grid_to_csv(rows: list[GridResultRow], path, signal_covariates=(3, 5)) -> No
                       f"{row.auc_averaged_mean:.6f}", f"{row.auc_averaged_var:.6f}",
                       f"{row.auc_randomized_mean:.6f}", f"{row.auc_randomized_var:.6f}"]
             record += [f"{f:.6f}" for f in row.selection_frequency]
-            record += [f"{row.junk_frequency_sum(signal_covariates):.6f}", str(row.failures)]
+            record += [f"{row.junk_frequency_sum():.6f}", str(row.failures)]
             writer.writerow(record)
 
 

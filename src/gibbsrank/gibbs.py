@@ -23,14 +23,29 @@ from .basis import SparseCoef
 
 # Normalization conventions for the ball-volume and proposal-density
 # constants.  "coefficient" uses the true dimension of the restricted
-# coefficient vector (|m|_0 * M); "covariate" counts one dimension per
-# active covariate (|m|_0); "kernel" drops the constants entirely so only
-# density ratios at fixed dimension are meaningful.
-NORM_MODES = ("coefficient", "covariate", "kernel")
+# coefficient vector (|m|_0 * M); "kernel" drops the constants entirely so
+# only density ratios at fixed dimension are meaningful.
+NORM_MODES = ("coefficient", "kernel")
 
 
 @dataclass(frozen=True)
 class GibbsConfig:
+    """Settings of the prior and the Gibbs pseudo-posterior.
+
+    The two normalization modes target different model-size priors.  With
+    norm_mode="coefficient" the chain samples the stated prior: as
+    delta -> 0 the size |m|_0 = k has mass proportional to beta^(kM)
+    (prior_size_distribution).  With norm_mode="kernel", the mode the
+    experiments run, the uniform-ball and Gaussian-proposal constants are
+    left out, so as delta -> 0 the chain samples sizes with mass
+    proportional to
+
+        beta^(kM) * Vol_kM(ball_radius) * (2 pi sigma2)^(-kM/2),
+
+    which depends on the proposal variance sigma2 and, at small sigma2,
+    favours large models.
+    """
+
     delta: float
     d: int
     beta: float = 0.5
@@ -50,9 +65,7 @@ class GibbsConfig:
 
     def ball_dim(self, n_active: int) -> int:
         """Dimension used for normalization constants of a size-n_active model."""
-        if self.norm_mode == "coefficient":
-            return n_active * self.M
-        return n_active
+        return n_active * self.M
 
 
 # Both constants depend only on the model size, so the sampler's per-candidate

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,17 +106,6 @@ class BenchmarkCache:
         values.setflags(write=False)
         self._cache[key] = values
         return values
-
-
-def benchmark_estimator(mask: ModelMask, features: FeatureMatrix, labels,
-                        ridge_lambda: float = 1e-6, ball_radius: float = 2.0,
-                        cache: BenchmarkCache | None = None) -> SparseCoef:
-    """Ridge fit of the +-1 labels on the restricted feature columns."""
-    if mask.size == 0:
-        raise ValueError("benchmark estimator needs a non-empty mask")
-    if cache is None:
-        cache = BenchmarkCache(features, labels, ridge_lambda, ball_radius)
-    return SparseCoef(mask=mask, values=cache.fit(mask))
 
 
 def propose_neighborhood(current: ModelMask, rng: np.random.Generator,

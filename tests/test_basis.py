@@ -1,5 +1,7 @@
 """Dictionary evaluation and sparse additive scoring."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ def test_rescale_midpoint_and_boundaries():
 def test_rescale_clamps_out_of_range():
     out = rescale(np.array([-0.1, 1.2]))
     assert np.array_equal(out, [-1.0, 1.0])
+
+
+def test_rescale_warns_on_every_clamping_call(caplog):
+    with caplog.at_level(logging.WARNING, logger="gibbsrank.basis"):
+        rescale(np.array([0.2, 0.7]))
+        assert caplog.records == []
+        rescale(np.array([-0.1, 0.5, 1.2]))
+        rescale(np.array([1.5]))
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 input value(s) outside [0, 1]; clamping",
+        "1 input value(s) outside [0, 1]; clamping",
+    ]
 
 
 def test_first_two_legendre_functions():

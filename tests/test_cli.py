@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import fields, replace
+
 from gibbsrank.cli import build_config, main, read_config_file
 from gibbsrank.data import gen_synthetic, save_csv
+from gibbsrank.experiments import ExperimentConfig, write_metadata
 
 FAST = ["--iters", "60", "--burnin", "40", "--n-train", "80", "--n-test", "80"]
 
@@ -17,9 +20,9 @@ def run_cli(*argv):
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\n\ndelta = 0.5\niters=200\nsignal_covariates=3,5\n")
+    path.write_text("# comment\n\ndelta = 0.5\niters=200\n")
     values = read_config_file(path)
-    assert values == {"delta": 0.5, "iters": 200, "signal_covariates": (3, 5)}
+    assert values == {"delta": 0.5, "iters": 200}
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -27,6 +30,28 @@ def test_config_file_rejects_unknown_key(tmp_path):
     path.write_text("temperature=1.0\n")
     with pytest.raises(ValueError, match="unknown config key"):
         read_config_file(path)
+
+
+@pytest.mark.parametrize("line, message", [("iters=abc", "iters expects int, got 'abc'"),
+                                           ("reps=2.0", "reps expects int, got '2.0'"),
+                                           ("delta=x", "delta expects float, got 'x'")])
+def test_config_file_rejects_bad_value(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"seed=1\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{path}:2: {message}$"):
+        read_config_file(path)
+
+
+def test_config_round_trips_through_file_and_metadata(tmp_path):
+    # every field set away from its default, so a dropped value shows
+    cfg = ExperimentConfig(**{f.name: f.default + 3 for f in fields(ExperimentConfig)})
+    cfg = replace(cfg, sigma2=0.125, beta=1 / 3)
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)))
+    assert ExperimentConfig(**read_config_file(path)) == cfg
+    write_metadata(tmp_path / "meta.json", cfg)
+    recorded = json.loads((tmp_path / "meta.json").read_text())["config"]
+    assert ExperimentConfig(**recorded) == cfg
 
 
 def test_config_file_rejects_malformed_line(tmp_path):
@@ -86,7 +111,7 @@ def test_fit_smoke_two_iterations(tmp_path):
 
 def test_fit_tiny_delta_is_chance_level(tmp_path):
     out = tmp_path / "fit0"
-    run_cli("fit", "--out", str(out), "--delta", "1e-8", "--delta-scale", "none",
+    run_cli("fit", "--out", str(out), "--delta", "1e-8",
             "--iters", "100", "--burnin", "50", "--n-train", "150", "--n-test", "400")
     metrics = json.loads((out / "metrics.json").read_text())
     assert abs(metrics["test_auc_averaged"] - 0.5) <= 0.1

@@ -37,20 +37,28 @@ def _dying_replication(args):
     return _real_replication(args)
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """One entry per process pool the experiments module starts."""
+    starts = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(reps=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(delta_scale="log")
 
 
 def test_effective_delta_mappings():
     base = ExperimentConfig(delta=0.1)
-    assert effective_delta(base, 1000) == pytest.approx(1.5 * 1000 * 0.1**0.70)
-    linear = ExperimentConfig(delta=0.1, delta_scale="n")
-    assert effective_delta(linear, 1000) == pytest.approx(100.0)
-    verbatim = ExperimentConfig(delta=0.1, delta_scale="none")
-    assert effective_delta(verbatim, 1000) == pytest.approx(0.1)
+    assert effective_delta(base, 1000) == 1.5 * 1000 * 0.1**0.70
 
 
 def test_chain_configs_carry_settings():
@@ -63,6 +71,8 @@ def test_chain_configs_carry_settings():
     assert scfg.burnin == 45
     assert scfg.sigma2 == 0.5
     assert scfg.seed == 5
+    assert gcfg.norm_mode == "kernel"
+    assert scfg.move_prob == 0.4
 
 
 def test_fit_and_evaluate_metrics_shape():
@@ -126,18 +136,10 @@ def test_run_grid_covers_requested_cells():
     assert [(r.delta, r.sigma2) for r in rows] == [(1.0, 0.01), (0.1, 0.01)]
 
 
-def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch):
+def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch, pool_starts):
     cfg = ExperimentConfig(**{**FAST, "reps": 2, "workers": 2})
-    starts = []
-
-    class CountingPool(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            starts.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
     rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
-    assert len(starts) == 1
+    assert len(pool_starts) == 1
     for row in rows:
         alone = run_grid_cell(replace(cfg, workers=1), row.delta, row.sigma2)
         assert asdict(row).keys() == asdict(alone).keys()
@@ -152,19 +154,21 @@ def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch):
         run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,), on_error="raise")
 
 
-def test_worker_death_costs_only_the_cell_being_aggregated(monkeypatch):
+def test_pooled_cell_is_a_one_cell_grid(pool_starts):
     cfg = ExperimentConfig(**{**FAST, "reps": 2, "workers": 2})
-    starts = []
+    row = run_grid_cell(cfg, 1.0, 0.01)
+    assert len(pool_starts) == 1
+    alone = run_grid_cell(replace(cfg, workers=1), 1.0, 0.01)
+    assert len(pool_starts) == 1
+    for key, value in asdict(row).items():
+        assert np.array_equal(value, asdict(alone)[key]), key
 
-    class CountingPool(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            starts.append(1)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+def test_worker_death_costs_only_the_cell_being_aggregated(monkeypatch, pool_starts):
+    cfg = ExperimentConfig(**{**FAST, "reps": 2, "workers": 2})
     monkeypatch.setattr(experiments, "_run_grid_replication", _dying_replication)
     rows = run_grid(cfg, deltas=(1.0, 0.1, 0.01), sigma2s=(0.01,))
-    assert len(starts) == 2  # the broken pool and the fresh one
+    assert len(pool_starts) == 2  # the broken pool and the fresh one
     assert [(r.delta, r.sigma2) for r in rows] == [(1.0, 0.01), (0.1, 0.01), (0.01, 0.01)]
     assert rows[0].failures >= 1
     for row in rows[1:]:
@@ -187,7 +191,7 @@ def test_junk_frequency_excludes_signal_covariates():
     row = run_grid_cell(cfg, delta=1.0, sigma2=0.01)
     total = float(row.selection_frequency.sum())
     signal = row.selection_frequency[2] + row.selection_frequency[4]
-    assert row.junk_frequency_sum((3, 5)) == pytest.approx(total - signal)
+    assert row.junk_frequency_sum() == pytest.approx(total - signal)
 
 
 def test_cv_agrees_with_holdout_fit(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 from gibbsrank.basis import ModelMask, SparseCoef
+from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import (
     GibbsConfig,
     log_ball_volume,
@@ -15,6 +16,7 @@ from gibbsrank.gibbs import (
     log_prior,
     prior_size_distribution,
 )
+from gibbsrank.sampler import SamplerConfig, run_chain
 
 
 def unit_coef(d, active, M, norm=1.0):
@@ -33,6 +35,8 @@ def test_config_validation():
         GibbsConfig(delta=1.0, d=5, ball_radius=-1.0)
     with pytest.raises(ValueError):
         GibbsConfig(delta=1.0, d=5, norm_mode="exact")
+    with pytest.raises(ValueError):
+        GibbsConfig(delta=1.0, d=5, norm_mode="covariate")
 
 
 def test_ball_volume_closed_forms():
@@ -68,7 +72,7 @@ def test_dimension_mismatch_raises():
         log_prior(theta, cfg)
 
 
-@pytest.mark.parametrize("norm_mode", ["coefficient", "covariate", "kernel"])
+@pytest.mark.parametrize("norm_mode", ["coefficient", "kernel"])
 def test_log_prior_size_ratio_identity(norm_mode):
     """Moving from model size k to k+1 changes the log prior by
     M log(beta) + log C(d,k) - log C(d,k+1) minus the ball-volume increment."""
@@ -89,10 +93,32 @@ def test_log_prior_size_ratio_identity(norm_mode):
 
 
 def test_ball_dim_by_mode():
-    coeff = GibbsConfig(delta=1.0, d=5, norm_mode="coefficient")
-    cov = GibbsConfig(delta=1.0, d=5, norm_mode="covariate")
-    assert coeff.ball_dim(3) == 39
-    assert cov.ball_dim(3) == 3
+    for norm_mode in ("coefficient", "kernel"):
+        assert GibbsConfig(delta=1.0, d=5, norm_mode=norm_mode).ball_dim(3) == 39
+
+
+def test_kernel_mode_samples_its_own_size_prior():
+    """At delta -> 0 the "kernel" chain samples model sizes with mass
+    beta^(kM) Vol_kM(2) (2 pi sigma2)^(-kM/2), not the stated prior: the
+    setup of acceptance criterion 7c with the experiments' normalization."""
+    sigma2 = 0.3
+    gcfg = GibbsConfig(delta=1e-8, d=5, beta=0.8, norm_mode="kernel")
+    dims = np.arange(gcfg.d + 1) * gcfg.M
+    logw = np.array([dim * (math.log(gcfg.beta) - 0.5 * math.log(2 * math.pi * sigma2))
+                     + log_ball_volume(int(dim), gcfg.ball_radius) for dim in dims])
+    kernel_target = np.exp(logw - logw.max())
+    kernel_target /= kernel_target.sum()
+    counts = np.zeros(gcfg.d + 1)
+    for seed in range(10):
+        data = gen_synthetic(40, d=5, seed=seed)
+        scfg = SamplerConfig(horizon=3000, burnin=500, sigma2=sigma2, seed=seed)
+        trace, _ = run_chain(data, gcfg=gcfg, scfg=scfg)
+        counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)
+    empirical = counts / counts.sum()
+    tv_kernel = 0.5 * float(np.abs(empirical - kernel_target).sum())
+    tv_stated = 0.5 * float(np.abs(empirical - prior_size_distribution(gcfg)).sum())
+    assert tv_kernel < 0.1
+    assert tv_stated > 0.5
 
 
 def test_log_gibbs_zero_risk_equals_prior():

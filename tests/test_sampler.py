@@ -19,7 +19,6 @@ from gibbsrank.sampler import (
     BenchmarkCache,
     ChainState,
     SamplerConfig,
-    benchmark_estimator,
     chain_risk,
     initial_state,
     log_proposal_density,
@@ -67,9 +66,9 @@ def test_benchmark_orthonormal_design():
     Q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
     fm = FeatureMatrix(blocks=Q[None])
     y = Q[:, 1]
-    coef = benchmark_estimator(ModelMask.from_active(1, [0]), fm, y, ridge_lambda=1e-6)
+    values = BenchmarkCache(fm, y, ridge_lambda=1e-6, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
     expected = np.array([0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(coef.values, expected, atol=1e-5)
+    assert np.allclose(values, expected, atol=1e-5)
 
 
 def test_benchmark_cache_returns_identical_result():
@@ -89,10 +88,10 @@ def test_benchmark_matches_independent_solve():
     fm = build_features(X, small)
     y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
     lam = 0.1
-    coef = benchmark_estimator(ModelMask.from_active(1, [0]), fm, y, ridge_lambda=lam)
+    values = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
     Phi = fm.blocks[0]
     direct = np.linalg.inv(Phi.T @ Phi + lam * np.eye(4)) @ (Phi.T @ y)
-    assert np.allclose(coef.values, direct, atol=1e-10)
+    assert np.allclose(values, direct, atol=1e-10)
 
 
 def test_benchmark_shrinks_into_ball():
@@ -103,15 +102,8 @@ def test_benchmark_shrinks_into_ball():
     Phi = np.column_stack([base, base + 1e-8 * rng.standard_normal(15)])
     fm = FeatureMatrix(blocks=Phi[None])
     y = rng.standard_normal(15)
-    coef = benchmark_estimator(ModelMask.from_active(1, [0]), fm, y,
-                               ridge_lambda=1e-12, ball_radius=2.0)
-    assert np.linalg.norm(coef.values) <= 2.0
-
-
-def test_benchmark_rejects_empty_mask():
-    fm = FeatureMatrix(blocks=np.zeros((1, 4, 2)))
-    with pytest.raises(ValueError):
-        benchmark_estimator(ModelMask.empty(1), fm, np.ones(4))
+    values = BenchmarkCache(fm, y, ridge_lambda=1e-12, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
+    assert np.linalg.norm(values) <= 2.0
 
 
 def test_add_neighborhood_enumeration():
