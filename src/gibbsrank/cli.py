@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import derive_seed, gen_synthetic, load_csv, save_csv
+from .data import derive_seed, gen_synthetic, load_csv, load_train_test, save_csv
 from .experiments import (
     ExperimentConfig,
     fit_and_evaluate,
@@ -112,8 +112,12 @@ def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
 def cmd_fit(args) -> int:
     cfg = build_config(args)
     out = _outdir(args)
-    train = _load_dataset(args.train, cfg, "train")
-    test = _load_dataset(args.test if args.test else args.train, cfg, "test")
+    test_source = args.test or "synthetic"  # main() requires --test for a CSV --train
+    if "synthetic" in (args.train, test_source):
+        train = _load_dataset(args.train, cfg, "train")
+        test = _load_dataset(test_source, cfg, "test")
+    else:
+        train, test = load_train_test(args.train, test_source)
     rng = np.random.default_rng(derive_seed(cfg.seed, "fit", "chain"))
     result = fit_and_evaluate(train, test, cfg, rng=rng, keep_trace=True)
     trace_to_csv(result.trace, out / "trace.csv")
@@ -222,10 +226,11 @@ def main(argv=None) -> int:
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", help="run one chain and report metrics")
+    fit_parser = p = sub.add_parser("fit", help="run one chain and report metrics")
     _add_common(p)
     p.add_argument("--train", default="synthetic", help="training CSV, or 'synthetic'")
-    p.add_argument("--test", help="test CSV (defaults to a fresh synthetic draw)")
+    p.add_argument("--test", help="test CSV, or 'synthetic'; required when --train is a CSV, "
+                                  "a fresh synthetic draw by default when --train is synthetic")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("grid", help="replicated (delta, sigma2) grid on synthetic data")
@@ -248,6 +253,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_auc)
 
     args = parser.parse_args(argv)
+    if args.command == "fit" and args.train != "synthetic" and args.test is None:
+        fit_parser.error("--test is required when --train is a CSV")
     return args.func(args)
 
 

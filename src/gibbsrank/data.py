@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,20 +75,25 @@ def gen_synthetic(n: int, d: int = 10, seed=0) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write features, label, and (when present) eta with full precision."""
-    d = dataset.d
-    header = [f"x{j + 1}" for j in range(d)] + ["label"]
+    """Write features, label, and (when present) eta with full precision.
+
+    The bytes are those csv.writer writes for the same cells: no cell needs
+    quoting, and lines end in CRLF.
+    """
+    header = [f"x{j + 1}" for j in range(dataset.d)] + ["label"]
+    fmt = ",".join(["{:.17g}"] * dataset.d) + ",{:d}"
+    tails = [[int(v) for v in dataset.y.tolist()]]
     if dataset.eta is not None:
         header.append("eta")
+        fmt += ",{:.17g}"
+        tails.append(dataset.eta.tolist())
+    fmt += "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [f"{v:.17g}" for v in dataset.X[i]]
-            row.append(f"{int(dataset.y[i]):d}")
-            if dataset.eta is not None:
-                row.append(f"{dataset.eta[i]:.17g}")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        # Row by row: the whole 2000 x 100 table as Python floats at once
+        # would raise the writer's peak memory by about 8 MB.
+        for x, *tail in zip(dataset.X, *tails):
+            fh.write(fmt.format(*x.tolist(), *tail))
 
 
 def load_csv(path, label_column: str = "label", positive_label_value: float = 1.0,
@@ -160,10 +165,30 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     return Dataset(X=X, y=y, eta=eta, source=str(path))
 
 
-def minmax_normalize(X: np.ndarray) -> np.ndarray:
-    """Per-column min-max map into [0, 1]; constant columns go to 0.5."""
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
+def load_train_test(train_path, test_path) -> tuple[Dataset, Dataset]:
+    """Load a training and a test CSV, both normalized with the training ranges.
+
+    The test rows are mapped with the training file's per-column minimum and
+    maximum, so the model scores them on the scale it was fitted on; test
+    values outside the training range land outside [0, 1], where
+    basis.rescale clamps them.
+    """
+    train = load_csv(train_path, normalize=False)
+    test = load_csv(test_path, normalize=False)
+    if test.d != train.d:
+        raise DataError(f"{test_path}: {test.d} feature columns, {train_path} has {train.d}")
+    ranges = (train.X.min(axis=0), train.X.max(axis=0))
+    return (replace(train, X=minmax_normalize(train.X, ranges)),
+            replace(test, X=minmax_normalize(test.X, ranges)))
+
+
+def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:
+    """Per-column min-max map into [0, 1]; constant columns go to 0.5.
+
+    ranges=(lo, hi) maps with those per-column minima and maxima instead of
+    X's own.
+    """
+    lo, hi = (X.min(axis=0), X.max(axis=0)) if ranges is None else ranges
     span = hi - lo
     constant = span == 0
     if np.any(constant):

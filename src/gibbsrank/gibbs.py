@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import SparseCoef
 
@@ -75,12 +74,12 @@ def log_ball_volume(dim: int, radius: float) -> float:
     """log of the volume of the l2-ball of the given dimension and radius."""
     if dim == 0:
         return 0.0
-    return 0.5 * dim * math.log(math.pi) + dim * math.log(radius) - gammaln(0.5 * dim + 1.0)
+    return 0.5 * dim * math.log(math.pi) + dim * math.log(radius) - math.lgamma(0.5 * dim + 1.0)
 
 
 @functools.cache
 def log_binomial(d: int, k: int) -> float:
-    return gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)
+    return math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
 
 
 def log_prior(theta: SparseCoef, cfg: GibbsConfig) -> float:

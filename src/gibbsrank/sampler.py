@@ -6,7 +6,7 @@ from a Gaussian centered on that mask's ridge benchmark fit, picks one
 candidate with probability proportional to posterior/proposal, and accepts
 it through a Metropolis-Hastings ratio.  The run yields the last state
 (randomized estimator) and the post-burn-in average of the zero-padded
-iterates (averaged estimator).
+iterates (averaged estimator); only the post-burn-in iterates are kept.
 """
 
 from __future__ import annotations
@@ -229,10 +229,16 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
 
 @dataclass
 class ChainTrace:
-    """Per-iteration record of the chain plus summary statistics."""
+    """Per-iteration record of the chain plus summary statistics.
+
+    Masks, risks, acceptances and moves cover all T iterations.  The
+    coefficients are kept only after burn-in, the rows the averaged
+    estimator uses: thetas[i] is iteration burnin + i, so the trace holds
+    (T - burnin) * d * M doubles rather than T * d * M.
+    """
 
     masks: np.ndarray       # (T, d) bool
-    thetas: np.ndarray      # (T, d * M) zero-padded coefficients
+    thetas: np.ndarray      # (T - burnin, d * M) zero-padded post-burn-in coefficients
     risks: np.ndarray       # (T,)
     accepted: np.ndarray    # (T,) bool; first row is the initial state
     moves: list[str]
@@ -278,9 +284,9 @@ def run_chain(dataset, dictionary: BasisDictionary = DEFAULT_DICTIONARY,
         rng = np.random.default_rng(scfg.seed)
     bench = BenchmarkCache(features, labels, scfg.ridge_lambda, gcfg.ball_radius)
 
-    T, d, M = scfg.horizon, features.d, features.M
+    T, d, M, burnin = scfg.horizon, features.d, features.M, scfg.burnin
     masks = np.zeros((T, d), dtype=bool)
-    thetas = np.zeros((T, d * M))
+    thetas = np.zeros((T - burnin, d * M))  # row 0 is the initial state when burnin == 0
     risks = np.zeros(T)
     accepted = np.zeros(T, dtype=bool)
     moves = ["init"]
@@ -293,16 +299,17 @@ def run_chain(dataset, dictionary: BasisDictionary = DEFAULT_DICTIONARY,
         except ChainError as exc:
             raise ChainError(f"iteration {t}: {exc}") from exc
         masks[t] = state.theta.mask.bits
-        thetas[t] = state.theta.padded(M)
+        if t >= burnin:
+            thetas[t - burnin] = state.theta.padded(M)
         risks[t] = state.risk
         accepted[t] = rec.accepted
         moves.append(rec.move)
 
     trace = ChainTrace(masks=masks, thetas=thetas, risks=risks, accepted=accepted,
-                       moves=moves, burnin=scfg.burnin)
+                       moves=moves, burnin=burnin)
     estimators = FinalEstimators(
         randomized=SparseCoef(mask=ModelMask(masks[-1]), values=state.theta.values.copy()),
-        averaged=thetas[scfg.burnin:].mean(axis=0),
+        averaged=thetas.mean(axis=0),
     )
     return trace, estimators
 

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, config files, output artifacts."""
 
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dataclasses import fields, replace
 
+import gibbsrank
 from gibbsrank.cli import build_config, main, read_config_file
 from gibbsrank.data import gen_synthetic, save_csv
 from gibbsrank.experiments import ExperimentConfig, write_metadata
@@ -125,6 +131,38 @@ def test_fit_from_csv(tmp_path):
     run_cli("fit", "--out", str(out), "--train", str(path), "--test", str(path),
             "--iters", "30", "--burnin", "20")
     assert (out / "metrics.json").exists()
+
+
+def test_fit_csv_test_uses_training_ranges(tmp_path, caplog):
+    train = gen_synthetic(80, seed=0)
+    train.X[:] = 0.2 + 0.6 * train.X  # the training file spans only [0.2, 0.8]
+    save_csv(train, tmp_path / "train.csv")
+    save_csv(gen_synthetic(80, seed=1), tmp_path / "test.csv")
+    with caplog.at_level(logging.WARNING, logger="gibbsrank.basis"):
+        run_cli("fit", "--out", str(tmp_path / "out"), "--train", str(tmp_path / "train.csv"),
+                "--test", str(tmp_path / "test.csv"), "--iters", "4", "--burnin", "2")
+    # test values beyond the training range are clamped when the test features are built
+    assert any("outside [0, 1]; clamping" in r.getMessage() for r in caplog.records)
+
+
+def test_fit_csv_train_requires_test(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    save_csv(gen_synthetic(40, seed=0), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--out", str(tmp_path / "out"), "--train", str(path)])
+    assert exc.value.code == 2
+    assert "--test is required when --train is a CSV" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(gibbsrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gibbsrank.cli; "
+                               "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_grid_single_cell(tmp_path):

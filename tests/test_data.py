@@ -1,5 +1,6 @@
 """Synthetic generator, CSV round-trips, splits, and seed derivation."""
 
+import csv
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from gibbsrank.data import (
     eta_function,
     gen_synthetic,
     load_csv,
+    load_train_test,
     make_splits,
     minmax_normalize,
     save_csv,
@@ -75,6 +77,48 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(loaded.X, data.X, atol=1e-12)
     assert np.array_equal(loaded.y, data.y)
     assert np.allclose(loaded.eta, data.eta, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_eta", [True, False])
+def test_save_csv_bytes_match_csv_writer(tmp_path, with_eta):
+    data = gen_synthetic(25, d=7, seed=3)
+    if not with_eta:
+        data = Dataset(X=data.X, y=data.y)
+    data.X[0, 0] = 0.0
+    data.X[1, 1] = 1e-300
+    path = tmp_path / "fast.csv"
+    save_csv(data, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(7)] + ["label"] + ["eta"] * with_eta)
+        for i in range(data.n):
+            row = [f"{v:.17g}" for v in data.X[i]] + [f"{int(data.y[i]):d}"]
+            if with_eta:
+                row.append(f"{data.eta[i]:.17g}")
+            writer.writerow(row)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_test_csv_uses_training_ranges(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,label\n0,10,1\n0.5,30,0\n1,20,1\n")
+    test = tmp_path / "test.csv"
+    test.write_text("x1,x2,label\n0.25,0,0\n0.75,40,1\n")
+    tr, te = load_train_test(train, test)
+    assert np.array_equal(tr.X, load_csv(train).X)
+    assert np.array_equal(te.X[:, 0], [0.25, 0.75])
+    assert np.array_equal(te.X[:, 1], [-0.5, 1.5])  # outside the training range
+    assert np.array_equal(te.y, [-1.0, 1.0])
+
+
+def test_test_csv_must_match_training_width(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,label\n0,10,1\n1,20,0\n")
+    test = tmp_path / "test.csv"
+    test.write_text("x1,label\n0.25,0\n0.75,1\n")
+    with pytest.raises(DataError, match="1 feature columns"):
+        load_train_test(train, test)
 
 
 def test_minmax_normalization(tmp_path):

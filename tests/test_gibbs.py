@@ -163,3 +163,25 @@ def test_gammaln_consistency_of_volume():
     for dim in (5, 13, 26):
         direct = 0.5 * dim * math.log(math.pi) + dim * math.log(2.0) - gammaln(dim / 2 + 1)
         assert log_ball_volume(dim, 2.0) == pytest.approx(direct, abs=1e-12)
+
+
+def test_log_binomial_matches_gammaln_oracle():
+    # the package computes with math.lgamma; scipy's gammaln is the oracle
+    try:
+        for d in range(1, 1001):
+            k = np.arange(d + 1)
+            oracle = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)
+            got = np.array([log_binomial(d, int(j)) for j in k])
+            assert np.max(np.abs(got - oracle)) <= 1e-10, d
+    finally:
+        log_binomial.cache_clear()  # half a million entries no other test needs
+
+
+def test_log_ball_volume_matches_gammaln_oracle():
+    dims = np.arange(1, 13001)
+    oracle = 0.5 * dims * math.log(math.pi) + dims * math.log(2.0) - gammaln(0.5 * dims + 1.0)
+    try:
+        got = np.array([log_ball_volume(int(dim), 2.0) for dim in dims])
+    finally:
+        log_ball_volume.cache_clear()
+    assert np.max(np.abs(got - oracle)) <= 1e-10

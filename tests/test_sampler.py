@@ -223,6 +223,21 @@ def test_run_chain_is_deterministic():
     assert np.array_equal(est_a.randomized.values, est_b.randomized.values)
 
 
+@pytest.mark.parametrize("burnin", [5, 0])
+def test_run_chain_keeps_post_burnin_thetas(burnin):
+    data = gen_synthetic(60, d=5, seed=8)
+    gcfg = GibbsConfig(delta=100.0, d=5, norm_mode="kernel")
+    scfg = SamplerConfig(horizon=80, burnin=burnin, sigma2=0.01, seed=11)
+    trace, est = run_chain(data, gcfg=gcfg, scfg=scfg)
+    assert trace.thetas.shape == (80 - burnin, 5 * 13)
+    assert np.array_equal(est.averaged, trace.thetas.mean(axis=0))
+    # row i is iteration burnin + i (at burnin 0, the empty initial state):
+    # its support is that iteration's mask
+    support = (trace.thetas.reshape(-1, 5, 13) != 0).any(axis=2)
+    assert np.array_equal(support, trace.masks[burnin:])
+    assert len({m.tobytes() for m in trace.masks[burnin:]}) > 1  # the mask moves
+
+
 def test_run_chain_smoke_two_iterations(tmp_path):
     data = gen_synthetic(20, d=5, seed=9)
     gcfg = GibbsConfig(delta=1.0, d=5)
