@@ -17,7 +17,7 @@ from .basis import (
 )
 from .data import Dataset, gen_synthetic, load_csv, make_splits, save_csv
 from .gibbs import GibbsConfig, log_gibbs, log_prior, prior_size_distribution
-from .risk import auc, empirical_rank_risk, excess_risk_proxy, risk_report
+from .risk import auc, empirical_rank_risk
 from .sampler import (
     BenchmarkCache,
     ChainTrace,
@@ -51,8 +51,6 @@ __all__ = [
     "prior_size_distribution",
     "auc",
     "empirical_rank_risk",
-    "excess_risk_proxy",
-    "risk_report",
     "BenchmarkCache",
     "ChainTrace",
     "FinalEstimators",

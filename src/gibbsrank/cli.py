@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .experiments import (
     grid_to_csv,
     run_cv,
     run_grid,
+    size_prior,
     write_metadata,
 )
 from .risk import auc
@@ -65,18 +66,8 @@ def build_config(args) -> ExperimentConfig:
 
 def _add_common(parser):
     parser.add_argument("--config", help="flat KEY=VALUE config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--sigma2", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--iters", type=int)
-    parser.add_argument("--burnin", type=int)
-    parser.add_argument("--reps", type=int)
-    parser.add_argument("--folds", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--n-train", dest="n_train", type=int)
-    parser.add_argument("--n-test", dest="n_test", type=int)
+    for name, kind in _CONFIG_FIELDS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind)
     parser.add_argument("--out", default=".", help="output directory")
 
 
@@ -106,7 +97,10 @@ def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
     if path_or_synth == "synthetic":
         n = cfg.n_train if role == "train" else cfg.n_test
         return gen_synthetic(n, cfg.d, seed=np.random.default_rng(derive_seed(cfg.seed, "fit", role)))
-    return load_csv(path_or_synth)
+    # a test CSV beside synthetic training data keeps its raw values: the
+    # synthetic features are raw draws on [0, 1], and basis.rescale clamps
+    # and counts what falls outside that range
+    return load_csv(path_or_synth, normalize=(role == "train"))
 
 
 def cmd_fit(args) -> int:
@@ -134,7 +128,7 @@ def cmd_fit(args) -> int:
     with open(out / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_metadata(out / "fit_metadata.json", cfg)
+    write_metadata(out / "fit_metadata.json", cfg, {"size_prior": size_prior(cfg, train.d)})
     print(f"test AUC: averaged {metrics['test_auc_averaged']:.4f}, "
           f"randomized {metrics['test_auc_randomized']:.4f} "
           f"(acceptance {metrics['acceptance_rate']:.3f})")
@@ -159,8 +153,11 @@ def cmd_grid(args) -> int:
     sigma2s = _parse_grid_list(args.sigma2s, TABLE_SIGMA2S)
     rows = run_grid(cfg, deltas, sigma2s)
     grid_to_csv(rows, out / "grid.csv")
-    write_metadata(out / "grid_metadata.json", cfg,
-                   {"deltas": list(deltas), "sigma2s": list(sigma2s)})
+    write_metadata(out / "grid_metadata.json", cfg, {
+        "deltas": list(deltas),
+        "sigma2s": list(sigma2s),
+        "size_prior": {repr(s): size_prior(replace(cfg, sigma2=s), cfg.d) for s in sigma2s},
+    })
     for row in rows:
         print(f"delta={row.delta:g} sigma2={row.sigma2:g} "
               f"averaged {row.auc_averaged_mean:.3f} ({row.auc_averaged_var:.3f}) "
@@ -180,7 +177,8 @@ def cmd_cv(args) -> int:
         fh.write("fold,auc_averaged,auc_randomized\n")
         for i, (a, r) in enumerate(zip(result.fold_auc_averaged, result.fold_auc_randomized)):
             fh.write(f"{i},{a:.6f},{r:.6f}\n")
-    write_metadata(out / "cv_metadata.json", cfg, summary)
+    write_metadata(out / "cv_metadata.json", cfg,
+                   {**summary, "size_prior": size_prior(cfg, dataset.d)})
     print(f"CV AUC: averaged {summary['cv_auc_averaged_mean']:.3f} "
           f"({summary['cv_auc_averaged_var']:.3f}), "
           f"randomized {summary['cv_auc_randomized_mean']:.3f} "

@@ -202,68 +202,42 @@ def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Either a holdout pair or k disjoint folds covering all indices."""
+    """k disjoint folds covering all indices."""
 
-    folds: tuple  # tuple of index arrays; holdout stores (train, test)
-    kind: str     # "holdout" or "kfold"
+    folds: tuple  # tuple of sorted index arrays
     seed: int
 
 
-def make_splits(n: int, kind: str = "kfold", k: int = 5, ratio: float = 0.5,
-                seed: int = 0, labels=None, stratified: bool = False) -> SplitPlan:
-    """Seeded permutation split into k folds or a train/test holdout pair.
+def make_splits(n: int, k: int = 5, seed: int = 0, labels=None,
+                stratified: bool = False) -> SplitPlan:
+    """Seeded permutation split into k folds.
 
     With stratified=True (requires labels) each fold's positive count is
     within one of the proportional share.
     """
     if stratified and labels is None:
         raise ValueError("stratified splits need labels")
+    if k < 2 or k > n:
+        raise ValueError("k must satisfy 2 <= k <= n")
     rng = np.random.default_rng(seed)
-
-    if kind == "holdout":
-        if not 0.0 < ratio < 1.0:
-            raise ValueError("holdout ratio must lie in (0, 1)")
-        if stratified:
-            labels = np.asarray(labels)
-            train_parts, test_parts = [], []
-            for cls in (labels > 0, labels <= 0):
-                idx = rng.permutation(np.flatnonzero(cls))
-                cut = int(round(ratio * idx.size))
-                train_parts.append(idx[:cut])
-                test_parts.append(idx[cut:])
-            train = np.sort(np.concatenate(train_parts))
-            test = np.sort(np.concatenate(test_parts))
-        else:
-            order = rng.permutation(n)
-            cut = int(round(ratio * n))
-            train, test = np.sort(order[:cut]), np.sort(order[cut:])
-        if train.size == 0 or test.size == 0:
-            raise ValueError("holdout split leaves an empty set")
-        return SplitPlan(folds=(train, test), kind="holdout", seed=seed)
-
-    if kind == "kfold":
-        if k < 2 or k > n:
-            raise ValueError("k must satisfy 2 <= k <= n")
-        buckets: list[list[int]] = [[] for _ in range(k)]
-        if stratified:
-            labels = np.asarray(labels)
-            slot = 0
-            for cls in (labels > 0, labels <= 0):
-                for i in rng.permutation(np.flatnonzero(cls)):
-                    buckets[slot % k].append(int(i))
-                    slot += 1
-        else:
-            for slot, i in enumerate(rng.permutation(n)):
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    if stratified:
+        labels = np.asarray(labels)
+        slot = 0
+        for cls in (labels > 0, labels <= 0):
+            for i in rng.permutation(np.flatnonzero(cls)):
                 buckets[slot % k].append(int(i))
-        folds = tuple(np.sort(np.array(b, dtype=int)) for b in buckets)
-        if stratified:
-            for f in folds:
-                fl = labels[f]
-                if np.all(fl > 0) or np.all(fl <= 0):
-                    raise DataError("stratification impossible: a fold has a single class")
-        return SplitPlan(folds=folds, kind="kfold", seed=seed)
-
-    raise ValueError(f"unknown split kind {kind!r}")
+                slot += 1
+    else:
+        for slot, i in enumerate(rng.permutation(n)):
+            buckets[slot % k].append(int(i))
+    folds = tuple(np.sort(np.array(b, dtype=int)) for b in buckets)
+    if stratified:
+        for f in folds:
+            fl = labels[f]
+            if np.all(fl > 0) or np.all(fl <= 0):
+                raise DataError("stratification impossible: a fold has a single class")
+    return SplitPlan(folds=folds, seed=seed)
 
 
 def derive_seed(root_seed: int, *tags) -> np.random.SeedSequence:

@@ -7,9 +7,15 @@ the whole pipeline is deterministic byte-for-byte.
 The `delta` values in experiment configs are on the scale of the published
 grid; before entering the Gibbs exponent they are mapped to an internal
 inverse temperature by the calibrated power map
-DELTA_COEFF * n_train * delta**DELTA_POWER.  Every chain runs the "kernel"
-normalization with move probability 0.4 and the prior-ball radius and
-ridge penalty that GibbsConfig and SamplerConfig default to.
+DELTA_COEFF * n_train * delta**DELTA_POWER.  Every chain targets the one
+normalised Gibbs density of GibbsConfig with the size prior
+gibbs.tilted_size_log_weights at the run's sigma2,
+
+    beta^(kM) * Vol_kM(2) * (2 pi sigma2)^(-kM/2)   for model size k,
+
+rather than the default beta^(kM), with move probability 0.4 and the
+prior-ball radius and ridge penalty that GibbsConfig and SamplerConfig
+default to.  Run metadata records this prior as "size_prior".
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from . import __version__
 from .basis import DEFAULT_DICTIONARY, build_features, score, score_dense
 from .data import SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits
-from .gibbs import GibbsConfig
+from .gibbs import GibbsConfig, prior_size_distribution, tilted_size_log_weights
 from .risk import auc
 from .sampler import SamplerConfig, run_chain
 
@@ -67,11 +73,20 @@ def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
 
 
 def chain_configs(cfg: ExperimentConfig, n_train: int, d: int, seed: int = 0):
-    gcfg = GibbsConfig(delta=effective_delta(cfg, n_train), d=d, beta=cfg.beta,
-                       norm_mode="kernel")
+    gcfg = GibbsConfig(delta=effective_delta(cfg, n_train), d=d, beta=cfg.beta)
+    gcfg = replace(gcfg, size_log_weights=tilted_size_log_weights(gcfg, cfg.sigma2))
     scfg = SamplerConfig(horizon=cfg.iters, burnin=cfg.burnin, sigma2=cfg.sigma2,
                          move_prob=0.4, seed=seed)
     return gcfg, scfg
+
+
+def size_prior(cfg: ExperimentConfig, d: int) -> list[float]:
+    """Distribution of the model size under the prior of cfg's chains on d covariates.
+
+    It depends on beta and sigma2 only, not on delta or the sample size.
+    """
+    gcfg, _ = chain_configs(cfg, cfg.n_train, d)
+    return prior_size_distribution(gcfg).tolist()
 
 
 @dataclass
@@ -279,8 +294,8 @@ class CvResult:
 
 def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> CvResult:
     """Stratified k-fold cross-validation of both estimators."""
-    plan = make_splits(dataset.n, kind="kfold", k=cfg.folds, seed=cfg.seed,
-                       labels=dataset.y, stratified=True)
+    plan = make_splits(dataset.n, k=cfg.folds, seed=cfg.seed, labels=dataset.y,
+                       stratified=True)
     fold_avg, fold_rand = [], []
     for i, test_idx in enumerate(plan.folds):
         train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)

@@ -1,13 +1,14 @@
 """Log-densities of the sparsity prior and the Gibbs pseudo-posterior.
 
 The prior over coefficient vectors mixes, over model masks m, a uniform
-density on an l2-ball of radius 2 weighted by
+density on an l2-ball of radius ball_radius weighted by
 
-    C(d, |m|_0)^(-1) * beta^(|m|_0 * M),
+    C(d, |m|_0)^(-1) * w_|m|_0,
 
-so mass decays geometrically with model size.  The Gibbs pseudo-posterior
-reweights the prior by exp(-delta * L_n).  Everything stays in log-space;
-delta can be large without overflow.
+where w_k is the prior mass of model size k (GibbsConfig.size_log_weights,
+beta^(kM) by default, so mass decays geometrically with model size).  The
+Gibbs pseudo-posterior reweights the prior by exp(-delta * L_n).  Everything
+stays in log-space; delta can be large without overflow.
 """
 
 from __future__ import annotations
@@ -20,29 +21,26 @@ import numpy as np
 
 from .basis import SparseCoef
 
-# Normalization conventions for the ball-volume and proposal-density
-# constants.  "coefficient" uses the true dimension of the restricted
-# coefficient vector (|m|_0 * M); "kernel" drops the constants entirely so
-# only density ratios at fixed dimension are meaningful.
-NORM_MODES = ("coefficient", "kernel")
-
 
 @dataclass(frozen=True)
 class GibbsConfig:
     """Settings of the prior and the Gibbs pseudo-posterior.
 
-    The two normalization modes target different model-size priors.  With
-    norm_mode="coefficient" the chain samples the stated prior: as
-    delta -> 0 the size |m|_0 = k has mass proportional to beta^(kM)
-    (prior_size_distribution).  With norm_mode="kernel", the mode the
-    experiments run, the uniform-ball and Gaussian-proposal constants are
-    left out, so as delta -> 0 the chain samples sizes with mass
-    proportional to
+    There is one target density: the uniform-ball and Gaussian-proposal
+    densities always carry their normalising constants, so as delta -> 0 the
+    chain samples model size k with mass proportional to
+    exp(size_log_weights[k]) (prior_size_distribution).  size_log_weights
+    holds d + 1 unnormalised log masses, one per size k = 0..d; left out, it
+    is k * M * log(beta), the geometric prior beta^(kM), filled in at
+    construction (so dataclasses.replace of beta or M keeps the old vector
+    unless size_log_weights=None is passed too).  The experiments
+    pass tilted_size_log_weights, the size prior
 
         beta^(kM) * Vol_kM(ball_radius) * (2 pi sigma2)^(-kM/2),
 
     which depends on the proposal variance sigma2 and, at small sigma2,
-    favours large models.
+    favours large models; tests/test_gibbs.py::
+    test_chain_samples_its_size_prior_vector checks that a chain recovers it.
     """
 
     delta: float
@@ -50,7 +48,7 @@ class GibbsConfig:
     beta: float = 0.5
     M: int = 13
     ball_radius: float = 2.0
-    norm_mode: str = "coefficient"
+    size_log_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -59,8 +57,14 @@ class GibbsConfig:
             raise ValueError("beta must lie in (0, 1)")
         if self.ball_radius <= 0:
             raise ValueError("ball_radius must be positive")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}")
+        if self.size_log_weights is None:
+            weights = tuple(k * self.M * math.log(self.beta) for k in range(self.d + 1))
+        else:
+            weights = tuple(self.size_log_weights)
+        if len(weights) != self.d + 1:
+            raise ValueError(f"size_log_weights needs d + 1 = {self.d + 1} entries, "
+                             f"got {len(weights)}")
+        object.__setattr__(self, "size_log_weights", weights)
 
     def ball_dim(self, n_active: int) -> int:
         """Dimension used for normalization constants of a size-n_active model."""
@@ -85,22 +89,19 @@ def log_binomial(d: int, k: int) -> float:
 def log_prior(theta: SparseCoef, cfg: GibbsConfig) -> float:
     """Unnormalized log prior density of a restricted coefficient vector.
 
-    Outside the radius-2 ball the density is zero (-inf).  The empty model
-    is a point mass at theta = 0 with log-weight 0.
+    Outside the prior ball the density is zero (-inf).  The empty model is a
+    point mass at theta = 0 with log-weight size_log_weights[0], which is 0
+    for the default and the tilted vector.
     """
     theta.check(cfg.M)
     if theta.mask.d != cfg.d:
         raise ValueError(f"mask over {theta.mask.d} covariates, config says d={cfg.d}")
     k = theta.mask.size
-    if k == 0:
-        return 0.0
     values = theta.values
     if math.sqrt(values @ values) > cfg.ball_radius:
         return -math.inf
-    out = -log_binomial(cfg.d, k) + k * cfg.M * math.log(cfg.beta)
-    if cfg.norm_mode != "kernel":
-        out -= log_ball_volume(cfg.ball_dim(k), cfg.ball_radius)
-    return out
+    return (-log_binomial(cfg.d, k) + cfg.size_log_weights[k]
+            - log_ball_volume(cfg.ball_dim(k), cfg.ball_radius))
 
 
 def log_gibbs(theta: SparseCoef, Ln: float, cfg: GibbsConfig) -> float:
@@ -108,17 +109,28 @@ def log_gibbs(theta: SparseCoef, Ln: float, cfg: GibbsConfig) -> float:
     return -cfg.delta * Ln + log_prior(theta, cfg)
 
 
-def prior_size_log_weights(cfg: GibbsConfig) -> np.ndarray:
-    """Unnormalized log prior mass of each model size 0..d.
+def tilted_size_log_weights(cfg: GibbsConfig, sigma2: float) -> tuple[float, ...]:
+    """The experiments' size prior: log of beta^(kM) Vol_kM(R) (2 pi sigma2)^(-kM/2).
 
-    Summing the model weights over the C(d, k) masks of size k cancels the
-    binomial factor, leaving beta^(kM) (each uniform ball integrates to 1).
+    k runs over 0..d; M, beta and the ball radius R come from cfg, and sigma2
+    is the variance of the chain's Gaussian proposal.
     """
-    return np.arange(cfg.d + 1) * cfg.M * math.log(cfg.beta)
+    log_beta = math.log(cfg.beta)
+    log_gauss = math.log(2.0 * math.pi * sigma2)
+    return tuple(
+        k * cfg.M * log_beta + log_ball_volume(cfg.ball_dim(k), cfg.ball_radius)
+        - 0.5 * cfg.ball_dim(k) * log_gauss
+        for k in range(cfg.d + 1)
+    )
 
 
 def prior_size_distribution(cfg: GibbsConfig) -> np.ndarray:
-    """Closed-form prior distribution of the model size |m|_0."""
-    logw = prior_size_log_weights(cfg)
+    """Closed-form prior distribution of the model size |m|_0.
+
+    Summing the model weights over the C(d, k) masks of size k cancels the
+    binomial factor, and each uniform ball integrates to 1, leaving
+    exp(size_log_weights[k]).
+    """
+    logw = np.array(cfg.size_log_weights)
     w = np.exp(logw - logw.max())
     return w / w.sum()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,40 +99,3 @@ def auc(scores, labels, tie_policy: str = "half") -> float:
         raise DegenerateDataError("AUC undefined: labels contain a single class")
     credit = neg_below_pos + (0.5 * tied if tie_policy == "half" else 0.0)
     return credit / (n_pos * n_neg)
-
-
-def excess_risk_proxy(scores, eta_values, labels) -> float:
-    """L_n(scores) - L_n(eta): empirical gap to the optimal scorer.
-
-    Only meaningful when the true regression function values are known
-    (synthetic data).  May be negative on a finite sample.
-    """
-    if eta_values is None:
-        raise ValueError("excess risk needs the true eta values (synthetic data only)")
-    return empirical_rank_risk(scores, labels) - empirical_rank_risk(eta_values, labels)
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    L_n: float
-    auc_strict: float
-    auc_tie_half: float
-    n_pos: int
-    n_neg: int
-
-
-def risk_report(scores, labels) -> RiskReport:
-    """Bundle the ranking risk and both AUC conventions for one score vector."""
-    n = len(scores)
-    if n < 2:
-        raise DegenerateDataError("ranking risk needs at least two instances")
-    pos_below_neg, neg_below_pos, tied, n_pos, n_neg = _pair_counts(scores, labels)
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateDataError("labels contain a single class")
-    return RiskReport(
-        L_n=2.0 * pos_below_neg / (n * (n - 1)),
-        auc_strict=neg_below_pos / (n_pos * n_neg),
-        auc_tie_half=(neg_below_pos + 0.5 * tied) / (n_pos * n_neg),
-        n_pos=n_pos,
-        n_neg=n_neg,
-    )

@@ -134,21 +134,18 @@ def propose_neighborhood(current: ModelMask, rng: np.random.Generator,
 
 def log_proposal_density(values: np.ndarray, mean: np.ndarray, cfg: GibbsConfig,
                          sigma2: float) -> float:
-    """Log density of the benchmark-centered Gaussian proposal.
+    """Normalised log density of the benchmark-centered Gaussian proposal.
 
-    The normalization constant follows cfg.norm_mode; the quadratic term
-    always uses the full coefficient vector.  The empty model's point
-    proposal has log density 0 by convention.
+    Its dimension is cfg.ball_dim of the model size, that of the full
+    coefficient vector.  The empty model's point proposal has log density 0
+    by convention.
     """
     if values.size == 0:
         return 0.0
     resid = values - mean
     np.square(resid, out=resid)
     quad = -float(np.add.reduce(resid)) / (2.0 * sigma2)
-    if cfg.norm_mode == "kernel":
-        return quad
-    n_active = values.size // cfg.M
-    dim = cfg.ball_dim(n_active)
+    dim = cfg.ball_dim(values.size // cfg.M)
     return quad - 0.5 * dim * math.log(2.0 * math.pi * sigma2)
 
 

@@ -140,7 +140,7 @@ def test_criterion_7a_selection_frequencies():
 def test_criterion_7b_self_proposal_acceptance():
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=50.0, d=5, norm_mode="kernel")
+    gcfg = GibbsConfig(delta=50.0, d=5)
     scfg = SamplerConfig(sigma2=0.01)
     bench = BenchmarkCache(fm, data.y, scfg.ridge_lambda, gcfg.ball_radius)
     mask = ModelMask.from_active(5, [2])
@@ -158,7 +158,7 @@ def test_criterion_7b_self_proposal_acceptance():
 
 
 def test_criterion_7c_prior_recovery_at_zero_temperature():
-    gcfg = GibbsConfig(delta=1e-8, d=5, beta=0.85, norm_mode="coefficient")
+    gcfg = GibbsConfig(delta=1e-8, d=5, beta=0.85)
     target = prior_size_distribution(gcfg)
     counts = np.zeros(gcfg.d + 1)
     for seed in range(10):

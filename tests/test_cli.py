@@ -13,11 +13,19 @@ import pytest
 from dataclasses import fields, replace
 
 import gibbsrank
+from gibbsrank import cli
 from gibbsrank.cli import build_config, main, read_config_file
 from gibbsrank.data import gen_synthetic, save_csv
-from gibbsrank.experiments import ExperimentConfig, write_metadata
+from gibbsrank.experiments import ExperimentConfig, chain_configs, write_metadata
+from gibbsrank.gibbs import prior_size_distribution
 
 FAST = ["--iters", "60", "--burnin", "40", "--n-train", "80", "--n-test", "80"]
+
+
+def chain_size_prior(d, **settings):
+    """prior_size_distribution of the chains a run with these settings samples."""
+    gcfg, _ = chain_configs(ExperimentConfig(**settings), 100, d)
+    return prior_size_distribution(gcfg).tolist()
 
 
 def run_cli(*argv):
@@ -81,6 +89,17 @@ def test_flags_override_config_file(tmp_path, monkeypatch):
     assert cfg.seed == 3
 
 
+def test_every_config_field_parses_from_its_flag(monkeypatch):
+    values = {f.name: f.default + 1 for f in fields(ExperimentConfig)}
+    argv = []
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(build_config(args)) or 0)
+    run_cli("synth", *argv)
+    assert seen == [ExperimentConfig(**values)]
+
+
 def test_synth_writes_expected_files(tmp_path):
     out = tmp_path / "synth"
     run_cli("synth", "--out", str(out))
@@ -113,6 +132,8 @@ def test_fit_smoke_two_iterations(tmp_path):
     assert 0.0 <= metrics["test_auc_averaged"] <= 1.0
     estimators = json.loads((out / "estimators.json").read_text())
     assert "randomized" in estimators and "averaged" in estimators
+    meta = json.loads((out / "fit_metadata.json").read_text())
+    assert meta["size_prior"] == chain_size_prior(10)
 
 
 def test_fit_tiny_delta_is_chance_level(tmp_path):
@@ -145,6 +166,28 @@ def test_fit_csv_test_uses_training_ranges(tmp_path, caplog):
     assert any("outside [0, 1]; clamping" in r.getMessage() for r in caplog.records)
 
 
+def test_fit_synthetic_train_keeps_csv_test_scale(tmp_path, monkeypatch):
+    """Synthetic training features are raw draws on [0, 1]; a test CSV beside
+    them reaches the model on that scale, not min-max normalised by its own
+    ranges."""
+    test = gen_synthetic(80, seed=1)
+    test.X[:, 0] = np.linspace(0.25, 0.75, test.n)
+    save_csv(test, tmp_path / "test.csv")
+    seen = []
+    real = cli.fit_and_evaluate
+
+    def spy(train, test, *args, **kwargs):
+        seen.append(test)
+        return real(train, test, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_and_evaluate", spy)
+    run_cli("fit", "--out", str(tmp_path / "out"), "--test", str(tmp_path / "test.csv"),
+            "--n-train", "80", "--iters", "4", "--burnin", "2")
+    x1 = seen[0].X[:, 0]
+    assert (x1.min(), x1.max()) == (0.25, 0.75)
+    assert np.array_equal(seen[0].X, test.X)
+
+
 def test_fit_csv_train_requires_test(tmp_path, capsys):
     path = tmp_path / "train.csv"
     save_csv(gen_synthetic(40, seed=0), path)
@@ -174,6 +217,8 @@ def test_grid_single_cell(tmp_path):
     record = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert float(record["auc_averaged_var"]) == 0.0
     assert record["failures"] == "0"
+    meta = json.loads((out / "grid_metadata.json").read_text())
+    assert meta["size_prior"] == {"0.01": chain_size_prior(10, sigma2=0.01)}
 
 
 def test_cv_two_folds(tmp_path):
@@ -187,6 +232,7 @@ def test_cv_two_folds(tmp_path):
     assert len(lines) == 3
     summary = json.loads((out / "cv_metadata.json").read_text())
     assert "cv_auc_averaged_mean" in summary
+    assert summary["size_prior"] == chain_size_prior(10)
 
 
 def test_cv_handles_constant_feature_column(tmp_path):

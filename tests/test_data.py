@@ -184,8 +184,7 @@ def test_blank_lines_are_skipped(tmp_path):
 
 
 def test_kfold_partition():
-    plan = make_splits(10, kind="kfold", k=5)
-    assert plan.kind == "kfold"
+    plan = make_splits(10, k=5)
     all_idx = np.sort(np.concatenate(plan.folds))
     assert np.array_equal(all_idx, np.arange(10))
     for a in range(5):
@@ -194,8 +193,8 @@ def test_kfold_partition():
 
 
 def test_split_determinism():
-    a = make_splits(40, kind="kfold", k=4, seed=9)
-    b = make_splits(40, kind="kfold", k=4, seed=9)
+    a = make_splits(40, k=4, seed=9)
+    b = make_splits(40, k=4, seed=9)
     for fa, fb in zip(a.folds, b.folds):
         assert np.array_equal(fa, fb)
 
@@ -204,35 +203,17 @@ def test_stratified_kfold_balances_positives():
     rng = np.random.default_rng(5)
     labels = np.array([1.0] * 60 + [-1.0] * 40)
     rng.shuffle(labels)
-    plan = make_splits(100, kind="kfold", k=5, seed=1, labels=labels, stratified=True)
+    plan = make_splits(100, k=5, seed=1, labels=labels, stratified=True)
     for fold in plan.folds:
         n_pos = int(np.sum(labels[fold] > 0))
         assert abs(n_pos - 12) <= 1
 
 
-def test_holdout_split():
-    plan = make_splits(20, kind="holdout", ratio=0.5, seed=2)
-    train, test = plan.folds
-    assert train.size + test.size == 20
-    assert not set(train) & set(test)
-
-
-def test_stratified_holdout_split():
-    labels = np.array([1.0] * 10 + [-1.0] * 10)
-    plan = make_splits(20, kind="holdout", ratio=0.5, seed=3,
-                       labels=labels, stratified=True)
-    train, test = plan.folds
-    assert int(np.sum(labels[train] > 0)) == 5
-    assert int(np.sum(labels[test] > 0)) == 5
-
-
 def test_split_validation_errors():
     with pytest.raises(ValueError):
-        make_splits(10, kind="holdout", ratio=1.5)
+        make_splits(10, k=1)
     with pytest.raises(ValueError):
-        make_splits(10, kind="kfold", k=1)
-    with pytest.raises(ValueError):
-        make_splits(10, kind="bootstrap")
+        make_splits(10, k=11)
     with pytest.raises(ValueError):
         make_splits(10, stratified=True)
 
@@ -240,7 +221,7 @@ def test_split_validation_errors():
 def test_stratified_single_class_fold_raises():
     labels = np.array([1.0] * 9 + [-1.0])
     with pytest.raises(DataError):
-        make_splits(10, kind="kfold", k=5, labels=labels, stratified=True)
+        make_splits(10, k=5, labels=labels, stratified=True)
 
 
 def test_derive_seed_is_stable_and_distinct():

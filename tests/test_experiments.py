@@ -8,6 +8,7 @@ import pytest
 
 from gibbsrank import experiments
 from gibbsrank.data import gen_synthetic, save_csv, load_csv
+from gibbsrank.gibbs import GibbsConfig, tilted_size_log_weights
 from gibbsrank.experiments import (
     ExperimentConfig,
     chain_configs,
@@ -71,7 +72,8 @@ def test_chain_configs_carry_settings():
     assert scfg.burnin == 45
     assert scfg.sigma2 == 0.5
     assert scfg.seed == 5
-    assert gcfg.norm_mode == "kernel"
+    base = GibbsConfig(delta=gcfg.delta, d=7, beta=0.4)
+    assert gcfg.size_log_weights == tilted_size_log_weights(base, cfg.sigma2)
     assert scfg.move_prob == 0.4
 
 

@@ -1,6 +1,7 @@
 """Prior and pseudo-posterior log-densities, checked against log-gamma identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gibbsrank.gibbs import (
     log_gibbs,
     log_prior,
     prior_size_distribution,
+    tilted_size_log_weights,
 )
 from gibbsrank.sampler import SamplerConfig, run_chain
 
@@ -33,10 +35,10 @@ def test_config_validation():
         GibbsConfig(delta=1.0, d=5, beta=1.0)
     with pytest.raises(ValueError):
         GibbsConfig(delta=1.0, d=5, ball_radius=-1.0)
+    with pytest.raises(ValueError, match="d \\+ 1 = 6 entries"):
+        GibbsConfig(delta=1.0, d=5, size_log_weights=(0.0,) * 5)
     with pytest.raises(ValueError):
-        GibbsConfig(delta=1.0, d=5, norm_mode="exact")
-    with pytest.raises(ValueError):
-        GibbsConfig(delta=1.0, d=5, norm_mode="covariate")
+        GibbsConfig(delta=1.0, d=5, size_log_weights=(0.0,) * 7)
 
 
 def test_ball_volume_closed_forms():
@@ -72,42 +74,46 @@ def test_dimension_mismatch_raises():
         log_prior(theta, cfg)
 
 
-@pytest.mark.parametrize("norm_mode", ["coefficient", "kernel"])
-def test_log_prior_size_ratio_identity(norm_mode):
+@pytest.mark.parametrize("prior", ["default", "tilted"])
+def test_log_prior_size_ratio_identity(prior):
     """Moving from model size k to k+1 changes the log prior by
-    M log(beta) + log C(d,k) - log C(d,k+1) minus the ball-volume increment."""
+    w[k+1] - w[k] + log C(d,k) - log C(d,k+1) minus the ball-volume increment."""
     d, M = 20, 13
-    cfg = GibbsConfig(delta=1.0, d=d, beta=0.37, M=M, norm_mode=norm_mode)
+    cfg = GibbsConfig(delta=1.0, d=d, beta=0.37, M=M)
+    if prior == "tilted":
+        cfg = replace(cfg, size_log_weights=tilted_size_log_weights(cfg, 0.01))
+    w = cfg.size_log_weights
     for k in range(1, d):
         lo = log_prior(unit_coef(d, list(range(k)), M), cfg)
         hi = log_prior(unit_coef(d, list(range(k + 1)), M), cfg)
         expected = (
-            M * math.log(cfg.beta)
+            w[k + 1] - w[k]
             + log_binomial(d, k)
             - log_binomial(d, k + 1)
+            - log_ball_volume(cfg.ball_dim(k + 1), cfg.ball_radius)
+            + log_ball_volume(cfg.ball_dim(k), cfg.ball_radius)
         )
-        if norm_mode != "kernel":
-            expected -= log_ball_volume(cfg.ball_dim(k + 1), cfg.ball_radius)
-            expected += log_ball_volume(cfg.ball_dim(k), cfg.ball_radius)
         assert hi - lo == pytest.approx(expected, abs=1e-10)
 
 
-def test_ball_dim_by_mode():
-    for norm_mode in ("coefficient", "kernel"):
-        assert GibbsConfig(delta=1.0, d=5, norm_mode=norm_mode).ball_dim(3) == 39
+def test_ball_dim():
+    assert GibbsConfig(delta=1.0, d=5).ball_dim(3) == 39
+    assert GibbsConfig(delta=1.0, d=5, M=4).ball_dim(3) == 12
 
 
-def test_kernel_mode_samples_its_own_size_prior():
-    """At delta -> 0 the "kernel" chain samples model sizes with mass
-    beta^(kM) Vol_kM(2) (2 pi sigma2)^(-kM/2), not the stated prior: the
-    setup of acceptance criterion 7c with the experiments' normalization."""
+def test_chain_samples_its_size_prior_vector():
+    """At delta -> 0 a chain samples model sizes with the mass its size
+    prior vector states: here the experiments' tilted vector
+    beta^(kM) Vol_kM(2) (2 pi sigma2)^(-kM/2), far from the geometric
+    beta^(kM), in the setup of acceptance criterion 7c."""
     sigma2 = 0.3
-    gcfg = GibbsConfig(delta=1e-8, d=5, beta=0.8, norm_mode="kernel")
+    geometric = GibbsConfig(delta=1e-8, d=5, beta=0.8)
+    gcfg = replace(geometric, size_log_weights=tilted_size_log_weights(geometric, sigma2))
     dims = np.arange(gcfg.d + 1) * gcfg.M
-    logw = np.array([dim * (math.log(gcfg.beta) - 0.5 * math.log(2 * math.pi * sigma2))
-                     + log_ball_volume(int(dim), gcfg.ball_radius) for dim in dims])
-    kernel_target = np.exp(logw - logw.max())
-    kernel_target /= kernel_target.sum()
+    closed_form = (dims * (math.log(gcfg.beta) + 0.5 * math.log(math.pi) + math.log(2.0)
+                           - 0.5 * math.log(2 * math.pi * sigma2))
+                   - gammaln(0.5 * dims + 1.0))
+    assert np.allclose(gcfg.size_log_weights, closed_form, rtol=0.0, atol=1e-10)
     counts = np.zeros(gcfg.d + 1)
     for seed in range(10):
         data = gen_synthetic(40, d=5, seed=seed)
@@ -115,10 +121,10 @@ def test_kernel_mode_samples_its_own_size_prior():
         trace, _ = run_chain(data, gcfg=gcfg, scfg=scfg)
         counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)
     empirical = counts / counts.sum()
-    tv_kernel = 0.5 * float(np.abs(empirical - kernel_target).sum())
-    tv_stated = 0.5 * float(np.abs(empirical - prior_size_distribution(gcfg)).sum())
-    assert tv_kernel < 0.1
-    assert tv_stated > 0.5
+    tv_vector = 0.5 * float(np.abs(empirical - prior_size_distribution(gcfg)).sum())
+    tv_geometric = 0.5 * float(np.abs(empirical - prior_size_distribution(geometric)).sum())
+    assert tv_vector < 0.1
+    assert tv_geometric > 0.5
 
 
 def test_log_gibbs_zero_risk_equals_prior():

@@ -7,8 +7,6 @@ from gibbsrank.risk import (
     DegenerateDataError,
     auc,
     empirical_rank_risk,
-    excess_risk_proxy,
-    risk_report,
 )
 
 
@@ -105,7 +103,7 @@ def test_all_tied_scores():
 
 
 def test_nan_score_raises_with_its_index():
-    for call in (auc, empirical_rank_risk, risk_report):
+    for call in (auc, empirical_rank_risk):
         with pytest.raises(ValueError, match="NaN score at index 1"):
             call([0.1, np.nan, 0.3, np.nan], [1.0, -1.0, -1.0, 1.0])
 
@@ -167,45 +165,6 @@ def test_auc_rejects_unknown_policy():
 def test_auc_single_class_raises():
     with pytest.raises(DegenerateDataError):
         auc([1.0, 2.0], [1.0, 1.0])
-
-
-def test_excess_risk_zero_for_identical_scorer():
-    rng = np.random.default_rng(0)
-    eta = rng.random(30)
-    labels = np.where(rng.random(30) < eta, 1.0, -1.0)
-    assert excess_risk_proxy(eta, eta, labels) == 0.0
-
-
-def test_excess_risk_invariant_to_increasing_transform():
-    rng = np.random.default_rng(1)
-    eta = rng.random(30)
-    labels = np.where(rng.random(30) < eta, 1.0, -1.0)
-    assert excess_risk_proxy(2.0 * eta + 3.0, eta, labels) == 0.0
-
-
-def test_excess_risk_matches_brute_force():
-    rng = np.random.default_rng(2)
-    eta = rng.random(30)
-    labels = np.where(rng.random(30) < eta, 1.0, -1.0)
-    scores = rng.random(30)
-    expected = brute_risk(scores, labels) - brute_risk(eta, labels)
-    assert excess_risk_proxy(scores, eta, labels) == pytest.approx(expected, abs=1e-15)
-
-
-def test_excess_risk_requires_eta():
-    with pytest.raises(ValueError):
-        excess_risk_proxy([1.0, 2.0], None, [-1.0, 1.0])
-
-
-def test_risk_report_consistent_with_components():
-    rng = np.random.default_rng(3)
-    scores, labels = random_instance(rng)
-    report = risk_report(scores, labels)
-    assert report.L_n == empirical_rank_risk(scores, labels)
-    assert report.auc_strict == auc(scores, labels, "strict")
-    assert report.auc_tie_half == auc(scores, labels, "half")
-    assert report.n_pos == int(np.sum(labels > 0))
-    assert report.n_neg == int(np.sum(labels <= 0))
 
 
 def test_shape_mismatch_raises():

@@ -1,6 +1,7 @@
 """Benchmark fits, neighborhood proposals, and the Metropolis-Hastings step."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gibbsrank.basis import (
     score,
 )
 from gibbsrank.data import gen_synthetic
-from gibbsrank.gibbs import GibbsConfig, log_gibbs
+from gibbsrank.gibbs import GibbsConfig, log_gibbs, tilted_size_log_weights
 from gibbsrank.sampler import (
     BenchmarkCache,
     ChainState,
@@ -28,6 +29,12 @@ from gibbsrank.sampler import (
     select_index,
     trace_to_csv,
 )
+
+
+def tilted_config(delta, d, sigma2=0.01):
+    """A GibbsConfig with the experiments' size prior at proposal variance sigma2."""
+    gcfg = GibbsConfig(delta=delta, d=d)
+    return replace(gcfg, size_log_weights=tilted_size_log_weights(gcfg, sigma2))
 
 
 class FakeRng:
@@ -148,23 +155,21 @@ def test_select_index_matches_weights():
 
 
 def test_log_proposal_density_conventions():
-    gcfg_kernel = GibbsConfig(delta=1.0, d=2, M=2, norm_mode="kernel")
-    gcfg_coeff = GibbsConfig(delta=1.0, d=2, M=2, norm_mode="coefficient")
+    gcfg = GibbsConfig(delta=1.0, d=2, M=2)
     values = np.array([1.0, 2.0])
     mean = np.array([0.5, 2.5])
     sigma2 = 0.2
     quad = -0.5 / sigma2 * 0.5
-    assert log_proposal_density(values, mean, gcfg_kernel, sigma2) == pytest.approx(quad)
     norm = -0.5 * 2 * math.log(2 * math.pi * sigma2)
-    assert log_proposal_density(values, mean, gcfg_coeff, sigma2) == pytest.approx(quad + norm)
-    assert log_proposal_density(np.zeros(0), np.zeros(0), gcfg_coeff, sigma2) == 0.0
+    assert log_proposal_density(values, mean, gcfg, sigma2) == pytest.approx(quad + norm)
+    assert log_proposal_density(np.zeros(0), np.zeros(0), gcfg, sigma2) == 0.0
 
 
 def test_self_proposal_is_always_accepted():
     """A stay candidate identical to the current state has ratio exactly 1."""
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=50.0, d=5, norm_mode="kernel")
+    gcfg = GibbsConfig(delta=50.0, d=5)
     scfg = SamplerConfig(sigma2=0.01)
     bench = BenchmarkCache(fm, data.y, scfg.ridge_lambda, gcfg.ball_radius)
     mask = ModelMask.from_active(5, [2])
@@ -211,7 +216,7 @@ def test_initial_state_is_empty_model():
 
 def test_run_chain_is_deterministic():
     data = gen_synthetic(60, d=5, seed=8)
-    gcfg = GibbsConfig(delta=100.0, d=5, norm_mode="kernel")
+    gcfg = tilted_config(delta=100.0, d=5)
     scfg = SamplerConfig(horizon=80, burnin=40, sigma2=0.01, seed=11)
     trace_a, est_a = run_chain(data, gcfg=gcfg, scfg=scfg)
     trace_b, est_b = run_chain(data, gcfg=gcfg, scfg=scfg)
@@ -226,7 +231,7 @@ def test_run_chain_is_deterministic():
 @pytest.mark.parametrize("burnin", [5, 0])
 def test_run_chain_keeps_post_burnin_thetas(burnin):
     data = gen_synthetic(60, d=5, seed=8)
-    gcfg = GibbsConfig(delta=100.0, d=5, norm_mode="kernel")
+    gcfg = tilted_config(delta=100.0, d=5)
     scfg = SamplerConfig(horizon=80, burnin=burnin, sigma2=0.01, seed=11)
     trace, est = run_chain(data, gcfg=gcfg, scfg=scfg)
     assert trace.thetas.shape == (80 - burnin, 5 * 13)
@@ -254,7 +259,7 @@ def test_run_chain_smoke_two_iterations(tmp_path):
 
 def test_trace_summaries():
     data = gen_synthetic(40, d=5, seed=10)
-    gcfg = GibbsConfig(delta=200.0, d=5, norm_mode="kernel")
+    gcfg = tilted_config(delta=200.0, d=5)
     scfg = SamplerConfig(horizon=60, burnin=30, sigma2=0.01, seed=3)
     trace, _ = run_chain(data, gcfg=gcfg, scfg=scfg)
     freq = trace.selection_frequency()
