@@ -32,12 +32,6 @@ class BasisDictionary:
     def size(self) -> int:
         return self.n_legendre + 2 * self.n_harmonics
 
-    def labels(self) -> list[str]:
-        legs = [f"P{deg}" for deg in range(self.n_legendre)]
-        sins = [f"sin{h}pi" for h in range(1, self.n_harmonics + 1)]
-        coss = [f"cos{h}pi" for h in range(1, self.n_harmonics + 1)]
-        return legs + sins + coss
-
 
 DEFAULT_DICTIONARY = BasisDictionary()
 

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import derive_seed, gen_synthetic, load_csv, load_train_test, save_csv
+from .data import DataError, derive_seed, gen_synthetic, load_csv, load_train_test, save_csv
 from .experiments import (
+    TABLE_DELTAS,
+    TABLE_SIGMA2S,
     ExperimentConfig,
     fit_and_evaluate,
     grid_to_csv,
@@ -25,7 +27,7 @@ from .experiments import (
     size_prior,
     write_metadata,
 )
-from .risk import auc
+from .risk import DegenerateDataError, auc
 from .sampler import trace_to_csv
 
 # each config field parses with the type of its default
@@ -78,7 +80,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_synth(args) -> int:
-    cfg = build_config(args)
+    cfg = args.cfg
     out = _outdir(args)
     ss = derive_seed(cfg.seed, "synth")
     rng = np.random.default_rng(ss)
@@ -104,16 +106,16 @@ def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
 
 
 def cmd_fit(args) -> int:
-    cfg = build_config(args)
-    out = _outdir(args)
+    cfg = args.cfg
     test_source = args.test or "synthetic"  # main() requires --test for a CSV --train
     if "synthetic" in (args.train, test_source):
         train = _load_dataset(args.train, cfg, "train")
         test = _load_dataset(test_source, cfg, "test")
     else:
         train, test = load_train_test(args.train, test_source)
+    out = _outdir(args)
     rng = np.random.default_rng(derive_seed(cfg.seed, "fit", "chain"))
-    result = fit_and_evaluate(train, test, cfg, rng=rng, keep_trace=True)
+    result = fit_and_evaluate(train, test, cfg, rng)
     trace_to_csv(result.trace, out / "trace.csv")
     with open(out / "estimators.json", "w") as fh:
         json.dump({
@@ -135,22 +137,19 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parse_grid_list(raw: str | None, default) -> tuple:
-    if raw is None:
-        return tuple(default)
-    values = tuple(float(v) for v in raw.split(",") if v.strip())
+def _parse_grid_list(raw: str | None, default, cfg: ExperimentConfig, name: str) -> tuple:
+    """The grid's values of cfg's setting name; ValueError names a bad one."""
+    values = tuple(default) if raw is None else tuple(float(v) for v in raw.split(",") if v.strip())
     if not values:
-        raise ValueError("empty grid list")
+        raise ValueError(f"--{name}s is an empty grid list")
+    for value in values:
+        replace(cfg, **{name: value})
     return values
 
 
 def cmd_grid(args) -> int:
-    from .experiments import TABLE_DELTAS, TABLE_SIGMA2S
-
-    cfg = build_config(args)
+    cfg, deltas, sigma2s = args.cfg, args.deltas, args.sigma2s
     out = _outdir(args)
-    deltas = _parse_grid_list(args.deltas, TABLE_DELTAS)
-    sigma2s = _parse_grid_list(args.sigma2s, TABLE_SIGMA2S)
     rows = run_grid(cfg, deltas, sigma2s)
     grid_to_csv(rows, out / "grid.csv")
     write_metadata(out / "grid_metadata.json", cfg, {
@@ -167,10 +166,10 @@ def cmd_grid(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = build_config(args)
-    out = _outdir(args)
+    cfg = args.cfg
     dataset = load_csv(args.data, label_column=args.label_column,
                        positive_label_value=args.positive_label)
+    out = _outdir(args)
     result = run_cv(dataset, cfg)
     summary = result.summary()
     with open(out / "cv.csv", "w") as fh:
@@ -224,7 +223,7 @@ def main(argv=None) -> int:
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
-    fit_parser = p = sub.add_parser("fit", help="run one chain and report metrics")
+    p = sub.add_parser("fit", help="run one chain and report metrics")
     _add_common(p)
     p.add_argument("--train", default="synthetic", help="training CSV, or 'synthetic'")
     p.add_argument("--test", help="test CSV, or 'synthetic'; required when --train is a CSV, "
@@ -251,9 +250,23 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_auc)
 
     args = parser.parse_args(argv)
+    command = sub.choices[args.command]
     if args.command == "fit" and args.train != "synthetic" and args.test is None:
-        fit_parser.error("--test is required when --train is a CSV")
-    return args.func(args)
+        command.error("--test is required when --train is a CSV")
+    # a bad setting stops the run here, before any output directory exists
+    if args.command != "auc":
+        try:
+            args.cfg = build_config(args)
+            if args.command == "grid":
+                args.deltas = _parse_grid_list(args.deltas, TABLE_DELTAS, args.cfg, "delta")
+                args.sigma2s = _parse_grid_list(args.sigma2s, TABLE_SIGMA2S, args.cfg, "sigma2")
+        except ValueError as exc:
+            command.exit(2, f"{command.prog}: error: {exc}\n")
+    try:
+        return args.func(args)
+    except (DataError, DegenerateDataError) as exc:
+        print(f"gibbsrank {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

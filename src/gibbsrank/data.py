@@ -205,39 +205,30 @@ class SplitPlan:
     """k disjoint folds covering all indices."""
 
     folds: tuple  # tuple of sorted index arrays
-    seed: int
 
 
-def make_splits(n: int, k: int = 5, seed: int = 0, labels=None,
-                stratified: bool = False) -> SplitPlan:
-    """Seeded permutation split into k folds.
+def make_splits(n: int, k: int, seed: int, labels) -> SplitPlan:
+    """Seeded stratified split of n labelled indices into k folds.
 
-    With stratified=True (requires labels) each fold's positive count is
-    within one of the proportional share.
+    Each class is permuted and dealt round-robin, so each fold's positive
+    count is within one of the proportional share.
     """
-    if stratified and labels is None:
-        raise ValueError("stratified splits need labels")
     if k < 2 or k > n:
         raise ValueError("k must satisfy 2 <= k <= n")
     rng = np.random.default_rng(seed)
+    labels = np.asarray(labels)
     buckets: list[list[int]] = [[] for _ in range(k)]
-    if stratified:
-        labels = np.asarray(labels)
-        slot = 0
-        for cls in (labels > 0, labels <= 0):
-            for i in rng.permutation(np.flatnonzero(cls)):
-                buckets[slot % k].append(int(i))
-                slot += 1
-    else:
-        for slot, i in enumerate(rng.permutation(n)):
+    slot = 0
+    for cls in (labels > 0, labels <= 0):
+        for i in rng.permutation(np.flatnonzero(cls)):
             buckets[slot % k].append(int(i))
+            slot += 1
     folds = tuple(np.sort(np.array(b, dtype=int)) for b in buckets)
-    if stratified:
-        for f in folds:
-            fl = labels[f]
-            if np.all(fl > 0) or np.all(fl <= 0):
-                raise DataError("stratification impossible: a fold has a single class")
-    return SplitPlan(folds=folds, seed=seed)
+    for f in folds:
+        fl = labels[f]
+        if np.all(fl > 0) or np.all(fl <= 0):
+            raise DataError("stratification impossible: a fold has a single class")
+    return SplitPlan(folds=folds)
 
 
 def derive_seed(root_seed: int, *tags) -> np.random.SeedSequence:

@@ -13,9 +13,9 @@ gibbs.tilted_size_log_weights at the run's sigma2,
 
     beta^(kM) * Vol_kM(2) * (2 pi sigma2)^(-kM/2)   for model size k,
 
-rather than the default beta^(kM), with move probability 0.4 and the
-prior-ball radius and ridge penalty that GibbsConfig and SamplerConfig
-default to.  Run metadata records this prior as "size_prior".
+rather than the default beta^(kM), with move probability 0.4, the
+prior-ball radius that GibbsConfig defaults to and the ridge penalty
+sampler.RIDGE_LAMBDA.  Run metadata records this prior as "size_prior".
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .basis import DEFAULT_DICTIONARY, build_features, score, score_dense
+from .basis import build_features, score, score_dense
 from .data import SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits
 from .gibbs import GibbsConfig, prior_size_distribution, tilted_size_log_weights
 from .risk import auc
-from .sampler import SamplerConfig, run_chain
+from .sampler import ChainTrace, FinalEstimators, SamplerConfig, run_chain
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +63,17 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        for name, least in (("reps", 1), ("folds", 2), ("workers", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
+        # the power map of a delta <= 0 is complex or zero
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        try:
+            chain_configs(self, 1, self.d)  # SamplerConfig's and GibbsConfig's checks
+        except ValueError as exc:
+            # SamplerConfig calls iters the horizon
+            raise ValueError(str(exc).replace("horizon", "iters")) from None
 
 
 def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
@@ -72,11 +81,11 @@ def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
     return DELTA_COEFF * n_train * cfg.delta ** DELTA_POWER
 
 
-def chain_configs(cfg: ExperimentConfig, n_train: int, d: int, seed: int = 0):
+def chain_configs(cfg: ExperimentConfig, n_train: int, d: int):
+    # SamplerConfig first: its checks name sigma2 before the tilted weights take its log
+    scfg = SamplerConfig(horizon=cfg.iters, burnin=cfg.burnin, sigma2=cfg.sigma2, move_prob=0.4)
     gcfg = GibbsConfig(delta=effective_delta(cfg, n_train), d=d, beta=cfg.beta)
     gcfg = replace(gcfg, size_log_weights=tilted_size_log_weights(gcfg, cfg.sigma2))
-    scfg = SamplerConfig(horizon=cfg.iters, burnin=cfg.burnin, sigma2=cfg.sigma2,
-                         move_prob=0.4, seed=seed)
     return gcfg, scfg
 
 
@@ -97,8 +106,8 @@ class FitResult:
     test_auc_randomized: float
     acceptance_rate: float
     selection_frequency: np.ndarray
-    trace: object = None
-    estimators: object = None
+    trace: ChainTrace
+    estimators: FinalEstimators
 
     def metrics(self) -> dict:
         return {
@@ -112,14 +121,12 @@ class FitResult:
 
 
 def fit_and_evaluate(train: Dataset, test: Dataset, cfg: ExperimentConfig,
-                     rng: np.random.Generator | None = None,
-                     keep_trace: bool = False) -> FitResult:
-    """Train one chain and score both final estimators on train and test."""
-    gcfg, scfg = chain_configs(cfg, train.n, train.d, seed=cfg.seed)
-    features = build_features(train.X, DEFAULT_DICTIONARY)
-    trace, estimators = run_chain(train, DEFAULT_DICTIONARY, gcfg, scfg,
-                                  features=features, rng=rng)
-    test_features = build_features(test.X, DEFAULT_DICTIONARY)
+                     rng: np.random.Generator) -> FitResult:
+    """Train one chain on rng and score both final estimators on train and test."""
+    gcfg, scfg = chain_configs(cfg, train.n, train.d)
+    features = build_features(train.X)
+    trace, estimators = run_chain(features, train.y, gcfg, scfg, rng)
+    test_features = build_features(test.X)
     return FitResult(
         train_auc_averaged=auc(score_dense(estimators.averaged, features), train.y),
         train_auc_randomized=auc(score(estimators.randomized, features), train.y),
@@ -127,7 +134,7 @@ def fit_and_evaluate(train: Dataset, test: Dataset, cfg: ExperimentConfig,
         test_auc_randomized=auc(score(estimators.randomized, test_features), test.y),
         acceptance_rate=trace.acceptance_rate,
         selection_frequency=trace.selection_frequency(),
-        trace=trace if keep_trace else None,
+        trace=trace,
         estimators=estimators,
     )
 
@@ -139,7 +146,7 @@ def _run_grid_replication(args) -> dict:
     data_rng, chain_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
     train = gen_synthetic(cfg.n_train, cfg.d, seed=data_rng)
     test = gen_synthetic(cfg.n_test, cfg.d, seed=data_rng)
-    result = fit_and_evaluate(train, test, cfg, rng=chain_rng)
+    result = fit_and_evaluate(train, test, cfg, chain_rng)
     return result.metrics()
 
 
@@ -294,16 +301,16 @@ class CvResult:
 
 def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> CvResult:
     """Stratified k-fold cross-validation of both estimators."""
-    plan = make_splits(dataset.n, k=cfg.folds, seed=cfg.seed, labels=dataset.y,
-                       stratified=True)
+    plan = make_splits(dataset.n, cfg.folds, cfg.seed, dataset.y)
     fold_avg, fold_rand = [], []
     for i, test_idx in enumerate(plan.folds):
         train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
         train, test = dataset.subset(train_idx), dataset.subset(test_idx)
         chain_rng = np.random.default_rng(derive_seed(cfg.seed, "cv", i))
-        result = fit_and_evaluate(train, test, cfg, rng=chain_rng)
-        fold_avg.append(result.test_auc_averaged)
-        fold_rand.append(result.test_auc_randomized)
+        # only the metrics outlive the fold, not its trace
+        metrics = fit_and_evaluate(train, test, cfg, chain_rng).metrics()
+        fold_avg.append(metrics["test_auc_averaged"])
+        fold_rand.append(metrics["test_auc_randomized"])
     return CvResult(fold_auc_averaged=fold_avg, fold_auc_randomized=fold_rand)
 
 

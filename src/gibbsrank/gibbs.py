@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SparseCoef
+from .basis import DEFAULT_DICTIONARY, SparseCoef
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class GibbsConfig:
     delta: float
     d: int
     beta: float = 0.5
-    M: int = 13
+    M: int = DEFAULT_DICTIONARY.size
     ball_radius: float = 2.0
     size_log_weights: tuple[float, ...] | None = None
 

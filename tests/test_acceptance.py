@@ -25,6 +25,7 @@ from gibbsrank.gibbs import (
 from gibbsrank.experiments import ExperimentConfig, run_grid_cell
 from gibbsrank.risk import auc, empirical_rank_risk
 from gibbsrank.sampler import (
+    RIDGE_LAMBDA,
     BenchmarkCache,
     ChainState,
     SamplerConfig,
@@ -142,7 +143,7 @@ def test_criterion_7b_self_proposal_acceptance():
     fm = build_features(data.X)
     gcfg = GibbsConfig(delta=50.0, d=5)
     scfg = SamplerConfig(sigma2=0.01)
-    bench = BenchmarkCache(fm, data.y, scfg.ridge_lambda, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     mask = ModelMask.from_active(5, [2])
     mean = bench.fit(mask)
     theta = SparseCoef(mask=mask, values=mean.copy())
@@ -163,8 +164,9 @@ def test_criterion_7c_prior_recovery_at_zero_temperature():
     counts = np.zeros(gcfg.d + 1)
     for seed in range(10):
         data = gen_synthetic(40, d=5, seed=seed)
-        scfg = SamplerConfig(horizon=3000, burnin=500, sigma2=0.5, seed=seed)
-        trace, _ = run_chain(data, gcfg=gcfg, scfg=scfg)
+        scfg = SamplerConfig(horizon=3000, burnin=500, sigma2=0.5)
+        trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg,
+                             np.random.default_rng(seed))
         counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)
     empirical = counts / counts.sum()
     tv = 0.5 * float(np.abs(empirical - target).sum())

@@ -22,7 +22,6 @@ from gibbsrank.basis import (
 
 def test_default_dictionary_size():
     assert DEFAULT_DICTIONARY.size == 13
-    assert len(DEFAULT_DICTIONARY.labels()) == 13
 
 
 def test_rescale_midpoint_and_boundaries():

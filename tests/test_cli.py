@@ -58,8 +58,8 @@ def test_config_file_rejects_bad_value(tmp_path, line, message):
 
 def test_config_round_trips_through_file_and_metadata(tmp_path):
     # every field set away from its default, so a dropped value shows
-    cfg = ExperimentConfig(**{f.name: f.default + 3 for f in fields(ExperimentConfig)})
-    cfg = replace(cfg, sigma2=0.125, beta=1 / 3)
+    values = {f.name: f.default + 3 for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**{**values, "sigma2": 0.125, "beta": 1 / 3})
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)))
     assert ExperimentConfig(**read_config_file(path)) == cfg
@@ -91,6 +91,7 @@ def test_flags_override_config_file(tmp_path, monkeypatch):
 
 def test_every_config_field_parses_from_its_flag(monkeypatch):
     values = {f.name: f.default + 1 for f in fields(ExperimentConfig)}
+    values["beta"] = 0.5  # beta must stay in (0, 1)
     argv = []
     for name, value in values.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
@@ -196,6 +197,58 @@ def test_fit_csv_train_requires_test(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--test is required when --train is a CSV" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+BAD_SETTINGS = [("delta", ["--delta", "-1"]), ("delta", ["--delta", "inf"]),
+                ("sigma2", ["--sigma2", "0"]), ("sigma2", ["--sigma2", "nan"]),
+                ("beta", ["--beta", "1.5"]), ("iters", ["--iters", "1"]),
+                ("burnin", ["--iters", "10", "--burnin", "20"]),
+                ("folds", ["--folds", "1"]), ("workers", ["--workers", "0"])]
+
+
+@pytest.mark.parametrize("command", ["fit", "grid", "cv"])
+@pytest.mark.parametrize("name, flags", BAD_SETTINGS, ids=[" ".join(f) for _, f in BAD_SETTINGS])
+def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, name, flags):
+    path = tmp_path / "data.csv"
+    save_csv(gen_synthetic(40, seed=0), path)
+    extra = {"fit": [], "grid": ["--deltas", "1", "--sigma2s", "0.01"], "cv": ["--data", str(path)]}
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--iters", "20", "--burnin", "10", "--reps", "1",
+            "--n-train", "40", "--n-test", "40", *extra[command], *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"gibbsrank {command}: error: {name} ")
+    assert not out.exists()
+
+
+def test_grid_rejects_a_bad_grid_value(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--out", str(tmp_path / "out"), "--sigma2s", "0.01,0"])
+    assert exc.value.code == 2
+    assert "sigma2 must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
+    data = gen_synthetic(40, seed=0)
+    path = tmp_path / "one.csv"
+    save_csv(replace(data, y=np.ones(data.n)), path)
+    assert main(["cv", "--out", str(tmp_path / "out"), "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gibbsrank cv: ") and "labels must take exactly two values" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_auc_on_single_class_labels_exits_1(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_text("score,label\n0.9,1\n0.1,1\n")
+    assert main(["auc", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "auc_half" not in captured.out
+    assert captured.err == "gibbsrank auc: AUC undefined: labels contain a single class\n"
 
 
 def test_import_does_not_load_scipy():

@@ -184,7 +184,7 @@ def test_blank_lines_are_skipped(tmp_path):
 
 
 def test_kfold_partition():
-    plan = make_splits(10, k=5)
+    plan = make_splits(10, 5, 0, np.array([1.0, -1.0] * 5))
     all_idx = np.sort(np.concatenate(plan.folds))
     assert np.array_equal(all_idx, np.arange(10))
     for a in range(5):
@@ -193,8 +193,9 @@ def test_kfold_partition():
 
 
 def test_split_determinism():
-    a = make_splits(40, k=4, seed=9)
-    b = make_splits(40, k=4, seed=9)
+    labels = np.array([1.0, -1.0] * 20)
+    a = make_splits(40, 4, 9, labels)
+    b = make_splits(40, 4, 9, labels)
     for fa, fb in zip(a.folds, b.folds):
         assert np.array_equal(fa, fb)
 
@@ -203,25 +204,24 @@ def test_stratified_kfold_balances_positives():
     rng = np.random.default_rng(5)
     labels = np.array([1.0] * 60 + [-1.0] * 40)
     rng.shuffle(labels)
-    plan = make_splits(100, k=5, seed=1, labels=labels, stratified=True)
+    plan = make_splits(100, 5, 1, labels)
     for fold in plan.folds:
         n_pos = int(np.sum(labels[fold] > 0))
         assert abs(n_pos - 12) <= 1
 
 
 def test_split_validation_errors():
+    labels = np.array([1.0, -1.0] * 5)
     with pytest.raises(ValueError):
-        make_splits(10, k=1)
+        make_splits(10, 1, 0, labels)
     with pytest.raises(ValueError):
-        make_splits(10, k=11)
-    with pytest.raises(ValueError):
-        make_splits(10, stratified=True)
+        make_splits(10, 11, 0, labels)
 
 
 def test_stratified_single_class_fold_raises():
     labels = np.array([1.0] * 9 + [-1.0])
     with pytest.raises(DataError):
-        make_splits(10, k=5, labels=labels, stratified=True)
+        make_splits(10, 5, 0, labels)
 
 
 def test_derive_seed_is_stable_and_distinct():

@@ -64,14 +64,13 @@ def test_effective_delta_mappings():
 
 def test_chain_configs_carry_settings():
     cfg = ExperimentConfig(sigma2=0.5, iters=123, burnin=45, beta=0.4)
-    gcfg, scfg = chain_configs(cfg, n_train=200, d=7, seed=5)
+    gcfg, scfg = chain_configs(cfg, n_train=200, d=7)
     assert gcfg.d == 7
     assert gcfg.beta == 0.4
     assert gcfg.delta == pytest.approx(effective_delta(cfg, 200))
     assert scfg.horizon == 123
     assert scfg.burnin == 45
     assert scfg.sigma2 == 0.5
-    assert scfg.seed == 5
     base = GibbsConfig(delta=gcfg.delta, d=7, beta=0.4)
     assert gcfg.size_log_weights == tilted_size_log_weights(base, cfg.sigma2)
     assert scfg.move_prob == 0.4
@@ -81,7 +80,7 @@ def test_fit_and_evaluate_metrics_shape():
     cfg = ExperimentConfig(**FAST)
     train = gen_synthetic(80, seed=0)
     test = gen_synthetic(80, seed=1)
-    result = fit_and_evaluate(train, test, cfg)
+    result = fit_and_evaluate(train, test, cfg, np.random.default_rng(cfg.seed))
     metrics = result.metrics()
     for key in ("train_auc_averaged", "test_auc_averaged",
                 "train_auc_randomized", "test_auc_randomized"):
@@ -207,6 +206,6 @@ def test_cv_agrees_with_holdout_fit(tmp_path):
     cv = run_cv(reloaded, cfg)
     summary = cv.summary()
     holdout = fit_and_evaluate(gen_synthetic(1000, seed=5),
-                               gen_synthetic(1000, seed=6), cfg)
+                               gen_synthetic(1000, seed=6), cfg, np.random.default_rng(cfg.seed))
     assert len(cv.fold_auc_averaged) == 5
     assert abs(summary["cv_auc_averaged_mean"] - holdout.test_auc_averaged) <= 0.03

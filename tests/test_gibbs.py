@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from gibbsrank.basis import ModelMask, SparseCoef
+from gibbsrank.basis import ModelMask, SparseCoef, build_features
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import (
     GibbsConfig,
@@ -117,8 +117,9 @@ def test_chain_samples_its_size_prior_vector():
     counts = np.zeros(gcfg.d + 1)
     for seed in range(10):
         data = gen_synthetic(40, d=5, seed=seed)
-        scfg = SamplerConfig(horizon=3000, burnin=500, sigma2=sigma2, seed=seed)
-        trace, _ = run_chain(data, gcfg=gcfg, scfg=scfg)
+        scfg = SamplerConfig(horizon=3000, burnin=500, sigma2=sigma2)
+        trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg,
+                             np.random.default_rng(seed))
         counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)
     empirical = counts / counts.sum()
     tv_vector = 0.5 * float(np.abs(empirical - prior_size_distribution(gcfg)).sum())

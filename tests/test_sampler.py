@@ -17,6 +17,7 @@ from gibbsrank.basis import (
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import GibbsConfig, log_gibbs, tilted_size_log_weights
 from gibbsrank.sampler import (
+    RIDGE_LAMBDA,
     BenchmarkCache,
     ChainState,
     SamplerConfig,
@@ -63,7 +64,6 @@ def test_sampler_config_validation():
         SamplerConfig(sigma2=0.0)
     with pytest.raises(ValueError):
         SamplerConfig(move_prob=0.6)
-    assert SamplerConfig(move_prob=0.25).stay_prob == pytest.approx(0.5)
 
 
 def test_benchmark_orthonormal_design():
@@ -171,7 +171,7 @@ def test_self_proposal_is_always_accepted():
     fm = build_features(data.X)
     gcfg = GibbsConfig(delta=50.0, d=5)
     scfg = SamplerConfig(sigma2=0.01)
-    bench = BenchmarkCache(fm, data.y, scfg.ridge_lambda, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     mask = ModelMask.from_active(5, [2])
     mean = bench.fit(mask)
     theta = SparseCoef(mask=mask, values=mean.copy())
@@ -196,7 +196,7 @@ def test_all_candidates_outside_ball_are_rejected():
     # prior ball so small that every non-empty candidate falls outside
     gcfg = GibbsConfig(delta=1.0, d=5, ball_radius=1e-9)
     scfg = SamplerConfig(sigma2=0.01)
-    bench = BenchmarkCache(fm, data.y, scfg.ridge_lambda, 2.0)
+    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, 2.0)
     state = initial_state(fm, data.y, gcfg)
     rng = FakeRng([0.1])  # add move; no acceptance draw is reached
     new_state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
@@ -217,9 +217,10 @@ def test_initial_state_is_empty_model():
 def test_run_chain_is_deterministic():
     data = gen_synthetic(60, d=5, seed=8)
     gcfg = tilted_config(delta=100.0, d=5)
-    scfg = SamplerConfig(horizon=80, burnin=40, sigma2=0.01, seed=11)
-    trace_a, est_a = run_chain(data, gcfg=gcfg, scfg=scfg)
-    trace_b, est_b = run_chain(data, gcfg=gcfg, scfg=scfg)
+    scfg = SamplerConfig(horizon=80, burnin=40, sigma2=0.01)
+    fm = build_features(data.X)
+    trace_a, est_a = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(11))
+    trace_b, est_b = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(11))
     assert np.array_equal(trace_a.thetas, trace_b.thetas)
     assert np.array_equal(trace_a.masks, trace_b.masks)
     assert np.array_equal(trace_a.risks, trace_b.risks)
@@ -232,8 +233,8 @@ def test_run_chain_is_deterministic():
 def test_run_chain_keeps_post_burnin_thetas(burnin):
     data = gen_synthetic(60, d=5, seed=8)
     gcfg = tilted_config(delta=100.0, d=5)
-    scfg = SamplerConfig(horizon=80, burnin=burnin, sigma2=0.01, seed=11)
-    trace, est = run_chain(data, gcfg=gcfg, scfg=scfg)
+    scfg = SamplerConfig(horizon=80, burnin=burnin, sigma2=0.01)
+    trace, est = run_chain(build_features(data.X), data.y, gcfg, scfg, np.random.default_rng(11))
     assert trace.thetas.shape == (80 - burnin, 5 * 13)
     assert np.array_equal(est.averaged, trace.thetas.mean(axis=0))
     # row i is iteration burnin + i (at burnin 0, the empty initial state):
@@ -247,7 +248,8 @@ def test_run_chain_smoke_two_iterations(tmp_path):
     data = gen_synthetic(20, d=5, seed=9)
     gcfg = GibbsConfig(delta=1.0, d=5)
     scfg = SamplerConfig(horizon=2, burnin=0)
-    trace, estimators = run_chain(data, gcfg=gcfg, scfg=scfg)
+    trace, estimators = run_chain(build_features(data.X), data.y, gcfg, scfg,
+                                  np.random.default_rng(0))
     assert trace.horizon == 2
     assert estimators.averaged.shape == (5 * 13,)
     out = tmp_path / "trace.csv"
@@ -260,16 +262,10 @@ def test_run_chain_smoke_two_iterations(tmp_path):
 def test_trace_summaries():
     data = gen_synthetic(40, d=5, seed=10)
     gcfg = tilted_config(delta=200.0, d=5)
-    scfg = SamplerConfig(horizon=60, burnin=30, sigma2=0.01, seed=3)
-    trace, _ = run_chain(data, gcfg=gcfg, scfg=scfg)
+    scfg = SamplerConfig(horizon=60, burnin=30, sigma2=0.01)
+    trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg, np.random.default_rng(3))
     freq = trace.selection_frequency()
     assert freq.shape == (5,)
     assert np.all((0.0 <= freq) & (freq <= 1.0))
     assert 0.0 <= trace.acceptance_rate <= 1.0
     assert np.array_equal(trace.model_sizes, trace.masks.sum(axis=1))
-
-
-def test_run_chain_requires_configs():
-    data = gen_synthetic(20, d=5, seed=11)
-    with pytest.raises(ValueError):
-        run_chain(data)
