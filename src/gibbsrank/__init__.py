@@ -4,8 +4,7 @@ transdimensional MCMC."""
 __version__ = "0.1.0"
 
 from .basis import (
-    BasisDictionary,
-    DEFAULT_DICTIONARY,
+    DICTIONARY_SIZE,
     FeatureMatrix,
     ModelMask,
     SparseCoef,
@@ -30,8 +29,7 @@ from .sampler import (
 from .experiments import ExperimentConfig, run_cv, run_grid, run_grid_cell
 
 __all__ = [
-    "BasisDictionary",
-    "DEFAULT_DICTIONARY",
+    "DICTIONARY_SIZE",
     "FeatureMatrix",
     "ModelMask",
     "SparseCoef",

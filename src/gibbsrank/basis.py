@@ -1,10 +1,10 @@
 """Fixed function dictionary and additive scoring functions.
 
-The dictionary holds univariate functions evaluated on [-1, 1]: Legendre
-polynomials (degrees 0..6 by default) followed by sine and cosine harmonics
-(frequencies 1..3).  Covariates living in [0, 1] are affinely rescaled to
-[-1, 1] before evaluation.  A scoring function is a sparse linear
-combination of these functions applied coordinate-wise:
+The dictionary holds DICTIONARY_SIZE = 13 univariate functions evaluated on
+[-1, 1]: Legendre polynomials of degrees 0..6 followed by sine and cosine
+harmonics of frequencies 1..3.  Covariates living in [0, 1] are affinely
+rescaled to [-1, 1] before evaluation.  A scoring function is a sparse
+linear combination of these functions applied coordinate-wise:
 
     s(x) = sum_j sum_k theta[j, k] * phi_k(rescale(x_j))
 
@@ -20,20 +20,9 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class BasisDictionary:
-    """Univariate function dictionary: Legendre polynomials plus harmonics."""
-
-    n_legendre: int = 7
-    n_harmonics: int = 3
-
-    @property
-    def size(self) -> int:
-        return self.n_legendre + 2 * self.n_harmonics
-
-
-DEFAULT_DICTIONARY = BasisDictionary()
+N_LEGENDRE = 7
+N_HARMONICS = 3
+DICTIONARY_SIZE = N_LEGENDRE + 2 * N_HARMONICS
 
 
 def rescale(x):
@@ -46,19 +35,18 @@ def rescale(x):
     return 2.0 * x - 1.0
 
 
-def eval_dictionary(t, dictionary: BasisDictionary = DEFAULT_DICTIONARY) -> np.ndarray:
+def eval_dictionary(t) -> np.ndarray:
     """Evaluate all dictionary functions at t in [-1, 1].
 
-    Returns a C-contiguous array of shape t.shape + (dictionary.size,), each
+    Returns a C-contiguous array of shape t.shape + (DICTIONARY_SIZE,), each
     function written in place into its slot of the last axis.  Legendre
     polynomials follow the three-term recurrence.
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape + (dictionary.size,))
-    L, H = dictionary.n_legendre, dictionary.n_harmonics
+    out = np.empty(t.shape + (DICTIONARY_SIZE,))
+    L, H = N_LEGENDRE, N_HARMONICS
     out[..., 0] = 1.0
-    if L >= 2:
-        out[..., 1] = t
+    out[..., 1] = t
     for deg in range(2, L):
         out[..., deg] = (
             (2 * deg - 1) * t * out[..., deg - 1] - (deg - 1) * out[..., deg - 2]
@@ -70,12 +58,12 @@ def eval_dictionary(t, dictionary: BasisDictionary = DEFAULT_DICTIONARY) -> np.n
     return out
 
 
-def eval_basis(k: int, t, dictionary: BasisDictionary = DEFAULT_DICTIONARY):
+def eval_basis(k: int, t):
     """Evaluate the k-th dictionary function (1-based index) at t."""
-    if not 1 <= k <= dictionary.size:
-        raise ValueError(f"basis index {k} out of range 1..{dictionary.size}")
+    if not 1 <= k <= DICTIONARY_SIZE:
+        raise ValueError(f"basis index {k} out of range 1..{DICTIONARY_SIZE}")
     scalar = np.isscalar(t)
-    value = eval_dictionary(np.asarray(t, dtype=float), dictionary)[..., k - 1]
+    value = eval_dictionary(np.asarray(t, dtype=float))[..., k - 1]
     return float(value) if scalar else value
 
 
@@ -113,7 +101,7 @@ class FeatureMatrix:
         return (mask.active[:, None] * self.M + np.arange(self.M)).ravel()
 
 
-def build_features(X: np.ndarray, dictionary: BasisDictionary = DEFAULT_DICTIONARY) -> FeatureMatrix:
+def build_features(X: np.ndarray) -> FeatureMatrix:
     """Evaluate the dictionary on every entry of X (shape (n, d))."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -123,7 +111,7 @@ def build_features(X: np.ndarray, dictionary: BasisDictionary = DEFAULT_DICTIONA
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"non-finite feature at row {i}, column {j}")
     # evaluated on the (d, n) transpose, the dictionary fills (d, n, M) blocks
-    return FeatureMatrix(blocks=eval_dictionary(np.ascontiguousarray(rescale(X).T), dictionary))
+    return FeatureMatrix(blocks=eval_dictionary(np.ascontiguousarray(rescale(X).T)))
 
 
 class ModelMask:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, derive_seed, gen_synthetic, load_csv, load_train_test, save_csv
+from .data import DataError, derive_seed, gen_synthetic, load_csv, minmax_normalize, save_csv
 from .experiments import (
     TABLE_DELTAS,
     TABLE_SIGMA2S,
@@ -96,23 +96,28 @@ def cmd_synth(args) -> int:
 
 
 def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
+    """One side of a fit as read: a seeded synthetic draw, or a CSV's raw values."""
     if path_or_synth == "synthetic":
         n = cfg.n_train if role == "train" else cfg.n_test
         return gen_synthetic(n, cfg.d, seed=np.random.default_rng(derive_seed(cfg.seed, "fit", role)))
-    # a test CSV beside synthetic training data keeps its raw values: the
-    # synthetic features are raw draws on [0, 1], and basis.rescale clamps
-    # and counts what falls outside that range
-    return load_csv(path_or_synth, normalize=(role == "train"))
+    return load_csv(path_or_synth, normalize=False)
 
 
 def cmd_fit(args) -> int:
     cfg = args.cfg
     test_source = args.test or "synthetic"  # main() requires --test for a CSV --train
-    if "synthetic" in (args.train, test_source):
-        train = _load_dataset(args.train, cfg, "train")
-        test = _load_dataset(test_source, cfg, "test")
-    else:
-        train, test = load_train_test(args.train, test_source)
+    train = _load_dataset(args.train, cfg, "train")
+    test = _load_dataset(test_source, cfg, "test")
+    if test.d != train.d:
+        raise DataError(f"--test {test_source} has {test.d} feature columns, "
+                        f"--train {args.train} has {train.d}")
+    # The training source sets the scale of both sides: synthetic draws are
+    # already on [0, 1]; a training CSV maps both sides with its column ranges,
+    # and basis.rescale clamps and counts the test values that land outside.
+    if args.train != "synthetic":
+        ranges = (train.X.min(axis=0), train.X.max(axis=0))
+        train = replace(train, X=minmax_normalize(train.X, ranges))
+        test = replace(test, X=minmax_normalize(test.X, ranges))
     out = _outdir(args)
     rng = np.random.default_rng(derive_seed(cfg.seed, "fit", "chain"))
     result = fit_and_evaluate(train, test, cfg, rng)
@@ -139,7 +144,10 @@ def cmd_fit(args) -> int:
 
 def _parse_grid_list(raw: str | None, default, cfg: ExperimentConfig, name: str) -> tuple:
     """The grid's values of cfg's setting name; ValueError names a bad one."""
-    values = tuple(default) if raw is None else tuple(float(v) for v in raw.split(",") if v.strip())
+    try:
+        values = tuple(default) if raw is None else tuple(float(v) for v in raw.split(",") if v.strip())
+    except ValueError as exc:
+        raise ValueError(f"--{name}s: {exc}") from None
     if not values:
         raise ValueError(f"--{name}s is an empty grid list")
     for value in values:

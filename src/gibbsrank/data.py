@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class Dataset:
     X: np.ndarray                 # (n, d), entries in [0, 1]
     y: np.ndarray                 # (n,), labels in {-1, +1}
     eta: np.ndarray | None = None  # true regression values, synthetic only
-    source: str = "synthetic"
 
     @property
     def n(self) -> int:
@@ -48,7 +47,6 @@ class Dataset:
             X=self.X[idx],
             y=self.y[idx],
             eta=None if self.eta is None else self.eta[idx],
-            source=self.source,
         )
 
 
@@ -71,7 +69,7 @@ def gen_synthetic(n: int, d: int = 10, seed=0) -> Dataset:
     X = rng.random((n, d))
     eta = eta_function(X)
     y = np.where(eta > rng.random(n), 1.0, -1.0)
-    return Dataset(X=X, y=y, eta=eta, source="synthetic")
+    return Dataset(X=X, y=y, eta=eta)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -100,10 +98,12 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
              normalize: bool = True) -> Dataset:
     """Load a delimited numeric table with a header row.
 
-    Features are min-max normalized per column into [0, 1] (constant columns
-    map to 0.5); labels are mapped to +-1 by comparison with
-    positive_label_value; rows with missing values are dropped with a count
-    report.  An `eta` column, if present, is carried through untouched.
+    With normalize, features are min-max normalized per column into [0, 1]
+    (constant columns map to 0.5); without it they keep the file's values,
+    for a caller that maps them with other ranges (minmax_normalize).
+    Labels are mapped to +-1 by comparison with positive_label_value; rows
+    with missing values are dropped with a count report.  An `eta` column,
+    if present, is carried through untouched.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -162,24 +162,7 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     if normalize:
         X = minmax_normalize(X)
     eta = table[:, eta_idx] if eta_idx is not None else None
-    return Dataset(X=X, y=y, eta=eta, source=str(path))
-
-
-def load_train_test(train_path, test_path) -> tuple[Dataset, Dataset]:
-    """Load a training and a test CSV, both normalized with the training ranges.
-
-    The test rows are mapped with the training file's per-column minimum and
-    maximum, so the model scores them on the scale it was fitted on; test
-    values outside the training range land outside [0, 1], where
-    basis.rescale clamps them.
-    """
-    train = load_csv(train_path, normalize=False)
-    test = load_csv(test_path, normalize=False)
-    if test.d != train.d:
-        raise DataError(f"{test_path}: {test.d} feature columns, {train_path} has {train.d}")
-    ranges = (train.X.min(axis=0), train.X.max(axis=0))
-    return (replace(train, X=minmax_normalize(train.X, ranges)),
-            replace(test, X=minmax_normalize(test.X, ranges)))
+    return Dataset(X=X, y=y, eta=eta)
 
 
 def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:
@@ -200,18 +183,12 @@ def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """k disjoint folds covering all indices."""
-
-    folds: tuple  # tuple of sorted index arrays
-
-
-def make_splits(n: int, k: int, seed: int, labels) -> SplitPlan:
+def make_splits(n: int, k: int, seed: int, labels) -> tuple[np.ndarray, ...]:
     """Seeded stratified split of n labelled indices into k folds.
 
-    Each class is permuted and dealt round-robin, so each fold's positive
-    count is within one of the proportional share.
+    Returns k disjoint sorted index arrays covering 0..n-1.  Each class is
+    permuted and dealt round-robin, so each fold's positive count is within
+    one of the proportional share.
     """
     if k < 2 or k > n:
         raise ValueError("k must satisfy 2 <= k <= n")
@@ -228,7 +205,7 @@ def make_splits(n: int, k: int, seed: int, labels) -> SplitPlan:
         fl = labels[f]
         if np.all(fl > 0) or np.all(fl <= 0):
             raise DataError("stratification impossible: a fold has a single class")
-    return SplitPlan(folds=folds)
+    return folds
 
 
 def derive_seed(root_seed: int, *tags) -> np.random.SeedSequence:
@@ -241,4 +218,4 @@ def derive_seed(root_seed: int, *tags) -> np.random.SeedSequence:
 
     digest = hashlib.sha256(("/".join(map(str, tags))).encode()).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.SeedSequence([int(root_seed) & 0xFFFFFFFF, *words])
+    return np.random.SeedSequence([int(root_seed), *words])

@@ -63,9 +63,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, least in (("reps", 1), ("folds", 2), ("workers", 1)):
+        for name, least in (("reps", 1), ("folds", 2), ("workers", 1), ("seed", 0),
+                            ("n_train", 2), ("n_test", 2), ("d", max(SIGNAL_COVARIATES))):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        # a seed is one unsigned 32-bit word, like derive_seed's tag words
+        if self.seed >= 2**32:
+            raise ValueError("seed must be below 2**32")
         # the power map of a delta <= 0 is complex or zero
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
@@ -301,9 +305,8 @@ class CvResult:
 
 def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> CvResult:
     """Stratified k-fold cross-validation of both estimators."""
-    plan = make_splits(dataset.n, cfg.folds, cfg.seed, dataset.y)
     fold_avg, fold_rand = [], []
-    for i, test_idx in enumerate(plan.folds):
+    for i, test_idx in enumerate(make_splits(dataset.n, cfg.folds, cfg.seed, dataset.y)):
         train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
         train, test = dataset.subset(train_idx), dataset.subset(test_idx)
         chain_rng = np.random.default_rng(derive_seed(cfg.seed, "cv", i))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DEFAULT_DICTIONARY, SparseCoef
+from .basis import DICTIONARY_SIZE, SparseCoef
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class GibbsConfig:
     delta: float
     d: int
     beta: float = 0.5
-    M: int = DEFAULT_DICTIONARY.size
+    M: int = DICTIONARY_SIZE
     ball_radius: float = 2.0
     size_log_weights: tuple[float, ...] | None = None
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gibbsrank.basis import (
-    BasisDictionary,
-    DEFAULT_DICTIONARY,
+    DICTIONARY_SIZE,
+    N_HARMONICS,
+    N_LEGENDRE,
     FeatureMatrix,
     ModelMask,
     SparseCoef,
@@ -21,7 +22,7 @@ from gibbsrank.basis import (
 
 
 def test_default_dictionary_size():
-    assert DEFAULT_DICTIONARY.size == 13
+    assert (N_LEGENDRE, N_HARMONICS, DICTIONARY_SIZE) == (7, 3, 13)
 
 
 def test_rescale_midpoint_and_boundaries():
@@ -104,16 +105,16 @@ def test_build_features_rejects_bad_shape():
         FeatureMatrix(blocks=np.zeros((4, 2)))
 
 
-def concatenated_dictionary(t, dictionary):
+def concatenated_dictionary(t):
     """The dictionary as a Legendre table concatenated with sin and cos arrays."""
-    legendre = np.empty(t.shape + (dictionary.n_legendre,))
+    legendre = np.empty(t.shape + (N_LEGENDRE,))
     legendre[..., 0] = 1.0
     legendre[..., 1] = t
-    for deg in range(2, dictionary.n_legendre):
+    for deg in range(2, N_LEGENDRE):
         legendre[..., deg] = (
             (2 * deg - 1) * t * legendre[..., deg - 1] - (deg - 1) * legendre[..., deg - 2]
         ) / deg
-    angles = np.pi * t[..., None] * np.arange(1, dictionary.n_harmonics + 1)
+    angles = np.pi * t[..., None] * np.arange(1, N_HARMONICS + 1)
     return np.concatenate([legendre, np.sin(angles), np.cos(angles)], axis=-1)
 
 
@@ -125,7 +126,7 @@ def test_build_features_is_covariate_major_and_exact(d):
     assert fm.blocks.shape == (d, 57, 13) and fm.blocks.flags.c_contiguous
     assert (fm.d, fm.n, fm.M) == (d, 57, 13)
     reference = eval_dictionary(rescale(X))  # (n, d, M)
-    assert np.array_equal(reference, concatenated_dictionary(rescale(X), DEFAULT_DICTIONARY))
+    assert np.array_equal(reference, concatenated_dictionary(rescale(X)))
     assert np.array_equal(fm.blocks, reference.transpose(1, 0, 2))
 
 
@@ -143,16 +144,16 @@ def test_score_constant_function():
     assert np.allclose(score(coef, fm), 1.0, atol=1e-14)
 
 
-def naive_score(theta_full, X, dictionary):
+def naive_score(theta_full, X):
     """Double-loop oracle for the additive scoring function."""
     n, d = X.shape
-    M = dictionary.size
+    M = DICTIONARY_SIZE
     out = np.zeros(n)
     for i in range(n):
         for j in range(d):
             t = 2.0 * X[i, j] - 1.0
             for k in range(M):
-                out[i] += theta_full[j * M + k] * eval_basis(k + 1, t, dictionary)
+                out[i] += theta_full[j * M + k] * eval_basis(k + 1, t)
     return out
 
 
@@ -163,7 +164,7 @@ def test_score_matches_naive_evaluation():
     mask = ModelMask.from_active(4, [0, 2])
     values = rng.standard_normal(2 * 13)
     coef = SparseCoef(mask=mask, values=values)
-    expected = naive_score(coef.padded(13), X, DEFAULT_DICTIONARY)
+    expected = naive_score(coef.padded(13), X)
     assert np.allclose(score(coef, fm), expected, atol=1e-10)
     assert np.allclose(score_dense(coef.padded(13), fm), expected, atol=1e-10)
 
@@ -203,13 +204,6 @@ def test_score_dense_matches_row_major_product(d):
     theta[: 13 * (d // 2)] = 0.0  # the averaged estimator is zero off its support
     expected = row_major_features(X) @ theta
     assert np.allclose(score_dense(theta, build_features(X)), expected, rtol=0.0, atol=1e-12)
-
-
-def test_smaller_dictionary():
-    small = BasisDictionary(n_legendre=2, n_harmonics=1)
-    assert small.size == 4
-    fm = build_features(np.array([[0.5], [1.0]]), small)
-    assert fm.blocks.shape == (1, 2, 4)
 
 
 def test_mask_operations():

@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 import gibbsrank
 from gibbsrank import cli
 from gibbsrank.cli import build_config, main, read_config_file
-from gibbsrank.data import gen_synthetic, save_csv
+from gibbsrank.data import derive_seed, gen_synthetic, load_csv, minmax_normalize, save_csv
 from gibbsrank.experiments import ExperimentConfig, chain_configs, write_metadata
 from gibbsrank.gibbs import prior_size_distribution
 
@@ -155,16 +155,53 @@ def test_fit_from_csv(tmp_path):
     assert (out / "metrics.json").exists()
 
 
-def test_fit_csv_test_uses_training_ranges(tmp_path, caplog):
+def spy_on_fit(monkeypatch) -> list:
+    """The (train, test) datasets that cli passes to fit_and_evaluate, per call."""
+    seen = []
+    real = cli.fit_and_evaluate
+
+    def spy(train, test, *args, **kwargs):
+        seen.append((train, test))
+        return real(train, test, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_and_evaluate", spy)
+    return seen
+
+
+def test_fit_csv_test_uses_training_ranges(tmp_path, monkeypatch, caplog):
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,label\n0,10,1\n0.5,30,0\n1,20,1\n")
+    test = tmp_path / "test.csv"
+    test.write_text("x1,x2,label\n0.25,0,0\n0.75,40,1\n")
+    seen = spy_on_fit(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="gibbsrank.basis"):
+        run_cli("fit", "--out", str(tmp_path / "out"), "--train", str(train),
+                "--test", str(test), "--iters", "4", "--burnin", "2")
+    (tr, te), = seen
+    assert np.array_equal(tr.X, load_csv(train).X)
+    assert np.array_equal(te.X[:, 0], [0.25, 0.75])
+    assert np.array_equal(te.X[:, 1], [-0.5, 1.5])  # outside the training range
+    assert np.array_equal(te.y, [-1.0, 1.0])
+    # test values beyond the training range are clamped when the test features are built
+    assert any("outside [0, 1]; clamping" in r.getMessage() for r in caplog.records)
+
+
+def test_fit_synthetic_test_uses_training_ranges(tmp_path, monkeypatch):
+    """A synthetic test set beside a training CSV is mapped with the training
+    columns' ranges, like a test CSV."""
     train = gen_synthetic(80, seed=0)
     train.X[:] = 0.2 + 0.6 * train.X  # the training file spans only [0.2, 0.8]
     save_csv(train, tmp_path / "train.csv")
-    save_csv(gen_synthetic(80, seed=1), tmp_path / "test.csv")
-    with caplog.at_level(logging.WARNING, logger="gibbsrank.basis"):
-        run_cli("fit", "--out", str(tmp_path / "out"), "--train", str(tmp_path / "train.csv"),
-                "--test", str(tmp_path / "test.csv"), "--iters", "4", "--burnin", "2")
-    # test values beyond the training range are clamped when the test features are built
-    assert any("outside [0, 1]; clamping" in r.getMessage() for r in caplog.records)
+    seen = spy_on_fit(monkeypatch)
+    run_cli("fit", "--out", str(tmp_path / "out"), "--train", str(tmp_path / "train.csv"),
+            "--test", "synthetic", "--n-test", "50", "--seed", "3", "--iters", "4", "--burnin", "2")
+    (tr, te), = seen
+    raw = load_csv(tmp_path / "train.csv", normalize=False).X
+    drawn = gen_synthetic(50, 10, seed=np.random.default_rng(derive_seed(3, "fit", "test")))
+    ranges = (raw.min(axis=0), raw.max(axis=0))
+    assert np.array_equal(tr.X, minmax_normalize(raw, ranges))
+    assert np.array_equal(te.X, minmax_normalize(drawn.X, ranges))
+    assert te.X.min() < 0.0 and te.X.max() > 1.0
 
 
 def test_fit_synthetic_train_keeps_csv_test_scale(tmp_path, monkeypatch):
@@ -174,19 +211,31 @@ def test_fit_synthetic_train_keeps_csv_test_scale(tmp_path, monkeypatch):
     test = gen_synthetic(80, seed=1)
     test.X[:, 0] = np.linspace(0.25, 0.75, test.n)
     save_csv(test, tmp_path / "test.csv")
-    seen = []
-    real = cli.fit_and_evaluate
-
-    def spy(train, test, *args, **kwargs):
-        seen.append(test)
-        return real(train, test, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "fit_and_evaluate", spy)
+    seen = spy_on_fit(monkeypatch)
     run_cli("fit", "--out", str(tmp_path / "out"), "--test", str(tmp_path / "test.csv"),
             "--n-train", "80", "--iters", "4", "--burnin", "2")
-    x1 = seen[0].X[:, 0]
+    x1 = seen[0][1].X[:, 0]
     assert (x1.min(), x1.max()) == (0.25, 0.75)
-    assert np.array_equal(seen[0].X, test.X)
+    assert np.array_equal(seen[0][1].X, test.X)
+
+
+@pytest.mark.parametrize("train, test", [("wide", "synthetic"), ("synthetic", "wide"),
+                                         ("narrow", "wide")])
+def test_fit_rejects_mismatched_widths(tmp_path, capsys, train, test):
+    """Train and test of different widths stop the fit before the chain runs
+    or the output directory exists; --d sets the synthetic width."""
+    save_csv(gen_synthetic(40, d=12, seed=0), tmp_path / "wide")
+    save_csv(gen_synthetic(40, d=10, seed=1), tmp_path / "narrow")
+    paths = {name: str(tmp_path / name) for name in ("wide", "narrow")}
+    paths["synthetic"] = "synthetic"
+    out = tmp_path / "out"
+    assert main(["fit", "--out", str(out), "--train", paths[train], "--test", paths[test],
+                 "--iters", "4", "--burnin", "2", "--n-train", "40", "--n-test", "40"]) == 1
+    err = capsys.readouterr().err
+    widths = {"wide": 12, "narrow": 10, "synthetic": 10}
+    assert err == (f"gibbsrank fit: --test {paths[test]} has {widths[test]} feature columns, "
+                   f"--train {paths[train]} has {widths[train]}\n")
+    assert not out.exists()
 
 
 def test_fit_csv_train_requires_test(tmp_path, capsys):
@@ -203,7 +252,10 @@ BAD_SETTINGS = [("delta", ["--delta", "-1"]), ("delta", ["--delta", "inf"]),
                 ("sigma2", ["--sigma2", "0"]), ("sigma2", ["--sigma2", "nan"]),
                 ("beta", ["--beta", "1.5"]), ("iters", ["--iters", "1"]),
                 ("burnin", ["--iters", "10", "--burnin", "20"]),
-                ("folds", ["--folds", "1"]), ("workers", ["--workers", "0"])]
+                ("folds", ["--folds", "1"]), ("workers", ["--workers", "0"]),
+                ("seed", ["--seed", "-1"]), ("seed", ["--seed", "4294967296"]),
+                ("d", ["--d", "4"]), ("n_train", ["--n-train", "1"]),
+                ("n_test", ["--n-test", "1"])]
 
 
 @pytest.mark.parametrize("command", ["fit", "grid", "cv"])
@@ -228,6 +280,16 @@ def test_grid_rejects_a_bad_grid_value(tmp_path, capsys):
         main(["grid", "--out", str(tmp_path / "out"), "--sigma2s", "0.01,0"])
     assert exc.value.code == 2
     assert "sigma2 must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--deltas", "--sigma2s"])
+def test_grid_list_names_the_flag_of_a_non_number(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--out", str(tmp_path / "out"), flag, "1,abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"gibbsrank grid: error: {flag}: could not convert string to float: 'abc'\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -13,7 +13,6 @@ from gibbsrank.data import (
     eta_function,
     gen_synthetic,
     load_csv,
-    load_train_test,
     make_splits,
     minmax_normalize,
     save_csv,
@@ -100,27 +99,6 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, with_eta):
     assert path.read_bytes() == ref.read_bytes()
 
 
-def test_test_csv_uses_training_ranges(tmp_path):
-    train = tmp_path / "train.csv"
-    train.write_text("x1,x2,label\n0,10,1\n0.5,30,0\n1,20,1\n")
-    test = tmp_path / "test.csv"
-    test.write_text("x1,x2,label\n0.25,0,0\n0.75,40,1\n")
-    tr, te = load_train_test(train, test)
-    assert np.array_equal(tr.X, load_csv(train).X)
-    assert np.array_equal(te.X[:, 0], [0.25, 0.75])
-    assert np.array_equal(te.X[:, 1], [-0.5, 1.5])  # outside the training range
-    assert np.array_equal(te.y, [-1.0, 1.0])
-
-
-def test_test_csv_must_match_training_width(tmp_path):
-    train = tmp_path / "train.csv"
-    train.write_text("x1,x2,label\n0,10,1\n1,20,0\n")
-    test = tmp_path / "test.csv"
-    test.write_text("x1,label\n0.25,0\n0.75,1\n")
-    with pytest.raises(DataError, match="1 feature columns"):
-        load_train_test(train, test)
-
-
 def test_minmax_normalization(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x1,label\n0,0\n5,1\n10,0\n")
@@ -184,19 +162,20 @@ def test_blank_lines_are_skipped(tmp_path):
 
 
 def test_kfold_partition():
-    plan = make_splits(10, 5, 0, np.array([1.0, -1.0] * 5))
-    all_idx = np.sort(np.concatenate(plan.folds))
+    folds = make_splits(10, 5, 0, np.array([1.0, -1.0] * 5))
+    assert len(folds) == 5
+    all_idx = np.sort(np.concatenate(folds))
     assert np.array_equal(all_idx, np.arange(10))
     for a in range(5):
         for b in range(a + 1, 5):
-            assert not set(plan.folds[a]) & set(plan.folds[b])
+            assert not set(folds[a]) & set(folds[b])
 
 
 def test_split_determinism():
     labels = np.array([1.0, -1.0] * 20)
     a = make_splits(40, 4, 9, labels)
     b = make_splits(40, 4, 9, labels)
-    for fa, fb in zip(a.folds, b.folds):
+    for fa, fb in zip(a, b):
         assert np.array_equal(fa, fb)
 
 
@@ -204,8 +183,7 @@ def test_stratified_kfold_balances_positives():
     rng = np.random.default_rng(5)
     labels = np.array([1.0] * 60 + [-1.0] * 40)
     rng.shuffle(labels)
-    plan = make_splits(100, 5, 1, labels)
-    for fold in plan.folds:
+    for fold in make_splits(100, 5, 1, labels):
         n_pos = int(np.sum(labels[fold] > 0))
         assert abs(n_pos - 12) <= 1
 
