@@ -97,10 +97,14 @@ def cmd_synth(args) -> int:
 
 def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
     """One side of a fit as read: a seeded synthetic draw, or a CSV's raw values."""
-    if path_or_synth == "synthetic":
-        n = cfg.n_train if role == "train" else cfg.n_test
-        return gen_synthetic(n, cfg.d, seed=np.random.default_rng(derive_seed(cfg.seed, "fit", role)))
-    return load_csv(path_or_synth, normalize=False)
+    if path_or_synth != "synthetic":
+        return load_csv(path_or_synth)  # refuses a single-class file itself
+    n = cfg.n_train if role == "train" else cfg.n_test
+    data = gen_synthetic(n, cfg.d, seed=np.random.default_rng(derive_seed(cfg.seed, "fit", role)))
+    if np.all(data.y == data.y[0]):
+        raise DataError(f"--{role} synthetic: all {n} drawn labels are one class; "
+                        f"raise --n-{role}")
+    return data
 
 
 def cmd_fit(args) -> int:
@@ -177,8 +181,10 @@ def cmd_cv(args) -> int:
     cfg = args.cfg
     dataset = load_csv(args.data, label_column=args.label_column,
                        positive_label_value=args.positive_label)
-    out = _outdir(args)
+    dataset = replace(dataset, X=minmax_normalize(dataset.X))
+    # run_cv refuses folds it cannot stratify, so no output directory is left behind
     result = run_cv(dataset, cfg)
+    out = _outdir(args)
     summary = result.summary()
     with open(out / "cv.csv", "w") as fh:
         fh.write("fold,auc_averaged,auc_randomized\n")

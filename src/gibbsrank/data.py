@@ -29,7 +29,7 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    X: np.ndarray                 # (n, d), entries in [0, 1]
+    X: np.ndarray                 # (n, d) covariates, on [0, 1] for a fit
     y: np.ndarray                 # (n,), labels in {-1, +1}
     eta: np.ndarray | None = None  # true regression values, synthetic only
 
@@ -94,16 +94,14 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write(fmt.format(*x.tolist(), *tail))
 
 
-def load_csv(path, label_column: str = "label", positive_label_value: float = 1.0,
-             normalize: bool = True) -> Dataset:
+def load_csv(path, label_column: str = "label", positive_label_value: float = 1.0) -> Dataset:
     """Load a delimited numeric table with a header row.
 
-    With normalize, features are min-max normalized per column into [0, 1]
-    (constant columns map to 0.5); without it they keep the file's values,
-    for a caller that maps them with other ranges (minmax_normalize).
-    Labels are mapped to +-1 by comparison with positive_label_value; rows
-    with missing values are dropped with a count report.  An `eta` column,
-    if present, is carried through untouched.
+    Features keep the file's values; a caller maps them into [0, 1] with
+    minmax_normalize, by the ranges it chooses.  Labels are mapped to +-1 by
+    comparison with positive_label_value; rows with missing values are
+    dropped with a count report.  An `eta` column, if present, is carried
+    through untouched.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -158,11 +156,8 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
         )
     y = np.where(raw_labels == positive_label_value, 1.0, -1.0)
 
-    X = table[:, feat_idx]
-    if normalize:
-        X = minmax_normalize(X)
     eta = table[:, eta_idx] if eta_idx is not None else None
-    return Dataset(X=X, y=y, eta=eta)
+    return Dataset(X=table[:, feat_idx], y=y, eta=eta)
 
 
 def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:

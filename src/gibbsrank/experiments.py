@@ -2,7 +2,10 @@
 
 Replications are seeded independently from a root seed through stable
 hashing, so any grid cell rerun in isolation reproduces its row exactly and
-the whole pipeline is deterministic byte-for-byte.
+the whole pipeline is deterministic byte-for-byte.  Grid cells and CV folds
+are batches of independent chains on one runner, _run_batches: with
+cfg.workers > 1 on one process pool, otherwise in this process.  Outputs do
+not depend on cfg.workers.
 
 The `delta` values in experiment configs are on the scale of the published
 grid; before entering the Gibbs exponent they are mapped to an internal
@@ -21,11 +24,10 @@ sampler.RIDGE_LAMBDA.  Run metadata records this prior as "size_prior".
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import logging
 import math
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 
@@ -154,6 +156,62 @@ def _run_grid_replication(args) -> dict:
     return result.metrics()
 
 
+def _run_cv_fold(args) -> dict:
+    dataset, test_idx, cfg, fold = args
+    train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
+    chain_rng = np.random.default_rng(derive_seed(cfg.seed, "cv", fold))
+    # only the metrics outlive the fold, not its trace
+    return fit_and_evaluate(dataset.subset(train_idx), dataset.subset(test_idx),
+                            cfg, chain_rng).metrics()
+
+
+def _outcome(call, *args, on_error: str):
+    try:
+        return call(*args)
+    except Exception as exc:
+        if on_error == "raise":
+            raise
+        return exc
+
+
+def _run_batches(fn, batches: list, workers: int, on_error: str) -> list[list]:
+    """fn(job) for every job of every batch: per batch, each job's result or exception.
+
+    With workers > 1 one process pool serves every batch: every job is
+    queued up front, so a worker that finishes early takes the next batch's
+    job instead of idling at the end of a batch.  A worker that dies breaks
+    the pool: the batch being collected counts its lost jobs as failures,
+    and the batches after it are queued again on a fresh pool.  Otherwise
+    the jobs run in this process, in order.  With on_error="raise" the first
+    failure, in job order, is raised instead of returned.
+    """
+    if on_error not in ("record", "raise"):
+        raise ValueError("on_error must be 'record' or 'raise'")
+    if workers <= 1:
+        return [[_outcome(fn, job, on_error=on_error) for job in batch] for batch in batches]
+    outcomes = []
+    while len(outcomes) < len(batches):
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            queued = [[pool.submit(fn, job) for job in batch] for batch in batches[len(outcomes):]]
+            for futures in queued:
+                outcomes.append([_outcome(f.result, on_error=on_error) for f in futures])
+                if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
+                    break
+        finally:
+            # after a raise, an interrupt or a break, drop the jobs not yet started
+            pool.shutdown(cancel_futures=True)
+    return outcomes
+
+
+def _mean_var(values) -> tuple[float, float]:
+    """Mean and variance (ddof 1 from two values on) of values; NaN for none."""
+    if not values:
+        return math.nan, math.nan
+    values = np.array(values)
+    return float(values.mean()), float(values.var(ddof=1 if values.size > 1 else 0))
+
+
 @dataclass
 class GridResultRow:
     delta: float
@@ -171,101 +229,46 @@ class GridResultRow:
         return float(sum(f for j, f in enumerate(self.selection_frequency) if j not in signal))
 
 
-def _check_on_error(on_error: str) -> None:
-    if on_error not in ("record", "raise"):
-        raise ValueError("on_error must be 'record' or 'raise'")
-
-
-def _queue(pool, cfg: ExperimentConfig, delta: float, sigma2: float) -> list[Future]:
-    """Submit one cell's replications to pool, in replication order."""
-    return [pool.submit(_run_grid_replication, (asdict(cfg), delta, sigma2, rep))
-            for rep in range(cfg.reps)]
+def _grid_row(cfg: ExperimentConfig, delta: float, sigma2: float, outcomes: list) -> GridResultRow:
+    metrics = []
+    for rep, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            logger.error("grid cell delta=%r sigma2=%r: replication %d failed",
+                         delta, sigma2, rep, exc_info=outcome)
+        else:
+            metrics.append(outcome)
+    avg_mean, avg_var = _mean_var([m["test_auc_averaged"] for m in metrics])
+    rand_mean, rand_var = _mean_var([m["test_auc_randomized"] for m in metrics])
+    freq = (np.mean([m["selection_frequency"] for m in metrics], axis=0) if metrics
+            else np.full(cfg.d, math.nan))
+    return GridResultRow(
+        delta=delta, sigma2=sigma2,
+        auc_averaged_mean=avg_mean, auc_averaged_var=avg_var,
+        auc_randomized_mean=rand_mean, auc_randomized_var=rand_var,
+        selection_frequency=freq, failures=len(outcomes) - len(metrics),
+    )
 
 
 def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float,
-                  on_error: str = "record", futures=None) -> GridResultRow:
-    """Run all replications of one (delta, sigma2) cell and aggregate.
-
-    With on_error="record" a failed replication is logged and counted in
-    `failures`, and the cell aggregates the replications that succeeded; its
-    row is NaN only when every replication failed.  on_error="raise"
-    re-raises the first failure.
-
-    futures, if given, holds the cell's replications already queued on a
-    pool, in replication order (run_grid passes them).  Otherwise the cell
-    runs its replications in this process, or with cfg.workers > 1 as a
-    one-cell run_grid.
-    """
-    _check_on_error(on_error)
-    if futures is None and cfg.workers > 1:
-        return run_grid(cfg, (delta,), (sigma2,), on_error)[0]
-    if futures is None:
-        results = [functools.partial(_run_grid_replication, (asdict(cfg), delta, sigma2, rep))
-                   for rep in range(cfg.reps)]
-    else:
-        results = [future.result for future in futures]
-    metrics = []
-    for rep, result in enumerate(results):
-        try:
-            metrics.append(result())
-        except Exception:
-            if on_error == "raise":
-                raise
-            logger.exception("grid cell delta=%r sigma2=%r: replication %d failed",
-                             delta, sigma2, rep)
-    failures = cfg.reps - len(metrics)
-    if not metrics:
-        return GridResultRow(
-            delta=delta, sigma2=sigma2,
-            auc_averaged_mean=math.nan, auc_averaged_var=math.nan,
-            auc_randomized_mean=math.nan, auc_randomized_var=math.nan,
-            selection_frequency=np.full(cfg.d, math.nan), failures=failures,
-        )
-    avg = np.array([m["test_auc_averaged"] for m in metrics])
-    rand = np.array([m["test_auc_randomized"] for m in metrics])
-    freq = np.mean([m["selection_frequency"] for m in metrics], axis=0)
-    ddof = 1 if len(metrics) > 1 else 0
-    return GridResultRow(
-        delta=delta,
-        sigma2=sigma2,
-        auc_averaged_mean=float(avg.mean()),
-        auc_averaged_var=float(avg.var(ddof=ddof)),
-        auc_randomized_mean=float(rand.mean()),
-        auc_randomized_var=float(rand.var(ddof=ddof)),
-        selection_frequency=freq,
-        failures=failures,
-    )
+                  on_error: str = "record") -> GridResultRow:
+    """Run all replications of one (delta, sigma2) cell and aggregate: a one-cell run_grid."""
+    return run_grid(cfg, (delta,), (sigma2,), on_error)[0]
 
 
 def run_grid(cfg: ExperimentConfig, deltas=TABLE_DELTAS, sigma2s=TABLE_SIGMA2S,
              on_error: str = "record") -> list[GridResultRow]:
-    """Sweep the (delta, sigma2) grid; failed replications are recorded, not fatal.
+    """Sweep the (delta, sigma2) grid, one batch of cfg.reps replications per cell.
 
-    With cfg.workers > 1 one process pool serves the whole grid: every
-    (cell, replication) job is queued up front, so a worker that finishes
-    early takes the next cell's job instead of idling at the end of a cell.
-    A worker that dies breaks the pool: the cell being aggregated counts its
-    lost replications as failures, and the cells after it are queued again
-    on a fresh pool.
+    With on_error="record" a failed replication is logged and counted in
+    `failures`, and its row aggregates the replications that succeeded; the
+    row is NaN only when every replication failed.  on_error="raise"
+    re-raises the first failure.
     """
-    _check_on_error(on_error)
     cells = [(delta, sigma2) for delta in deltas for sigma2 in sigma2s]
-    if cfg.workers <= 1:
-        return [run_grid_cell(cfg, delta, sigma2, on_error) for delta, sigma2 in cells]
-    rows = []
-    while len(rows) < len(cells):
-        pending = cells[len(rows):]
-        pool = ProcessPoolExecutor(max_workers=cfg.workers)
-        try:
-            queued = [_queue(pool, cfg, delta, sigma2) for delta, sigma2 in pending]
-            for (delta, sigma2), futures in zip(pending, queued):
-                rows.append(run_grid_cell(cfg, delta, sigma2, on_error, futures))
-                if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
-                    break
-        finally:
-            # after a raise, an interrupt or a break, drop the jobs not yet started
-            pool.shutdown(cancel_futures=True)
-    return rows
+    batches = [[(asdict(cfg), delta, sigma2, rep) for rep in range(cfg.reps)]
+               for delta, sigma2 in cells]
+    outcomes = _run_batches(_run_grid_replication, batches, cfg.workers, on_error)
+    return [_grid_row(cfg, delta, sigma2, cell) for (delta, sigma2), cell in zip(cells, outcomes)]
 
 
 def grid_to_csv(rows: list[GridResultRow], path) -> None:
@@ -292,29 +295,23 @@ class CvResult:
     fold_auc_randomized: list
 
     def summary(self) -> dict:
-        avg = np.array(self.fold_auc_averaged)
-        rand = np.array(self.fold_auc_randomized)
-        ddof = 1 if avg.size > 1 else 0
+        avg_mean, avg_var = _mean_var(self.fold_auc_averaged)
+        rand_mean, rand_var = _mean_var(self.fold_auc_randomized)
         return {
-            "cv_auc_averaged_mean": float(avg.mean()),
-            "cv_auc_averaged_var": float(avg.var(ddof=ddof)),
-            "cv_auc_randomized_mean": float(rand.mean()),
-            "cv_auc_randomized_var": float(rand.var(ddof=ddof)),
+            "cv_auc_averaged_mean": avg_mean,
+            "cv_auc_averaged_var": avg_var,
+            "cv_auc_randomized_mean": rand_mean,
+            "cv_auc_randomized_var": rand_var,
         }
 
 
 def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> CvResult:
-    """Stratified k-fold cross-validation of both estimators."""
-    fold_avg, fold_rand = [], []
-    for i, test_idx in enumerate(make_splits(dataset.n, cfg.folds, cfg.seed, dataset.y)):
-        train_idx = np.setdiff1d(np.arange(dataset.n), test_idx)
-        train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-        chain_rng = np.random.default_rng(derive_seed(cfg.seed, "cv", i))
-        # only the metrics outlive the fold, not its trace
-        metrics = fit_and_evaluate(train, test, cfg, chain_rng).metrics()
-        fold_avg.append(metrics["test_auc_averaged"])
-        fold_rand.append(metrics["test_auc_randomized"])
-    return CvResult(fold_auc_averaged=fold_avg, fold_auc_randomized=fold_rand)
+    """Stratified k-fold cross-validation of both estimators; a failed fold is raised."""
+    folds = make_splits(dataset.n, cfg.folds, cfg.seed, dataset.y)
+    jobs = [(dataset, test_idx, cfg, i) for i, test_idx in enumerate(folds)]
+    (metrics,) = _run_batches(_run_cv_fold, [jobs], cfg.workers, "raise")
+    return CvResult(fold_auc_averaged=[m["test_auc_averaged"] for m in metrics],
+                    fold_auc_randomized=[m["test_auc_randomized"] for m in metrics])
 
 
 def write_metadata(path, cfg: ExperimentConfig, extra: dict | None = None) -> None:

@@ -13,7 +13,7 @@ import pytest
 from dataclasses import fields, replace
 
 import gibbsrank
-from gibbsrank import cli
+from gibbsrank import cli, experiments
 from gibbsrank.cli import build_config, main, read_config_file
 from gibbsrank.data import derive_seed, gen_synthetic, load_csv, minmax_normalize, save_csv
 from gibbsrank.experiments import ExperimentConfig, chain_configs, write_metadata
@@ -178,7 +178,7 @@ def test_fit_csv_test_uses_training_ranges(tmp_path, monkeypatch, caplog):
         run_cli("fit", "--out", str(tmp_path / "out"), "--train", str(train),
                 "--test", str(test), "--iters", "4", "--burnin", "2")
     (tr, te), = seen
-    assert np.array_equal(tr.X, load_csv(train).X)
+    assert np.array_equal(tr.X, minmax_normalize(load_csv(train).X))
     assert np.array_equal(te.X[:, 0], [0.25, 0.75])
     assert np.array_equal(te.X[:, 1], [-0.5, 1.5])  # outside the training range
     assert np.array_equal(te.y, [-1.0, 1.0])
@@ -196,7 +196,7 @@ def test_fit_synthetic_test_uses_training_ranges(tmp_path, monkeypatch):
     run_cli("fit", "--out", str(tmp_path / "out"), "--train", str(tmp_path / "train.csv"),
             "--test", "synthetic", "--n-test", "50", "--seed", "3", "--iters", "4", "--burnin", "2")
     (tr, te), = seen
-    raw = load_csv(tmp_path / "train.csv", normalize=False).X
+    raw = load_csv(tmp_path / "train.csv").X
     drawn = gen_synthetic(50, 10, seed=np.random.default_rng(derive_seed(3, "fit", "test")))
     ranges = (raw.min(axis=0), raw.max(axis=0))
     assert np.array_equal(tr.X, minmax_normalize(raw, ranges))
@@ -302,6 +302,32 @@ def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
     assert err.startswith("gibbsrank cv: ") and "labels must take exactly two values" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_refuses_a_single_class_draw_before_the_chain(tmp_path, capsys, monkeypatch):
+    chains = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *args: chains.append(args))
+    out = tmp_path / "out"
+    assert main(["fit", "--out", str(out), "--n-train", "2", "--n-test", "2",
+                 "--iters", "4", "--burnin", "2", "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("gibbsrank fit: --train synthetic: ")
+    assert "one class" in err
+    assert chains == []
+    assert not out.exists()
+
+
+def test_cv_refuses_unstratifiable_folds_before_any_output(tmp_path, capsys):
+    data = gen_synthetic(40, seed=0)
+    y = np.full(data.n, -1.0)
+    y[:2] = 1.0  # two positives cannot reach five folds
+    path = tmp_path / "two.csv"
+    save_csv(replace(data, y=y), path)
+    out = tmp_path / "out"
+    assert main(["cv", "--out", str(out), "--data", str(path), "--folds", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "gibbsrank cv: stratification impossible: a fold has a single class\n"
+    assert not out.exists()
 
 
 def test_auc_on_single_class_labels_exits_1(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_csv_round_trip(tmp_path):
     data = gen_synthetic(30, d=6, seed=2)
     path = tmp_path / "data.csv"
     save_csv(data, path)
-    loaded = load_csv(path, normalize=False)
+    loaded = load_csv(path)
     assert np.allclose(loaded.X, data.X, atol=1e-12)
     assert np.array_equal(loaded.y, data.y)
     assert np.allclose(loaded.eta, data.eta, atol=1e-12)
@@ -103,7 +103,7 @@ def test_minmax_normalization(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x1,label\n0,0\n5,1\n10,0\n")
     loaded = load_csv(path)
-    assert np.array_equal(loaded.X[:, 0], [0.0, 0.5, 1.0])
+    assert np.array_equal(minmax_normalize(loaded.X)[:, 0], [0.0, 0.5, 1.0])
     assert np.array_equal(loaded.y, [-1.0, 1.0, -1.0])
 
 

@@ -31,6 +31,10 @@ def _flaky_replication(args):
     return _real_replication(args)
 
 
+def _failing_fold(args):
+    raise RuntimeError(f"fold {args[3]} broke")
+
+
 def _dying_replication(args):
     # replication 1 of the delta=1 cell kills its pool worker outright
     if args[1] == 1.0 and args[3] == 1:
@@ -202,10 +206,29 @@ def test_cv_agrees_with_holdout_fit(tmp_path):
     data = gen_synthetic(1000, seed=4)
     path = tmp_path / "cv.csv"
     save_csv(data, path)
-    reloaded = load_csv(path, normalize=False)
+    reloaded = load_csv(path)
     cv = run_cv(reloaded, cfg)
     summary = cv.summary()
     holdout = fit_and_evaluate(gen_synthetic(1000, seed=5),
                                gen_synthetic(1000, seed=6), cfg, np.random.default_rng(cfg.seed))
     assert len(cv.fold_auc_averaged) == 5
     assert abs(summary["cv_auc_averaged_mean"] - holdout.test_auc_averaged) <= 0.03
+
+
+def test_pooled_cv_uses_one_pool_and_matches_in_process_folds(pool_starts):
+    cfg = ExperimentConfig(**{**FAST, "folds": 3, "workers": 2})
+    data = gen_synthetic(90, seed=2)
+    pooled = run_cv(data, cfg)
+    assert len(pool_starts) == 1
+    alone = run_cv(data, replace(cfg, workers=1))
+    assert len(pool_starts) == 1
+    assert pooled.fold_auc_averaged == alone.fold_auc_averaged
+    assert pooled.fold_auc_randomized == alone.fold_auc_randomized
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_fold_is_raised(monkeypatch, workers):
+    cfg = ExperimentConfig(**{**FAST, "folds": 2, "workers": workers})
+    monkeypatch.setattr(experiments, "_run_cv_fold", _failing_fold)
+    with pytest.raises(RuntimeError, match="fold 0 broke"):
+        run_cv(gen_synthetic(40, seed=2), cfg)
