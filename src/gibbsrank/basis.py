@@ -96,10 +96,6 @@ class FeatureMatrix:
     def M(self) -> int:
         return self.blocks.shape[2]
 
-    def columns_for(self, mask: "ModelMask") -> np.ndarray:
-        """Columns of the active covariates in the row-major (n, d * M) layout."""
-        return (mask.active[:, None] * self.M + np.arange(self.M)).ravel()
-
 
 def build_features(X: np.ndarray) -> FeatureMatrix:
     """Evaluate the dictionary on every entry of X (shape (n, d))."""

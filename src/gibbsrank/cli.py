@@ -73,6 +73,15 @@ def _add_common(parser):
     parser.add_argument("--out", default=".", help="output directory")
 
 
+def _check_outdir(out: str) -> None:
+    """ValueError unless --out is a directory or can be made one."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        where = "" if existing == path else f": {existing}"
+        raise ValueError(f"--out {out}{where} is not a directory")
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,13 +276,15 @@ def main(argv=None) -> int:
     command = sub.choices[args.command]
     if args.command == "fit" and args.train != "synthetic" and args.test is None:
         command.error("--test is required when --train is a CSV")
-    # a bad setting stops the run here, before any output directory exists
+    # a bad setting or --out stops the run here, before any data is read or
+    # any output directory exists
     if args.command != "auc":
         try:
             args.cfg = build_config(args)
             if args.command == "grid":
                 args.deltas = _parse_grid_list(args.deltas, TABLE_DELTAS, args.cfg, "delta")
                 args.sigma2s = _parse_grid_list(args.sigma2s, TABLE_SIGMA2S, args.cfg, "sigma2")
+            _check_outdir(args.out)
         except ValueError as exc:
             command.exit(2, f"{command.prog}: error: {exc}\n")
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,14 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write(fmt.format(*x.tolist(), *tail))
 
 
+def _parse_cell(cell: str) -> float:
+    """A cell's value; NaN for an empty or non-numeric cell."""
+    try:
+        return float(cell.strip())  # strip drops more than float() skips, e.g. \x1c-\x1f
+    except ValueError:
+        return np.nan
+
+
 def load_csv(path, label_column: str = "label", positive_label_value: float = 1.0) -> Dataset:
     """Load a delimited numeric table with a header row.
 
@@ -112,28 +121,27 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
         header = [h.strip() for h in header]
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r} in header {header}")
-        rows = []
+        # Each row becomes floats as it is read, so no table of strings is
+        # ever held: one float() pass, and a per-cell parse only for a row
+        # with an empty or non-numeric cell.
+        values = array("d")
+        n_rows = 0
         for row in reader:
             if not row:
                 continue  # csv yields [] for a blank line
             if len(row) != len(header):
-                raise DataError(f"{path}: ragged rows: data row {len(rows) + 1} (line "
+                raise DataError(f"{path}: ragged rows: data row {n_rows + 1} (line "
                                 f"{reader.line_num}) has {len(row)} cells, the header has "
                                 f"{len(header)}")
-            rows.append(row)
-    if not rows:
+            try:
+                values.extend(list(map(float, row)))  # all of the row or none of it
+            except ValueError:
+                values.extend(map(_parse_cell, row))
+            n_rows += 1
+    if not n_rows:
         raise DataError(f"{path}: no data rows")
 
-    def parse(cell):
-        cell = cell.strip()
-        if cell == "":
-            return np.nan
-        try:
-            return float(cell)
-        except ValueError:
-            return np.nan
-
-    table = np.array([[parse(c) for c in row] for row in rows])
+    table = np.frombuffer(values, dtype=float).reshape(n_rows, len(header))
     keep = ~np.isnan(table).any(axis=1)
     dropped = int((~keep).sum())
     if dropped:

@@ -126,18 +126,30 @@ class FitResult:
         }
 
 
+def _estimator_aucs(estimators: FinalEstimators, features, labels) -> tuple[float, float]:
+    """AUCs of the averaged and the randomized estimator on features."""
+    return (auc(score_dense(estimators.averaged, features), labels),
+            auc(score(estimators.randomized, features), labels))
+
+
 def fit_and_evaluate(train: Dataset, test: Dataset, cfg: ExperimentConfig,
                      rng: np.random.Generator) -> FitResult:
-    """Train one chain on rng and score both final estimators on train and test."""
+    """Train one chain on rng and score both final estimators on train and test.
+
+    The training features are released before the test features are built,
+    so the two never coexist.
+    """
     gcfg, scfg = chain_configs(cfg, train.n, train.d)
     features = build_features(train.X)
     trace, estimators = run_chain(features, train.y, gcfg, scfg, rng)
-    test_features = build_features(test.X)
+    train_aucs = _estimator_aucs(estimators, features, train.y)
+    del features
+    test_aucs = _estimator_aucs(estimators, build_features(test.X), test.y)
     return FitResult(
-        train_auc_averaged=auc(score_dense(estimators.averaged, features), train.y),
-        train_auc_randomized=auc(score(estimators.randomized, features), train.y),
-        test_auc_averaged=auc(score_dense(estimators.averaged, test_features), test.y),
-        test_auc_randomized=auc(score(estimators.randomized, test_features), test.y),
+        train_auc_averaged=train_aucs[0],
+        train_auc_randomized=train_aucs[1],
+        test_auc_averaged=test_aucs[0],
+        test_auc_randomized=test_aucs[1],
         acceptance_rate=trace.acceptance_rate,
         selection_frequency=trace.selection_frequency(),
         trace=trace,

@@ -68,10 +68,13 @@ class SamplerConfig:
 
 
 class BenchmarkCache:
-    """Per-mask ridge least-squares fits, solved from precomputed Gram blocks.
+    """Per-mask ridge least-squares fits, solved from per-pair Gram blocks.
 
-    Fits with norm above the prior ball radius are radially shrunk just
-    inside it so proposals centered on them can land in the support.
+    The M x M Gram block of a covariate pair, blocks[i].T @ blocks[j], is
+    computed the first time a fit needs it and kept, so memory grows with the
+    covariate pairs the chain visits rather than with (d * M)^2.  Fits with
+    norm above the prior ball radius are radially shrunk just inside it so
+    proposals centered on them can land in the support.
     """
 
     def __init__(self, features: FeatureMatrix, labels, ridge_lambda: float, ball_radius: float):
@@ -79,13 +82,16 @@ class BenchmarkCache:
         self.features = features
         self.ridge_lambda = ridge_lambda
         self.ball_radius = ball_radius
-        # A transient row-major (n, d * M) copy, freed on return, gives the
-        # Gram and X^T y the same BLAS calls, and so the same bits, as a
-        # row-major feature matrix would.
-        X = features.blocks.transpose(1, 0, 2).reshape(features.n, -1)
-        self.gram = X.T @ X
-        self.xty = X.T @ y
+        self.xty = y @ features.blocks  # X^T y as (d, M): row j is blocks[j].T @ y
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}  # (i, j) with i <= j
         self._cache: dict[bytes, np.ndarray] = {}
+
+    def _gram_block(self, i: int, j: int) -> np.ndarray:
+        block = self._blocks.get((i, j))
+        if block is None:
+            blocks = self.features.blocks
+            block = self._blocks[i, j] = blocks[i].T @ blocks[j]
+        return block
 
     def fit(self, mask: ModelMask) -> np.ndarray:
         if mask.size == 0:
@@ -94,10 +100,17 @@ class BenchmarkCache:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        cols = self.features.columns_for(mask)
-        G = self.gram[np.ix_(cols, cols)] + self.ridge_lambda * np.eye(cols.size)
+        M, active = self.features.M, mask.active.tolist()
+        G = np.empty((mask.size * M, mask.size * M))
+        for a, i in enumerate(active):
+            for b in range(a, mask.size):
+                block = self._gram_block(i, active[b])
+                G[a * M:(a + 1) * M, b * M:(b + 1) * M] = block
+                if b > a:
+                    G[b * M:(b + 1) * M, a * M:(a + 1) * M] = block.T
+        G.flat[::G.shape[0] + 1] += self.ridge_lambda
         try:
-            values = np.linalg.solve(G, self.xty[cols])
+            values = np.linalg.solve(G, self.xty[active].ravel())
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"singular ridge system for mask {mask.active.tolist()}"

@@ -275,6 +275,26 @@ def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, name, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "grid", "cv"])
+def test_out_naming_a_file_exits_2_before_any_chain(tmp_path, capsys, monkeypatch, command):
+    chains = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *args: chains.append(args))
+    path = tmp_path / "data.csv"
+    save_csv(gen_synthetic(40, seed=0), path)
+    out = tmp_path / "afile"
+    out.write_text("keep me\n")
+    extra = {"fit": [], "grid": ["--deltas", "1", "--sigma2s", "0.01"], "cv": ["--data", str(path)]}
+    for where, message in ((out, f"--out {out} is not a directory"),
+                           (out / "sub", f"--out {out / 'sub'}: {out} is not a directory")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(where), "--iters", "20", "--burnin", "10", "--reps", "1",
+                  "--n-train", "40", "--n-test", "40", *extra[command]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"gibbsrank {command}: error: {message}\n"
+    assert out.read_text() == "keep me\n"
+    assert chains == []
+
+
 def test_grid_rejects_a_bad_grid_value(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grid", "--out", str(tmp_path / "out"), "--sigma2s", "0.01,0"])

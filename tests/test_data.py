@@ -121,6 +121,26 @@ def test_missing_rows_are_dropped(tmp_path):
     assert loaded.n == 2
 
 
+def test_load_csv_cell_parsing(tmp_path, caplog):
+    # float() reads a padded or exponent cell and 'nan'; an empty, blank or
+    # non-numeric cell is missing, and a row with a missing cell is dropped
+    path = tmp_path / "cells.csv"
+    path.write_text("x1,x2,label\n"
+                    " 0.5 ,1e-3,1\n"
+                    ",0.2,0\n"
+                    "  ,0.3,1\n"
+                    "abc,0.4,0\n"
+                    "nan,0.5,1\n"
+                    "2, 0.5 ,0\n"
+                    "1e-3,-4,1\n")
+    with caplog.at_level("WARNING", logger="gibbsrank.data"):
+        loaded = load_csv(path)
+    assert loaded.X.tolist() == [[0.5, 1e-3], [2.0, 0.5], [1e-3, -4.0]]
+    assert loaded.y.tolist() == [1.0, -1.0, 1.0]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: dropped 4 rows with missing values"]
+
+
 def test_label_value_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,label\n0.1,0\n0.2,1\n0.3,2\n")

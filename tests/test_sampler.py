@@ -1,6 +1,7 @@
 """Benchmark fits, neighborhood proposals, and the Metropolis-Hastings step."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,36 @@ def test_benchmark_matches_independent_solve():
     Phi = fm.blocks[0]
     direct = np.linalg.inv(Phi.T @ Phi + lam * np.eye(4)) @ (Phi.T @ y)
     assert np.allclose(values, direct, atol=1e-10)
+
+
+def test_benchmark_assembles_blocks_of_a_non_adjacent_mask():
+    # the off-diagonal blocks of {0, 2, 3} and their transposes land where the
+    # gathered columns put them, with the ridge on the diagonal only
+    rng = np.random.default_rng(4)
+    X = rng.random((30, 4))
+    fm = build_features(X)
+    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    lam = 0.3
+    cache = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=1e6)
+    values = cache.fit(ModelMask.from_active(4, [0, 2, 3]))
+    Phi = np.hstack([fm.blocks[j] for j in (0, 2, 3)])
+    direct = np.linalg.solve(Phi.T @ Phi + lam * np.eye(Phi.shape[1]), Phi.T @ y)
+    assert np.allclose(values, direct, rtol=0.0, atol=1e-10)
+
+
+def test_benchmark_memory_grows_with_visited_pairs_not_d_squared():
+    # a dense (d * M)^2 Gram at d=300 would be 122 MB; three covariates need
+    # six 13 x 13 blocks
+    fm = build_features(np.random.default_rng(5).random((20, 300)))
+    y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+    tracemalloc.start()
+    try:
+        cache = BenchmarkCache(fm, y, ridge_lambda=1.0, ball_radius=2.0)
+        cache.fit(ModelMask.from_active(300, [7, 150, 299]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_benchmark_shrinks_into_ball():
