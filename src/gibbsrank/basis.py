@@ -35,26 +35,32 @@ def rescale(x):
     return 2.0 * x - 1.0
 
 
+def _write_dictionary(t: np.ndarray, out: np.ndarray) -> None:
+    """Write dictionary function k at t into out[k], for k = 0..DICTIONARY_SIZE-1.
+
+    Each out[k] has t's shape; Legendre polynomials follow the three-term
+    recurrence.
+    """
+    L, H = N_LEGENDRE, N_HARMONICS
+    out[0] = 1.0
+    out[1] = t
+    for deg in range(2, L):
+        out[deg] = ((2 * deg - 1) * t * out[deg - 1] - (deg - 1) * out[deg - 2]) / deg
+    for h in range(1, H + 1):
+        angle = np.pi * t * h
+        np.sin(angle, out=out[L + h - 1, ...])  # "..." keeps a 0-d slot an array
+        np.cos(angle, out=out[L + H + h - 1, ...])
+
+
 def eval_dictionary(t) -> np.ndarray:
     """Evaluate all dictionary functions at t in [-1, 1].
 
     Returns a C-contiguous array of shape t.shape + (DICTIONARY_SIZE,), each
-    function written in place into its slot of the last axis.  Legendre
-    polynomials follow the three-term recurrence.
+    function written in place into its slot of the last axis.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty(t.shape + (DICTIONARY_SIZE,))
-    L, H = N_LEGENDRE, N_HARMONICS
-    out[..., 0] = 1.0
-    out[..., 1] = t
-    for deg in range(2, L):
-        out[..., deg] = (
-            (2 * deg - 1) * t * out[..., deg - 1] - (deg - 1) * out[..., deg - 2]
-        ) / deg
-    for h in range(1, H + 1):
-        angle = np.pi * t * h
-        np.sin(angle, out=out[..., L + h - 1])
-        np.cos(angle, out=out[..., L + H + h - 1])
+    _write_dictionary(t, np.moveaxis(out, -1, 0))
     return out
 
 
@@ -69,11 +75,12 @@ def eval_basis(k: int, t):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Cached basis evaluations, stored covariate-major.
+    """Cached basis evaluations, stored covariate-major and function-major.
 
-    blocks is one C-contiguous array of shape (d, n, M): blocks[j] holds the
-    M dictionary functions of covariate j on all n rows, so scoring a
-    covariate reads one contiguous n x M block instead of a strided view.
+    blocks is one C-contiguous array of shape (d, M, n): blocks[j] holds the
+    M dictionary functions of covariate j, each one contiguous row over all
+    n rows of data.  Scoring a covariate is then theta_j @ blocks[j], a
+    product over M long rows rather than n rows of M.
     """
 
     blocks: np.ndarray
@@ -81,7 +88,7 @@ class FeatureMatrix:
     def __post_init__(self):
         blocks = np.ascontiguousarray(self.blocks, dtype=float)
         if blocks.ndim != 3:
-            raise ValueError(f"feature blocks must have shape (d, n, M), got {blocks.shape}")
+            raise ValueError(f"feature blocks must have shape (d, M, n), got {blocks.shape}")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -89,11 +96,11 @@ class FeatureMatrix:
         return self.blocks.shape[0]
 
     @property
-    def n(self) -> int:
+    def M(self) -> int:
         return self.blocks.shape[1]
 
     @property
-    def M(self) -> int:
+    def n(self) -> int:
         return self.blocks.shape[2]
 
 
@@ -106,8 +113,12 @@ def build_features(X: np.ndarray) -> FeatureMatrix:
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"non-finite feature at row {i}, column {j}")
-    # evaluated on the (d, n) transpose, the dictionary fills (d, n, M) blocks
-    return FeatureMatrix(blocks=eval_dictionary(np.ascontiguousarray(rescale(X).T)))
+    t = np.ascontiguousarray(rescale(X).T)
+    blocks = np.empty((t.shape[0], DICTIONARY_SIZE, t.shape[1]))
+    # each function fills its (d, n) slab in place: no (d, n, M) array is
+    # built and transposed, so the features peak near their own size
+    _write_dictionary(t, blocks.transpose(1, 0, 2))
+    return FeatureMatrix(blocks=blocks)
 
 
 class ModelMask:
@@ -120,13 +131,22 @@ class ModelMask:
     __slots__ = ("bits", "active", "size")
 
     def __init__(self, bits):
-        bits = np.array(bits, dtype=bool)
+        self._own(np.array(bits, dtype=bool))
+
+    def _own(self, bits: np.ndarray) -> None:
         bits.setflags(write=False)
         active = np.flatnonzero(bits)
         active.setflags(write=False)
         self.bits = bits
         self.active = active
         self.size = active.size
+
+    @classmethod
+    def _adopt(cls, bits: np.ndarray) -> "ModelMask":
+        """A mask over bits, a fresh bool array no one else holds, taken without a copy."""
+        mask = cls.__new__(cls)
+        mask._own(bits)
+        return mask
 
     @classmethod
     def empty(cls, d: int) -> "ModelMask":
@@ -145,12 +165,12 @@ class ModelMask:
     def with_covariate(self, j: int) -> "ModelMask":
         bits = self.bits.copy()
         bits[j] = True
-        return ModelMask(bits)
+        return ModelMask._adopt(bits)
 
     def without_covariate(self, j: int) -> "ModelMask":
         bits = self.bits.copy()
         bits[j] = False
-        return ModelMask(bits)
+        return ModelMask._adopt(bits)
 
     def key(self) -> bytes:
         return np.packbits(self.bits).tobytes()
@@ -201,7 +221,7 @@ def _additive_score(features: FeatureMatrix, covariates, values: np.ndarray) -> 
     """
     out = np.zeros(features.n)
     for j, theta_j in zip(covariates, values.reshape(-1, features.M)):
-        out += features.blocks[j] @ theta_j
+        out += theta_j @ features.blocks[j]
     return out
 
 

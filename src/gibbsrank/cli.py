@@ -88,13 +88,22 @@ def _outdir(args) -> Path:
     return out
 
 
+def _refuse_one_class(data, source: str, role: str) -> None:
+    """DataError when a synthetic draw's labels are all one class."""
+    if np.all(data.y == data.y[0]):
+        raise DataError(f"{source}: all {data.n} drawn labels are one class; raise --n-{role}")
+
+
 def cmd_synth(args) -> int:
     cfg = args.cfg
-    out = _outdir(args)
     ss = derive_seed(cfg.seed, "synth")
     rng = np.random.default_rng(ss)
     train = gen_synthetic(cfg.n_train, cfg.d, seed=rng)
     test = gen_synthetic(cfg.n_test, cfg.d, seed=rng)
+    # refused before --out exists: a one-class test draw has no oracle AUC
+    _refuse_one_class(train, "train draw", "train")
+    _refuse_one_class(test, "test draw", "test")
+    out = _outdir(args)
     save_csv(train, out / "train.csv")
     save_csv(test, out / "test.csv")
     oracle = auc(test.eta, test.y)
@@ -110,9 +119,7 @@ def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
         return load_csv(path_or_synth)  # refuses a single-class file itself
     n = cfg.n_train if role == "train" else cfg.n_test
     data = gen_synthetic(n, cfg.d, seed=np.random.default_rng(derive_seed(cfg.seed, "fit", role)))
-    if np.all(data.y == data.y[0]):
-        raise DataError(f"--{role} synthetic: all {n} drawn labels are one class; "
-                        f"raise --n-{role}")
+    _refuse_one_class(data, f"--{role} synthetic", role)
     return data
 
 
@@ -213,6 +220,14 @@ def cmd_auc(args) -> int:
 
     with open(args.data, newline="") as fh:
         reader = _csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{args.data}: empty file")
+        reader.fieldnames = [h.strip() for h in reader.fieldnames]  # as load_csv reads a header
+        for flag, column in (("--score-column", args.score_column),
+                             ("--label-column", args.label_column)):
+            if column not in reader.fieldnames:
+                raise DataError(f"{args.data}: no column named {column!r} ({flag}) "
+                                f"in header {reader.fieldnames}")
         scores, labels = [], []
         for i, row in enumerate(reader, 1):
             for what, column, values in (("score", args.score_column, scores),
@@ -229,6 +244,8 @@ def cmd_auc(args) -> int:
                           f"has {problem}", file=sys.stderr)
                     return 1
                 values.append(value)
+    if not scores:
+        raise DataError(f"{args.data}: no data rows")
     labels = np.where(np.array(labels) > 0, 1.0, -1.0)
     print(f"auc_half {auc(scores, labels, 'half'):.6f}")
     print(f"auc_strict {auc(scores, labels, 'strict'):.6f}")

@@ -56,7 +56,7 @@ def _pair_counts(scores, labels):
     p = pos[order]
     tied_next = s[1:] == s[:-1]
     if not tied_next.any():
-        neg_below_pos = int(np.flatnonzero(p).sum()) - n_pos * (n_pos - 1) // 2
+        neg_below_pos = int(np.arange(n) @ p) - n_pos * (n_pos - 1) // 2
         return n_pos * n_neg - neg_below_pos, neg_below_pos, 0, n_pos, n_neg
     starts = np.flatnonzero(np.concatenate(([True], ~tied_next)))
     pos_g = np.add.reduceat(p.astype(np.int64), starts)

@@ -1,6 +1,7 @@
 """Dictionary evaluation and sparse additive scoring."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,13 +78,13 @@ def test_feature_row_at_center():
     # t = 0: even Legendre degrees alternate, odd degrees and sines vanish
     expected = [1.0, 0.0, -0.5, 0.0, 3.0 / 8.0, 0.0, -5.0 / 16.0,
                 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-    assert np.allclose(fm.blocks[0, 0], expected, atol=1e-14)
+    assert np.allclose(fm.blocks[0, :, 0], expected, atol=1e-14)
 
 
 def test_identical_rows_give_identical_features():
     X = np.array([[0.3, 0.8], [0.3, 0.8]])
     fm = build_features(X)
-    assert np.array_equal(fm.blocks[:, 0], fm.blocks[:, 1])
+    assert np.array_equal(fm.blocks[:, :, 0], fm.blocks[:, :, 1])
 
 
 def test_dictionary_values_bounded():
@@ -123,11 +124,24 @@ def test_build_features_is_covariate_major_and_exact(d):
     rng = np.random.default_rng(d)
     X = rng.random((57, d))
     fm = build_features(X)
-    assert fm.blocks.shape == (d, 57, 13) and fm.blocks.flags.c_contiguous
-    assert (fm.d, fm.n, fm.M) == (d, 57, 13)
+    assert fm.blocks.shape == (d, 13, 57) and fm.blocks.flags.c_contiguous
+    assert (fm.d, fm.M, fm.n) == (d, 13, 57)
     reference = eval_dictionary(rescale(X))  # (n, d, M)
     assert np.array_equal(reference, concatenated_dictionary(rescale(X)))
-    assert np.array_equal(fm.blocks, reference.transpose(1, 0, 2))
+    assert np.array_equal(fm.blocks, reference.transpose(1, 2, 0))
+
+
+def test_build_features_peaks_near_the_size_of_its_features():
+    # each dictionary function fills its slab of the (d, M, n) array in place;
+    # building (d, n, M) and transposing would peak at twice the features
+    X = np.random.default_rng(7).random((2000, 100))
+    tracemalloc.start()
+    try:
+        fm = build_features(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.35 * fm.blocks.nbytes
 
 
 def test_score_empty_mask_is_zero():
@@ -175,9 +189,9 @@ def row_major_features(X):
 
 
 def test_score_matches_column_gather():
-    """Per-covariate products on the contiguous blocks give the same bits as
-    on strided (n, d * M) column views, and agree with one product on the
-    gathered columns."""
+    """Scores are bit for bit the sum of theta_j @ blocks[j] over the active
+    covariates, with each (M, n) block taken from the (n, d * M) columns, and
+    agree with one product on the gathered columns."""
     rng = np.random.default_rng(5)
     cases = [(6, [2, 3]), (6, [0, 4]), (6, [1, 2, 5]), (6, range(6)), (1, [0])]
     cases += [(9, rng.choice(9, size=k, replace=False)) for k in range(1, 10)]
@@ -188,10 +202,11 @@ def test_score_matches_column_gather():
         values = row_major_features(X)
         mask = ModelMask.from_active(d, active)
         coef = SparseCoef(mask=mask, values=rng.standard_normal(mask.size * 13))
-        strided = np.zeros(40)
+        per_block = np.zeros(40)
         for slot, j in enumerate(mask.active):
-            strided += values[:, j * 13 : (j + 1) * 13] @ coef.values[slot * 13 : (slot + 1) * 13]
-        assert np.array_equal(score(coef, fm), strided)
+            block = np.ascontiguousarray(values[:, j * 13 : (j + 1) * 13].T)
+            per_block += coef.values[slot * 13 : (slot + 1) * 13] @ block
+        assert np.array_equal(score(coef, fm), per_block)
         columns = (mask.active[:, None] * 13 + np.arange(13)).ravel()
         expected = values[:, columns] @ coef.values
         assert np.allclose(score(coef, fm), expected, rtol=0.0, atol=1e-12)

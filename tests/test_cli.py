@@ -337,6 +337,17 @@ def test_fit_refuses_a_single_class_draw_before_the_chain(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed, role", [(0, "train"), (2, "test")], ids=["train", "test"])
+def test_synth_refuses_a_single_class_draw_before_any_output(tmp_path, capsys, seed, role):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--n-train", "2", "--n-test", "2",
+                 "--seed", str(seed)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"gibbsrank synth: {role} draw: all 2 drawn labels are one class; "
+                   f"raise --n-{role}\n")
+    assert not out.exists()
+
+
 def test_cv_refuses_unstratifiable_folds_before_any_output(tmp_path, capsys):
     data = gen_synthetic(40, seed=0)
     y = np.full(data.n, -1.0)
@@ -446,3 +457,33 @@ def test_auc_subcommand_rejects_bad_cells(tmp_path, capsys, row, problem):
     captured = capsys.readouterr()
     assert "auc_half" not in captured.out
     assert f"data row 2 (line 3) has {problem}" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "no column named 'score' (--score-column) in header ['x', 'label']"),
+    (["--score-column", "x", "--label-column", "y"],
+     "no column named 'y' (--label-column) in header ['x', 'label']"),
+], ids=["score", "label"])
+def test_auc_subcommand_names_a_missing_column(tmp_path, capsys, flags, message):
+    path = tmp_path / "scores.csv"
+    path.write_text("x,label\n0.1,1\n0.3,0\n")
+    assert main(["auc", "--data", str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gibbsrank auc: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [("score,label\n", "no data rows"),
+                                           ("", "empty file")], ids=["header-only", "empty"])
+def test_auc_subcommand_refuses_a_file_without_rows(tmp_path, capsys, text, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    assert main(["auc", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == f"gibbsrank auc: {path}: {message}\n"
+
+
+def test_auc_subcommand_strips_header_cells_as_load_csv_does(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_text("score , label\n0.9,1\n0.1,0\n")
+    assert main(["auc", "--data", str(path)]) == 0
+    assert "auc_half 1.000000" in capsys.readouterr().out

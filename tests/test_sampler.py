@@ -15,12 +15,13 @@ from gibbsrank.basis import (
     score,
 )
 from gibbsrank.data import gen_synthetic
-from gibbsrank.gibbs import GibbsConfig, log_gibbs, tilted_size_log_weights
+from gibbsrank.gibbs import GibbsConfig, log_gibbs, log_prior, tilted_size_log_weights
 from gibbsrank.sampler import (
     RIDGE_LAMBDA,
     BenchmarkCache,
     ChainState,
     SamplerConfig,
+    StepRecord,
     chain_risk,
     initial_state,
     log_proposal_density,
@@ -71,7 +72,7 @@ def test_benchmark_orthonormal_design():
     # weight 1 there and ~0 elsewhere, up to the ridge perturbation
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
-    fm = FeatureMatrix(blocks=Q[None])
+    fm = FeatureMatrix(blocks=Q.T[None])
     y = Q[:, 1]
     values = BenchmarkCache(fm, y, ridge_lambda=1e-6, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
     expected = np.array([0.0, 1.0, 0.0, 0.0])
@@ -92,11 +93,11 @@ def test_benchmark_matches_independent_solve():
     rng = np.random.default_rng(2)
     X = rng.random((20, 1))
     # four of the dictionary's functions: P0, P1, sin(pi t) and cos(pi t)
-    fm = FeatureMatrix(blocks=build_features(X).blocks[:, :, [0, 1, 7, 10]])
+    fm = FeatureMatrix(blocks=build_features(X).blocks[:, [0, 1, 7, 10]])
     y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
     lam = 0.1
     values = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
-    Phi = fm.blocks[0]
+    Phi = fm.blocks[0].T
     direct = np.linalg.inv(Phi.T @ Phi + lam * np.eye(4)) @ (Phi.T @ y)
     assert np.allclose(values, direct, atol=1e-10)
 
@@ -111,7 +112,7 @@ def test_benchmark_assembles_blocks_of_a_non_adjacent_mask():
     lam = 0.3
     cache = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=1e6)
     values = cache.fit(ModelMask.from_active(4, [0, 2, 3]))
-    Phi = np.hstack([fm.blocks[j] for j in (0, 2, 3)])
+    Phi = np.hstack([fm.blocks[j].T for j in (0, 2, 3)])
     direct = np.linalg.solve(Phi.T @ Phi + lam * np.eye(Phi.shape[1]), Phi.T @ y)
     assert np.allclose(values, direct, rtol=0.0, atol=1e-10)
 
@@ -137,7 +138,7 @@ def test_benchmark_shrinks_into_ball():
     rng = np.random.default_rng(3)
     base = rng.standard_normal(15)
     Phi = np.column_stack([base, base + 1e-8 * rng.standard_normal(15)])
-    fm = FeatureMatrix(blocks=Phi[None])
+    fm = FeatureMatrix(blocks=Phi.T[None])
     y = rng.standard_normal(15)
     values = BenchmarkCache(fm, y, ridge_lambda=1e-12, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
     assert np.linalg.norm(values) <= 2.0
@@ -232,6 +233,63 @@ def test_all_candidates_outside_ball_are_rejected():
     new_state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
     assert not rec.accepted
     assert new_state is state
+
+
+def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
+    """The step with one standard_normal call and one log_proposal_density call
+    per candidate: the reference the batched mcmc_step must match bit for bit."""
+    move, masks = propose_neighborhood(state.theta.mask, rng, scfg)
+    sd = math.sqrt(scfg.sigma2)
+    cands = []
+    log_w = np.empty(len(masks))
+    for i, mask in enumerate(masks):
+        mean = bench.fit(mask)
+        values = np.zeros(0) if mask.size == 0 else mean + sd * rng.standard_normal(mean.size)
+        theta = SparseCoef(mask=mask, values=values)
+        lp = log_prior(theta, gcfg)
+        if lp == -math.inf:
+            cands.append((theta, math.nan, -math.inf, math.nan))
+            log_w[i] = -math.inf
+            continue
+        r = chain_risk(score(theta, features), labels)
+        lg = -gcfg.delta * r + lp
+        lq = log_proposal_density(values, mean, gcfg, scfg.sigma2)
+        cands.append((theta, r, lg, lq))
+        log_w[i] = lg - lq
+    if not np.any(np.isfinite(log_w)):
+        return state, StepRecord(move=move, accepted=False)
+    theta, r, lg, lq = cands[select_index(rng, log_w)]
+    log_alpha = lg + state.log_prop - state.log_post - lq
+    if math.log(rng.random()) < min(0.0, log_alpha):
+        return ChainState(theta=theta, risk=r, log_post=lg, log_prop=lq), StepRecord(move, True)
+    return state, StepRecord(move=move, accepted=False)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
+    data = gen_synthetic(80, d=12, seed=seed)
+    fm = build_features(data.X)
+    gcfg = tilted_config(delta=100.0, d=12)
+    scfg = SamplerConfig(sigma2=0.01)
+    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    oracle_bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = oracle = initial_state(fm, data.y, gcfg)
+    seen = set()
+    for _ in range(300):
+        state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
+        oracle, oracle_rec = per_candidate_step(oracle, fm, data.y, gcfg, scfg, oracle_bench,
+                                                oracle_rng)
+        assert (rec.move, rec.accepted) == (oracle_rec.move, oracle_rec.accepted)
+        assert state.theta.mask == oracle.theta.mask
+        assert state.theta.values.tobytes() == oracle.theta.values.tobytes()
+        assert (state.risk, state.log_post, state.log_prop) == (
+            oracle.risk, oracle.log_post, oracle.log_prop)
+        seen.add((rec.move, rec.accepted, state.theta.mask.size))
+    assert rng.random() == oracle_rng.random()  # the streams end in step
+    for move in ("add", "remove", "stay"):
+        assert (move, True) in {(m, a) for m, a, _ in seen}
+    assert {size for *_, size in seen} >= {0, 1, 2}
 
 
 def test_initial_state_is_empty_model():
