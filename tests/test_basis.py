@@ -227,8 +227,6 @@ def test_mask_operations():
     assert m.size == 2
     assert m.d == 5
     assert np.array_equal(m.active, [1, 3])
-    assert m.with_covariate(0).size == 3
-    assert m.without_covariate(3).size == 1
     assert m == ModelMask.from_active(5, [3, 1])
     assert hash(m) == hash(ModelMask.from_active(5, [1, 3]))
     assert m != ModelMask.from_active(5, [1, 2])

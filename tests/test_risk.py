@@ -5,6 +5,7 @@ import pytest
 
 from gibbsrank.risk import (
     DegenerateDataError,
+    PreparedLabels,
     auc,
     empirical_rank_risk,
 )
@@ -170,3 +171,58 @@ def test_auc_single_class_raises():
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         empirical_rank_risk([1.0, 2.0, 3.0], [1.0, -1.0])
+
+
+def test_prepared_labels_match_brute_force_across_score_vectors():
+    # one prepared value ranks every score vector, as within a chain
+    rng = np.random.default_rng(44)
+    labels = np.where(rng.random(40) < 0.4, 1.0, -1.0)
+    labels[:2] = 1.0, -1.0
+    prepared = PreparedLabels(labels)
+    weights, ranks = prepared.weights.copy(), prepared.ranks.copy()
+    vectors = [rng.standard_normal(40) for _ in range(60)]
+    vectors += [rng.integers(0, 4, size=40).astype(float) for _ in range(60)]
+    vectors += [np.full(40, 0.25), np.full(40, -np.inf),
+                np.where(rng.random(40) < 0.5, np.inf, -np.inf),
+                np.concatenate([[np.inf, -np.inf], rng.standard_normal(38)])]
+    assert any(np.unique(v).size == v.size for v in vectors)
+    assert any(np.unique(v).size < v.size for v in vectors)
+    for scores in vectors:
+        for tie_value in (0.0, 0.5):
+            got = empirical_rank_risk(scores, prepared, tie_value)
+            assert got == empirical_rank_risk(scores, labels, tie_value)
+            if np.all(np.isfinite(scores)):
+                assert got == pytest.approx(brute_risk(scores, labels, tie_value), abs=1e-15)
+            else:  # brute_risk subtracts scores, and inf - inf is NaN: compare them instead
+                pos, neg = scores[labels > 0][:, None], scores[labels <= 0][None, :]
+                pairs = np.sum(pos < neg) + tie_value * np.sum(pos == neg)
+                assert got == pytest.approx(2.0 * pairs / (40 * 39), abs=1e-15)
+        for policy in ("strict", "half"):
+            got = auc(scores, prepared, policy)
+            assert got == auc(scores, labels, policy)
+            assert got == pytest.approx(brute_auc(scores, labels, policy), abs=1e-15)
+    assert np.array_equal(prepared.weights, weights) and np.array_equal(prepared.ranks, ranks)
+    assert (prepared.n_pos, prepared.n_neg) == (int(np.sum(labels > 0)), int(np.sum(labels <= 0)))
+
+
+def test_prepared_labels_keep_every_check():
+    labels = [1.0, -1.0, -1.0, 1.0]
+    prepared = PreparedLabels(labels)
+    for call in (auc, empirical_rank_risk):
+        with pytest.raises(ValueError, match="NaN score at index 1"):
+            call([0.1, np.nan, 0.3, np.nan], prepared)
+        for scores in ([1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]]):
+            with pytest.raises(ValueError) as raw:
+                call(scores, labels)
+            with pytest.raises(ValueError) as ready:
+                call(scores, prepared)
+            assert str(ready.value) == str(raw.value)
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        PreparedLabels([[1.0, -1.0], [1.0, -1.0]])
+    one_class = [1.0, 1.0, 1.0]
+    assert empirical_rank_risk([3.0, 1.0, 2.0], PreparedLabels(one_class)) == 0.0
+    with pytest.raises(DegenerateDataError):
+        auc([3.0, 1.0, 2.0], PreparedLabels(one_class))
+    with pytest.raises(DegenerateDataError):
+        empirical_rank_risk([1.0], PreparedLabels([1.0]))
+    assert not prepared.weights.flags.writeable and not prepared.ranks.flags.writeable

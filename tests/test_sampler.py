@@ -16,6 +16,7 @@ from gibbsrank.basis import (
 )
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import GibbsConfig, log_gibbs, log_prior, tilted_size_log_weights
+from gibbsrank.risk import PreparedLabels
 from gibbsrank.sampler import (
     RIDGE_LAMBDA,
     BenchmarkCache,
@@ -175,6 +176,43 @@ def test_remove_at_empty_model_falls_back_to_stay():
     assert masks == [current]
 
 
+def independent_neighborhood(current, move):
+    """The masks of a neighborhood built one by one from their active lists."""
+    d, active = current.d, current.active.tolist()
+    if move == "add":
+        return [ModelMask.from_active(d, sorted(active + [j])) for j in range(d) if j not in active]
+    return [ModelMask.from_active(d, [i for i in active if i != j]) for j in active]
+
+
+@pytest.mark.parametrize("move,u", [("add", 0.1), ("remove", 0.3)])
+@pytest.mark.parametrize("size", [0, 1, 2, 6, 7])
+def test_neighborhood_masks_match_independently_built_masks(move, u, size):
+    d = 7
+    current = ModelMask.from_active(d, np.random.default_rng(size).permutation(d)[:size])
+    got_move, masks = propose_neighborhood(current, FakeRng([u]), SamplerConfig())
+    if (move, size) in {("add", d), ("remove", 0)}:  # an empty neighborhood stays
+        assert got_move == "stay"
+        assert len(masks) == 1 and masks[0] is current
+        return
+    expected = independent_neighborhood(current, move)
+    assert got_move == move
+    assert len(masks) == len(expected) == (d - size if move == "add" else size)
+    for mask, want in zip(masks, expected):  # in the order of the flipped covariate
+        assert mask.bits.dtype == bool and mask.bits.tobytes() == want.bits.tobytes()
+        assert mask.active.dtype == want.active.dtype
+        assert mask.active.tolist() == want.active.tolist()
+        assert mask.size == want.size == size + (1 if move == "add" else -1)
+        assert mask.d == d
+        assert mask.key() == want.key()
+        assert hash(mask) == hash(want)
+        assert mask == want
+        assert not mask.bits.flags.writeable and not mask.active.flags.writeable
+        with pytest.raises(ValueError):
+            mask.bits[0] = not mask.bits[0]
+    assert len({mask.key() for mask in masks}) == len(masks)
+    assert current == ModelMask.from_active(d, current.active)  # the current mask is untouched
+
+
 def test_select_index_matches_weights():
     rng = np.random.default_rng(4)
     log_w = np.array([0.0, math.log(3.0)])
@@ -236,9 +274,15 @@ def test_all_candidates_outside_ball_are_rejected():
 
 
 def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
-    """The step with one standard_normal call and one log_proposal_density call
-    per candidate: the reference the batched mcmc_step must match bit for bit."""
-    move, masks = propose_neighborhood(state.theta.mask, rng, scfg)
+    """The step with its neighborhood built mask by mask, one standard_normal
+    call and one log_proposal_density call per candidate, and raw labels: the
+    reference mcmc_step must match bit for bit."""
+    u = rng.random()
+    move = "add" if u < scfg.move_prob else "remove" if u < 2 * scfg.move_prob else "stay"
+    current = state.theta.mask
+    masks = independent_neighborhood(current, move) if move != "stay" else []
+    if not masks:
+        move, masks = "stay", [current]
     sd = math.sqrt(scfg.sigma2)
     cands = []
     log_w = np.empty(len(masks))
@@ -274,10 +318,11 @@ def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     oracle_bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    prepared = PreparedLabels(data.y)
     state = oracle = initial_state(fm, data.y, gcfg)
     seen = set()
     for _ in range(300):
-        state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
+        state, rec = mcmc_step(state, fm, prepared, gcfg, scfg, bench, rng)
         oracle, oracle_rec = per_candidate_step(oracle, fm, data.y, gcfg, scfg, oracle_bench,
                                                 oracle_rng)
         assert (rec.move, rec.accepted) == (oracle_rec.move, oracle_rec.accepted)
@@ -290,6 +335,35 @@ def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
     for move in ("add", "remove", "stay"):
         assert (move, True) in {(m, a) for m, a, _ in seen}
     assert {size for *_, size in seen} >= {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_run_chain_matches_the_per_candidate_chain(seed):
+    data = gen_synthetic(80, d=9, seed=seed)
+    fm = build_features(data.X)
+    gcfg = tilted_config(delta=100.0, d=9)
+    scfg = SamplerConfig(horizon=200, burnin=120, sigma2=0.01)
+    trace, est = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(seed))
+
+    rng = np.random.default_rng(seed)
+    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    state = initial_state(fm, data.y, gcfg)
+    masks = np.zeros((scfg.horizon, fm.d), dtype=bool)
+    risks = np.zeros(scfg.horizon)
+    risks[0] = state.risk
+    thetas = np.zeros((scfg.horizon - scfg.burnin, fm.d * fm.M))
+    for t in range(1, scfg.horizon):
+        state, _ = per_candidate_step(state, fm, data.y, gcfg, scfg, bench, rng)
+        masks[t], risks[t] = state.theta.mask.bits, state.risk
+        if t >= scfg.burnin:
+            thetas[t - scfg.burnin] = state.theta.padded(fm.M)
+
+    assert trace.masks.tobytes() == masks.tobytes()
+    assert trace.risks.tobytes() == risks.tobytes()
+    assert trace.thetas.tobytes() == thetas.tobytes()
+    assert est.averaged.tobytes() == thetas.mean(axis=0).tobytes()
+    assert est.randomized.values.tobytes() == state.theta.values.tobytes()
+    assert len({m.tobytes() for m in masks}) > 2  # the chain moves
 
 
 def test_initial_state_is_empty_model():
