@@ -104,8 +104,14 @@ class FeatureMatrix:
         return self.blocks.shape[2]
 
 
-def build_features(X: np.ndarray) -> FeatureMatrix:
-    """Evaluate the dictionary on every entry of X (shape (n, d))."""
+def build_features(X: np.ndarray, covariates=None) -> FeatureMatrix:
+    """Evaluate the dictionary on the listed columns of X (shape (n, d)).
+
+    covariates lists ascending column indices, and blocks[i] then holds
+    column covariates[i]; None lists every column.  All of X is checked for
+    non-finite values and counted for clamping, whichever columns are
+    listed, so errors and warnings speak of X itself.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("X must be a non-empty 2-d array")
@@ -113,7 +119,14 @@ def build_features(X: np.ndarray) -> FeatureMatrix:
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"non-finite feature at row {i}, column {j}")
-    t = np.ascontiguousarray(rescale(X).T)
+    t = rescale(X).T
+    if covariates is not None:
+        covariates = np.asarray(covariates, dtype=np.intp)
+        if (covariates.ndim != 1 or np.any(np.diff(covariates) <= 0)
+                or np.any(covariates < 0) or np.any(covariates >= X.shape[1])):
+            raise ValueError(f"covariates must be ascending columns of X, got {covariates}")
+        t = t[covariates]
+    t = np.ascontiguousarray(t)
     blocks = np.empty((t.shape[0], DICTIONARY_SIZE, t.shape[1]))
     # each function fills its (d, n) slab in place: no (d, n, M) array is
     # built and transposed, so the features peak near their own size

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .basis import build_features, score, score_dense
+from .basis import ModelMask, SparseCoef, build_features, score, score_dense
 from .data import SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits
 from .gibbs import GibbsConfig, prior_size_distribution, tilted_size_log_weights
 from .risk import auc
@@ -132,19 +132,39 @@ def _estimator_aucs(estimators: FinalEstimators, features, labels) -> tuple[floa
             auc(score(estimators.randomized, features), labels))
 
 
+def _on_support(estimators: FinalEstimators, d: int):
+    """The ascending covariates where either estimator is nonzero, and both
+    estimators restricted to them, with covariates renumbered by support slot."""
+    averaged = estimators.averaged.reshape(d, -1)
+    active = estimators.randomized.mask.active
+    # a bool mask, not np.union1d: that would import numpy.ma, about 1 MB
+    used = averaged.any(axis=1)
+    used[active] = True
+    support = np.flatnonzero(used)
+    mask = ModelMask.from_active(support.size, np.searchsorted(support, active))
+    return support, FinalEstimators(
+        randomized=SparseCoef(mask=mask, values=estimators.randomized.values),
+        averaged=averaged[support].ravel())
+
+
 def fit_and_evaluate(train: Dataset, test: Dataset, cfg: ExperimentConfig,
                      rng: np.random.Generator) -> FitResult:
     """Train one chain on rng and score both final estimators on train and test.
 
     The training features are released before the test features are built,
-    so the two never coexist.
+    so the two never coexist.  The test features cover only the estimators'
+    support, the covariates with a nonzero averaged row or in the randomized
+    mask, and both estimators are restricted to it: every dropped term is an
+    exact zero, so the test scores are those of the full estimators, and a
+    fit peaks at its training features, not at a (d, M, n_test) tensor.
     """
     gcfg, scfg = chain_configs(cfg, train.n, train.d)
     features = build_features(train.X)
     trace, estimators = run_chain(features, train.y, gcfg, scfg, rng)
     train_aucs = _estimator_aucs(estimators, features, train.y)
     del features
-    test_aucs = _estimator_aucs(estimators, build_features(test.X), test.y)
+    support, restricted = _on_support(estimators, train.d)
+    test_aucs = _estimator_aucs(restricted, build_features(test.X, support), test.y)
     return FitResult(
         train_auc_averaged=train_aucs[0],
         train_auc_randomized=train_aucs[1],

@@ -129,8 +129,8 @@ def propose_neighborhood(current: ModelMask, rng: np.random.Generator,
 
     An add neighborhood lists its masks by added covariate ascending, a
     remove neighborhood by removed covariate ascending.  The K masks are row
-    views of one read-only (K, d) bool array and one (K, k +- 1) array of
-    active indices, built from current.active and the flipped covariates.
+    views of one read-only (K, d) bool array, built from current.bits and
+    the flipped covariates, and of the (K, k +- 1) array of its set columns.
     Empty neighborhoods (add at the full model, remove at the empty model)
     fall back to a stay move.
     """
@@ -141,27 +141,17 @@ def propose_neighborhood(current: ModelMask, rng: np.random.Generator,
         move = MOVE_REMOVE
     else:
         move = MOVE_STAY
-    active, k = current.active, current.size
-    if move == MOVE_ADD and k < current.d:
+    if move == MOVE_ADD and current.size < current.d:
         flips = np.flatnonzero(~current.bits)
-        # row i is active with flips[i] inserted at slot pos[i]; the padding
-        # keeps slot k in range, and the inserted slot is then overwritten.
-        # Sorting each row of active plus flips[i] is faster at small K, but
-        # numpy's integer sort raised a chain's peak RSS by about 0.2 MB.
-        pos = np.searchsorted(active, flips)
-        slot = np.arange(k + 1)
-        rows = np.append(active, 0)[slot - (slot > pos[:, None])]
-        rows[np.arange(flips.size), pos] = flips
-    elif move == MOVE_REMOVE and k:
-        flips = active
-        # row i is active without its slot i
-        slot = np.arange(k - 1)
-        rows = active[slot + (slot >= np.arange(k)[:, None])]
+    elif move == MOVE_REMOVE and current.size:
+        flips = current.active
     else:
         return MOVE_STAY, [current]
     bits = np.repeat(current.bits[None], flips.size, axis=0)
     bits[np.arange(flips.size), flips] = move == MOVE_ADD  # set by add, cleared by remove
     bits.setflags(write=False)
+    # every row has the same count of set bits, listed row by row, ascending
+    rows = bits.nonzero()[1].reshape(flips.size, -1)
     rows.setflags(write=False)
     return move, [ModelMask.from_views(b, a) for b, a in zip(bits, rows)]
 

@@ -131,6 +131,34 @@ def test_build_features_is_covariate_major_and_exact(d):
     assert np.array_equal(fm.blocks, reference.transpose(1, 2, 0))
 
 
+@pytest.mark.parametrize("cols", [[], [4], [0, 3, 4, 9, 17, 18]])
+def test_build_features_on_listed_columns_is_the_full_build_sliced(cols):
+    X = np.random.default_rng(11).random((57, 19))
+    X[::5, 3] = 1.3  # clamped values in a listed column
+    fm = build_features(X, cols)
+    assert fm.blocks.shape == (len(cols), 13, 57) and fm.blocks.flags.c_contiguous
+    assert fm.blocks.tobytes() == build_features(X).blocks[cols].tobytes()
+
+
+def test_build_features_checks_and_counts_all_of_x(caplog):
+    X = np.random.default_rng(12).random((6, 5))
+    X[0, 1], X[2, 1], X[4, 4] = -0.5, 1.5, 2.0  # three outside [0, 1], one in a listed column
+    with caplog.at_level(logging.WARNING, logger="gibbsrank.basis"):
+        build_features(X, [2, 4])
+    assert [r.getMessage() for r in caplog.records] == [
+        "3 input value(s) outside [0, 1]; clamping"]
+    X[3, 1] = np.inf  # outside the listed columns
+    for cols in ([2, 4], []):
+        with pytest.raises(ValueError, match="non-finite feature at row 3, column 1"):
+            build_features(X, cols)
+
+
+@pytest.mark.parametrize("cols", [[2, 1], [1, 1], [-1, 2], [5], [[0, 1]]])
+def test_build_features_refuses_columns_not_ascending_in_x(cols):
+    with pytest.raises(ValueError, match="ascending columns"):
+        build_features(np.zeros((3, 5)), cols)
+
+
 def test_build_features_peaks_near_the_size_of_its_features():
     # each dictionary function fills its slab of the (d, M, n) array in place;
     # building (d, n, M) and transposing would peak at twice the features

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from gibbsrank import experiments
+from gibbsrank.basis import ModelMask, SparseCoef, build_features, score, score_dense
 from gibbsrank.data import gen_synthetic, save_csv, load_csv
 from gibbsrank.gibbs import GibbsConfig, tilted_size_log_weights
+from gibbsrank.risk import auc
+from gibbsrank.sampler import FinalEstimators
 from gibbsrank.experiments import (
     ExperimentConfig,
     chain_configs,
@@ -90,6 +93,58 @@ def test_fit_and_evaluate_metrics_shape():
                 "train_auc_randomized", "test_auc_randomized"):
         assert 0.0 <= metrics[key] <= 1.0
     assert len(metrics["selection_frequency"]) == 10
+
+
+@pytest.mark.parametrize("delta, sigma2, seed, support", [
+    (1.0, 0.01, 2, [3, 9]),  # both estimators on two scattered covariates
+    (0.1, 0.001, 0, [4, 9]),  # the randomized mask is [4], a strict subset
+    (0.01, 1.0, 0, []),  # the null cell: the chain ends on the empty model
+])
+def test_test_features_cover_exactly_the_estimators_support(monkeypatch, delta, sigma2,
+                                                            seed, support):
+    cfg = ExperimentConfig(**FAST, delta=delta, sigma2=sigma2)
+    train, test = gen_synthetic(80, seed=seed), gen_synthetic(80, seed=seed + 100)
+    built = []
+
+    def spy(X, covariates=None):
+        built.append((X, covariates))
+        return build_features(X, covariates)
+
+    monkeypatch.setattr(experiments, "build_features", spy)
+    result = fit_and_evaluate(train, test, cfg, np.random.default_rng(seed))
+    est = result.estimators
+    used = est.averaged.reshape(cfg.d, -1).any(axis=1) | est.randomized.mask.bits
+    assert np.flatnonzero(used).tolist() == support
+    assert [X is train.X for X, _ in built] == [True, False] and built[1][0] is test.X
+    assert built[0][1] is None and list(built[1][1]) == support
+    # the unrestricted estimators on every test column score exactly alike
+    full = build_features(test.X)
+    assert result.test_auc_averaged == auc(score_dense(est.averaged, full), test.y)
+    assert result.test_auc_randomized == auc(score(est.randomized, full), test.y)
+
+
+def test_estimators_on_their_support_score_bit_for_bit_alike():
+    # covariate 3 is only in the randomized mask, 1 only in the averaged rows
+    d, M = 8, 13
+    rng = np.random.default_rng(9)
+    averaged = np.zeros((d, M))
+    averaged[[1, 6]] = rng.standard_normal((2, M))
+    averaged[6, :5] = 0.0
+    randomized = SparseCoef(mask=ModelMask.from_active(d, [3, 6]),
+                            values=rng.standard_normal(2 * M))
+    full = FinalEstimators(randomized=randomized, averaged=averaged.ravel())
+    support, restricted = experiments._on_support(full, d)
+    assert support.tolist() == [1, 3, 6]
+    assert restricted.randomized.mask.active.tolist() == [1, 2]
+    assert restricted.randomized.mask.d == 3
+    assert restricted.randomized.values.tobytes() == randomized.values.tobytes()
+    assert restricted.averaged.tobytes() == averaged[[1, 3, 6]].tobytes()
+    X = rng.random((50, d))
+    every, some = build_features(X), build_features(X, support)
+    assert (score_dense(restricted.averaged, some).tobytes()
+            == score_dense(full.averaged, every).tobytes())
+    assert (score(restricted.randomized, some).tobytes()
+            == score(full.randomized, every).tobytes())
 
 
 def test_single_replication_cell_has_zero_variance(tmp_path):

@@ -12,19 +12,22 @@ from gibbsrank.risk import (
 
 
 def brute_risk(scores, labels, tie_value=0.0):
-    """O(n^2) oracle: average discordance over all ordered pairs."""
+    """O(n^2) oracle: average discordance over all ordered pairs.
+
+    Scores are compared, never subtracted, so equal infinite scores tie.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     n = len(scores)
     total = 0.0
     for i in range(n):
         for j in range(n):
-            if i == j:
+            if labels[i] == labels[j]:
                 continue
-            prod = (labels[i] - labels[j]) * (scores[i] - scores[j])
-            if prod < 0:
+            hi, lo = (i, j) if labels[i] > labels[j] else (j, i)
+            if scores[hi] < scores[lo]:
                 total += 1.0
-            elif prod == 0 and labels[i] != labels[j]:
+            elif scores[hi] == scores[lo]:
                 total += tie_value
     return total / (n * (n - 1))
 
@@ -114,6 +117,10 @@ def test_infinite_scores_are_ranked():
     labels = [-1.0, 1.0, -1.0, 1.0]
     for policy in ("strict", "half"):
         assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
+    # the two +inf scores, one per class, are a tie, not a NaN pair
+    for tie_value in (0.0, 0.5):
+        assert empirical_rank_risk(scores, labels, tie_value) == brute_risk(scores, labels, tie_value)
+    assert brute_risk(scores, labels, 0.5) == (2 * 1 + 2 * 0.5) / 12
 
 
 def test_risk_needs_two_instances():
@@ -191,12 +198,7 @@ def test_prepared_labels_match_brute_force_across_score_vectors():
         for tie_value in (0.0, 0.5):
             got = empirical_rank_risk(scores, prepared, tie_value)
             assert got == empirical_rank_risk(scores, labels, tie_value)
-            if np.all(np.isfinite(scores)):
-                assert got == pytest.approx(brute_risk(scores, labels, tie_value), abs=1e-15)
-            else:  # brute_risk subtracts scores, and inf - inf is NaN: compare them instead
-                pos, neg = scores[labels > 0][:, None], scores[labels <= 0][None, :]
-                pairs = np.sum(pos < neg) + tie_value * np.sum(pos == neg)
-                assert got == pytest.approx(2.0 * pairs / (40 * 39), abs=1e-15)
+            assert got == pytest.approx(brute_risk(scores, labels, tie_value), abs=1e-15)
         for policy in ("strict", "half"):
             got = auc(scores, prepared, policy)
             assert got == auc(scores, labels, policy)
