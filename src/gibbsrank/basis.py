@@ -204,6 +204,15 @@ class SparseCoef:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(cls, mask: ModelMask, values: np.ndarray) -> "SparseCoef":
+        """A coefficient vector over float64 values, taken as they are: no
+        __init__, no conversion.  The caller guarantees the dtype."""
+        coef = object.__new__(cls)
+        object.__setattr__(coef, "mask", mask)
+        object.__setattr__(coef, "values", values)
+        return coef
+
     def check(self, M: int) -> None:
         if self.values.size != self.mask.size * M:
             raise ValueError(

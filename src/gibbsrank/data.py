@@ -109,8 +109,10 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     Features keep the file's values; a caller maps them into [0, 1] with
     minmax_normalize, by the ranges it chooses.  Labels are mapped to +-1 by
     comparison with positive_label_value; rows with missing values are
-    dropped with a count report.  An `eta` column, if present, is carried
-    through untouched.
+    dropped with a count report.  An infinite cell (inf, -inf, 1e999) is
+    refused with a DataError naming its data row and column: no [0, 1] map
+    could place it.  An `eta` column, if present, is carried through
+    untouched.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -142,6 +144,11 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
         raise DataError(f"{path}: no data rows")
 
     table = np.frombuffer(values, dtype=float).reshape(n_rows, len(header))
+    infinite = np.isinf(table)
+    if infinite.any():
+        i, j = np.argwhere(infinite)[0]
+        raise DataError(f"{path}: data row {i + 1}, column {header[j]!r} holds "
+                        f"{table[i, j]}; cells must be finite or missing")
     keep = ~np.isnan(table).any(axis=1)
     dropped = int((~keep).sum())
     if dropped:

@@ -65,14 +65,20 @@ class GibbsConfig:
             raise ValueError(f"size_log_weights needs d + 1 = {self.d + 1} entries, "
                              f"got {len(weights)}")
         object.__setattr__(self, "size_log_weights", weights)
+        # log_prior's size term, one entry per k = 0..d; not a field, so
+        # dataclasses.replace recomputes it from the replaced settings
+        object.__setattr__(self, "_log_prior_by_size", tuple(
+            -log_binomial(self.d, k) + weights[k]
+            - log_ball_volume(self.ball_dim(k), self.ball_radius)
+            for k in range(self.d + 1)))
 
     def ball_dim(self, n_active: int) -> int:
         """Dimension used for normalization constants of a size-n_active model."""
         return n_active * self.M
 
 
-# Both constants depend only on the model size, so the sampler's per-candidate
-# prior evaluations share a handful of values per chain.
+# Both constants depend only on the model size; each GibbsConfig tabulates
+# them once, and the grid's many configs share the values.
 @functools.cache
 def log_ball_volume(dim: int, radius: float) -> float:
     """log of the volume of the l2-ball of the given dimension and radius."""
@@ -91,17 +97,16 @@ def log_prior(theta: SparseCoef, cfg: GibbsConfig) -> float:
 
     Outside the prior ball the density is zero (-inf).  The empty model is a
     point mass at theta = 0 with log-weight size_log_weights[0], which is 0
-    for the default and the tilted vector.
+    for the default and the tilted vector.  The size term comes from cfg's
+    per-size table, the same doubles as computing it here.
     """
     theta.check(cfg.M)
     if theta.mask.d != cfg.d:
         raise ValueError(f"mask over {theta.mask.d} covariates, config says d={cfg.d}")
-    k = theta.mask.size
     values = theta.values
     if math.sqrt(values @ values) > cfg.ball_radius:
         return -math.inf
-    return (-log_binomial(cfg.d, k) + cfg.size_log_weights[k]
-            - log_ball_volume(cfg.ball_dim(k), cfg.ball_radius))
+    return cfg._log_prior_by_size[theta.mask.size]
 
 
 def log_gibbs(theta: SparseCoef, Ln: float, cfg: GibbsConfig) -> float:

@@ -9,7 +9,7 @@ the number of ordered pairs.  The kernel sorts once and counts in O(n log n);
 the O(n^2) double loop lives in the test suite as an oracle.
 
 Everything the kernel derives from the labels alone (the positives as 0/1
-integer weights, the rank vector 0..n-1 and the class counts) lives in a
+weights, the rank vector 0..n-1 and the class counts) lives in a
 PreparedLabels value.  The kernels accept it wherever they accept labels, and
 convert raw labels to one at entry; a chain builds it once, since its labels
 never change across the many score vectors it ranks.
@@ -18,9 +18,11 @@ Tie-free scores (in practice every scorer with an active covariate) take a
 rank-sum path: the sorted positions of the positives, ranks @ weights[order],
 add up to the number of instances below each positive, and subtracting the
 n_pos(n_pos-1)/2 positive/positive pairs leaves the negatives ranked below a
-positive.  With ties, runs of equal sorted scores form groups whose positive
-counts come from one reduction over the sorted labels, and pairs are counted
-group by group.  NaN scores have no rank and are rejected.
+positive.  That dot runs in float64, which is exact: every partial sum is an
+integer below n^2/2, far below 2^53.  With ties, runs of equal sorted scores
+form groups whose positive counts come from one reduction over the sorted
+labels, and pairs are counted group by group.  NaN scores have no rank and
+are rejected.
 """
 
 from __future__ import annotations
@@ -41,21 +43,25 @@ class PreparedLabels:
     """The label-derived arrays of the risk kernels, built once for labels
     that many score vectors are ranked against.
 
-    weights holds 1 at the positives (label > 0) and 0 elsewhere, as intp;
-    ranks is arange(n) as intp.  Both are read-only.
+    weights holds 1 at the positives (label > 0) and 0 elsewhere, as intp,
+    for the tie path's group counts; float_weights holds the same as
+    float64, and ranks is arange(n) as float64, for the tie-free rank-sum
+    dot.  All three are read-only.
     """
 
-    __slots__ = ("weights", "ranks", "n_pos", "n_neg")
+    __slots__ = ("weights", "float_weights", "ranks", "n_pos", "n_neg")
 
     def __init__(self, labels):
         labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValueError("scores and labels must be 1-d arrays of equal length")
         weights = (labels > 0).astype(np.intp)
-        ranks = np.arange(labels.size, dtype=np.intp)
-        weights.setflags(write=False)
-        ranks.setflags(write=False)
+        float_weights = weights.astype(float)
+        ranks = np.arange(labels.size, dtype=float)
+        for array in (weights, float_weights, ranks):
+            array.setflags(write=False)
         self.weights = weights
+        self.float_weights = float_weights
         self.ranks = ranks
         self.n_pos = int(np.count_nonzero(weights))
         self.n_neg = labels.size - self.n_pos
@@ -81,11 +87,12 @@ def _pair_counts(scores, labels):
     if n and math.isnan(s[-1]):  # argsort puts NaNs last
         first = int(np.flatnonzero(np.isnan(scores))[0])
         raise ValueError(f"NaN score at index {first}")
-    p = labels.weights[order]
     tied_next = s[1:] == s[:-1]
     if not np.count_nonzero(tied_next):
-        neg_below_pos = int(labels.ranks @ p) - n_pos * (n_pos - 1) // 2
+        rank_sum = int(labels.ranks @ labels.float_weights[order])
+        neg_below_pos = rank_sum - n_pos * (n_pos - 1) // 2
         return n_pos * n_neg - neg_below_pos, neg_below_pos, 0, n_pos, n_neg
+    p = labels.weights[order]
     starts = np.flatnonzero(np.concatenate(([True], ~tied_next)))
     pos_g = np.add.reduceat(p, starts)
     neg_g = np.diff(np.append(starts, n)) - pos_g

@@ -177,11 +177,15 @@ def select_index(rng: np.random.Generator, log_weights: np.ndarray) -> int:
     """Draw an index with probability proportional to exp(log_weights).
 
     At least one weight must be finite; shifting by the maximum keeps exp
-    from overflowing.
+    from overflowing.  The draw is Generator.choice's own for given p (the
+    normalised cumulative sum searched at one uniform) without its per-call
+    validation of p: the same index from the same one double of the stream.
     """
     p = np.exp(log_weights - log_weights.max())
     p /= p.sum()
-    return int(rng.choice(log_weights.size, p=p))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass
@@ -235,7 +239,8 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
 
     Every mask of a neighborhood has the same size, so one standard_normal
     call of shape (K, k * M) draws the noise of all K candidates: the same
-    numbers, in the same order, as one call per candidate.
+    numbers, in the same order, as one call per candidate.  Each candidate
+    is a row view of that draw, taken as a SparseCoef without a copy.
     """
     move, masks = propose_neighborhood(state.theta.mask, rng, scfg)
     means = np.array([bench.fit(mask) for mask in masks])  # (K, k * M)
@@ -245,32 +250,31 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
     else:  # the empty model's point proposal draws nothing and has log density 0
         values, log_q = means, [0.0] * len(masks)
 
-    cands: list[tuple[SparseCoef, float, float, float]] = []
-    log_w = []
-    for mask, row, lq in zip(masks, values, log_q):
-        theta = SparseCoef(mask=mask, values=row)
+    thetas = [SparseCoef._trusted(mask, row) for mask, row in zip(masks, values)]
+    risks = [math.nan] * len(thetas)
+    log_posts = [-math.inf] * len(thetas)
+    log_w = np.empty(len(thetas))
+    for i, theta in enumerate(thetas):
         lp = log_prior(theta, gcfg)
         if lp == -math.inf:
-            cands.append((theta, math.nan, -math.inf, math.nan))
-            log_w.append(-math.inf)
+            log_w[i] = -math.inf
             continue
-        r = chain_risk(score(theta, features), labels)
-        lg = -gcfg.delta * r + lp
-        cands.append((theta, r, lg, lq))
-        log_w.append(lg - lq)
+        risks[i] = r = chain_risk(score(theta, features), labels)
+        log_posts[i] = lg = -gcfg.delta * r + lp
+        log_w[i] = lg - log_q[i]
 
-    log_w = np.array(log_w)
-    if not np.any(np.isfinite(log_w)):
+    if not np.isfinite(log_w).any():
         # every candidate fell outside the prior ball
         return state, StepRecord(move=move, accepted=False)
 
     idx = select_index(rng, log_w)
-    theta, r, lg, lq = cands[idx]
+    lg, lq = log_posts[idx], log_q[idx]
     log_alpha = lg + state.log_prop - state.log_post - lq
     if not math.isfinite(log_alpha) and log_alpha != -math.inf:
         raise ChainError(f"non-finite acceptance ratio for move {move}")
     if math.log(rng.random()) < min(0.0, log_alpha):
-        return ChainState(theta=theta, risk=r, log_post=lg, log_prop=lq), StepRecord(move=move, accepted=True)
+        new = ChainState(theta=thetas[idx], risk=risks[idx], log_post=lg, log_prop=lq)
+        return new, StepRecord(move=move, accepted=True)
     return state, StepRecord(move=move, accepted=False)
 
 
@@ -339,9 +343,10 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
             state, rec = mcmc_step(state, features, prepared, gcfg, scfg, bench, rng)
         except ChainError as exc:
             raise ChainError(f"iteration {t}: {exc}") from exc
-        masks[t] = state.theta.mask.bits
-        if t >= burnin:
-            thetas[t - burnin] = state.theta.padded(M)
+        theta = state.theta
+        masks[t] = theta.mask.bits
+        if t >= burnin:  # the zero-padded row, written in place
+            thetas[t - burnin].reshape(d, M)[theta.mask.active] = theta.values.reshape(-1, M)
         risks[t] = state.risk
         accepted[t] = rec.accepted
         moves.append(rec.move)

@@ -324,6 +324,37 @@ def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def csv_with_infinite_cell(path):
+    """A synthetic CSV with -inf at data row 7, column x8."""
+    save_csv(gen_synthetic(40, d=10, seed=0), path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[7].split(",")
+    cells[7] = "-inf"
+    lines[7] = ",".join(cells)
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("command, side", [("fit", "train"), ("fit", "test"), ("cv", "data")])
+def test_infinite_cell_exits_1_before_any_chain_or_output(tmp_path, capsys, monkeypatch,
+                                                          command, side):
+    chains = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *args: chains.append(args))
+    bad = csv_with_infinite_cell(tmp_path / "bad.csv")
+    save_csv(gen_synthetic(40, d=10, seed=1), tmp_path / "good.csv")
+    out = tmp_path / "out"
+    if command == "cv":
+        argv = ["cv", "--data", str(bad)]
+    else:
+        files = {"train": tmp_path / "good.csv", "test": tmp_path / "good.csv", side: bad}
+        argv = ["fit", "--train", str(files["train"]), "--test", str(files["test"])]
+    assert main(argv + ["--out", str(out), "--iters", "4", "--burnin", "2"]) == 1
+    assert capsys.readouterr().err == (f"gibbsrank {command}: {bad}: data row 7, column 'x8' "
+                                       "holds -inf; cells must be finite or missing\n")
+    assert chains == []
+    assert not out.exists()
+
+
 def test_fit_refuses_a_single_class_draw_before_the_chain(tmp_path, capsys, monkeypatch):
     chains = []
     monkeypatch.setattr(experiments, "run_chain", lambda *args: chains.append(args))

@@ -141,6 +141,23 @@ def test_load_csv_cell_parsing(tmp_path, caplog):
         f"{path}: dropped 4 rows with missing values"]
 
 
+@pytest.mark.parametrize("cell, shown", [
+    ("inf", "inf"), ("-inf", "-inf"), (" -Infinity ", "-inf"), ("1e999", "inf"),
+])
+def test_load_csv_refuses_infinite_cells(tmp_path, cell, shown):
+    # no min-max map places an infinite value, so the file is refused where
+    # it is read; a missing cell before it still counts as a data row
+    path = tmp_path / "inf.csv"
+    path.write_text("x1,x2,label\n0.1,0.2,1\n,0.3,0\n0.4,0.5,1\n0.6," + cell + ",0\n")
+    with pytest.raises(DataError) as err:
+        load_csv(path)
+    assert str(err.value) == (f"{path}: data row 4, column 'x2' holds {shown}; "
+                              "cells must be finite or missing")
+    path.write_text("x1,label\n0.1,1\n0.2," + cell + "\n")  # the label column too
+    with pytest.raises(DataError, match=re.escape("data row 2, column 'label' holds")):
+        load_csv(path)
+
+
 def test_label_value_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,label\n0.1,0\n0.2,1\n0.3,2\n")

@@ -96,6 +96,31 @@ def test_log_prior_size_ratio_identity(prior):
         assert hi - lo == pytest.approx(expected, abs=1e-10)
 
 
+def test_log_prior_reads_the_closed_form_size_term_bit_for_bit():
+    """log_prior's size term is -log C(d, k) + w[k] - log Vol_kM(R), the same
+    double for every k, whether w is the default, the tilted vector or one
+    put in by dataclasses.replace; the ball test and the empty model stay."""
+    d = 12
+    default = GibbsConfig(delta=1.0, d=d, beta=0.37)
+    tilted = replace(default, size_log_weights=tilted_size_log_weights(default, 0.01))
+    custom = np.random.default_rng(3).standard_normal(d + 1) * 40.0
+    replaced = replace(tilted, size_log_weights=tuple(custom))
+    wider = replace(replaced, ball_radius=3.5)
+    for cfg in (default, tilted, replaced, wider):
+        w = cfg.size_log_weights
+        for k in range(d + 1):
+            theta = (SparseCoef(mask=ModelMask.empty(d), values=np.zeros(0)) if k == 0
+                     else unit_coef(d, list(range(k)), cfg.M))
+            expected = (-log_binomial(d, k) + w[k]
+                        - log_ball_volume(cfg.ball_dim(k), cfg.ball_radius))
+            assert log_prior(theta, cfg) == expected
+        outside = unit_coef(d, [0, 4], cfg.M, norm=cfg.ball_radius * 1.01)
+        assert log_prior(outside, cfg) == -math.inf
+    assert replaced.size_log_weights == tuple(custom)
+    for cfg in (default, tilted):
+        assert log_prior(SparseCoef(mask=ModelMask.empty(d), values=np.zeros(0)), cfg) == 0.0
+
+
 def test_ball_dim():
     assert GibbsConfig(delta=1.0, d=5).ball_dim(3) == 39
     assert GibbsConfig(delta=1.0, d=5, M=4).ball_dim(3) == 12

@@ -43,18 +43,14 @@ def tilted_config(delta, d, sigma2=0.01):
 class FakeRng:
     """Deterministic stand-in driving one scripted Metropolis-Hastings step."""
 
-    def __init__(self, uniforms, choice=0):
+    def __init__(self, uniforms):
         self.uniforms = list(uniforms)
-        self.choice_value = choice
 
     def random(self, *args):
         return self.uniforms.pop(0)
 
     def standard_normal(self, size):
         return np.zeros(size)
-
-    def choice(self, n, p=None):
-        return self.choice_value
 
 
 def test_sampler_config_validation():
@@ -223,6 +219,60 @@ def test_select_index_matches_weights():
     assert counts[1] / n_draws == pytest.approx(0.75, abs=0.02)
 
 
+def generator_at(u, seed):
+    """An SFC64 generator whose next random() is exactly u, a multiple of
+    2**-53 in [0, 1): SFC64's next output is the sum of state words 0, 1 and
+    3, and random() keeps its top 53 bits."""
+    bits = np.random.SFC64(seed)
+    state = bits.state
+    state["state"]["state"][[0, 1, 3]] = np.array([int(u * 2.0**53) << 11, 0, 0], np.uint64)
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def choice_oracle(rng, log_w):
+    p = np.exp(log_w - log_w.max())
+    p /= p.sum()
+    return int(rng.choice(log_w.size, p=p))
+
+
+def test_select_index_matches_generator_choice_on_a_twin_stream():
+    """select_index draws what Generator.choice draws for the same p, from
+    the same one uniform: the same index and the same next draw.  Besides a
+    random uniform, each vector is drawn at uniforms on its cdf's breakpoints
+    and at the largest uniform below 1, where a left-sided search or an
+    unnormalised cdf would pick another index."""
+    cases = np.random.default_rng(31)
+    on_breakpoint = short_sum = 0
+    for i in range(2400):
+        K = (1, 2, 3, 4, 9, 40, 120)[i % 7]
+        # log weights of scale up to 1000: weights spread over many orders of magnitude
+        log_w = 10.0 ** cases.integers(-2, 4) * cases.standard_normal(K)
+        if i % 3 == 1:
+            log_w[cases.random(K) < 0.4] = -math.inf
+        elif i % 3 == 2:
+            log_w[np.arange(K) != cases.integers(K)] = -math.inf  # one finite weight
+        if np.all(log_w == -math.inf):
+            log_w[cases.integers(K)] = 0.0
+        p = np.exp(log_w - log_w.max())
+        p /= p.sum()
+        short_sum += p.cumsum()[-1] < 1.0
+        cdf = p.cumsum() / p.cumsum()[-1]
+        grid = [math.floor(c * 2.0**53) / 2.0**53 for c in cdf[:-1]]
+        uniforms = [None, 1.0 - 2.0**-53]
+        uniforms += [grid[j] + step for j in cases.choice(K - 1, size=min(K - 1, 2), replace=False)
+                     for step in (0.0, 2.0**-53) if grid[j] + step < 1.0]
+        for u in uniforms:
+            if u is None:
+                rng, twin = np.random.default_rng(i), np.random.default_rng(i)
+            else:
+                rng, twin = generator_at(u, i), generator_at(u, i)
+                on_breakpoint += u in cdf[:-1]
+            assert select_index(rng, log_w) == choice_oracle(twin, log_w)
+            assert rng.random() == twin.random()
+    assert on_breakpoint > 100 and short_sum > 100  # both edges were reached
+
+
 def test_log_proposal_density_conventions():
     gcfg = GibbsConfig(delta=1.0, d=2, M=2)
     values = np.array([1.0, 2.0])
@@ -251,8 +301,9 @@ def test_self_proposal_is_always_accepted():
         log_post=log_gibbs(theta, r, gcfg),
         log_prop=log_proposal_density(mean, mean, gcfg, scfg.sigma2),
     )
-    # scripted rng: stay move, zero proposal noise, acceptance uniform ~ 1
-    rng = FakeRng([0.99, 1.0 - 1e-12])
+    # scripted rng: stay move, zero proposal noise, selection uniform,
+    # acceptance uniform ~ 1
+    rng = FakeRng([0.99, 0.5, 1.0 - 1e-12])
     new_state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
     assert rec.accepted
     assert rec.move == "stay"
