@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, derive_seed, gen_synthetic, load_csv, minmax_normalize, save_csv
+from .data import DataError, derive_seed, gen_synthetic, load_csv, map_to_unit, save_csv
 from .experiments import (
     TABLE_DELTAS,
     TABLE_SIGMA2S,
@@ -136,8 +136,9 @@ def cmd_fit(args) -> int:
     # and basis.rescale clamps and counts the test values that land outside.
     if args.train != "synthetic":
         ranges = (train.X.min(axis=0), train.X.max(axis=0))
-        train = replace(train, X=minmax_normalize(train.X, ranges))
-        test = replace(test, X=minmax_normalize(test.X, ranges))
+        train = map_to_unit(train, args.train, ranges)
+        test = map_to_unit(test, "--test synthetic" if test_source == "synthetic"
+                           else test_source, ranges)
     out = _outdir(args)
     rng = np.random.default_rng(derive_seed(cfg.seed, "fit", "chain"))
     result = fit_and_evaluate(train, test, cfg, rng)
@@ -197,7 +198,7 @@ def cmd_cv(args) -> int:
     cfg = args.cfg
     dataset = load_csv(args.data, label_column=args.label_column,
                        positive_label_value=args.positive_label)
-    dataset = replace(dataset, X=minmax_normalize(dataset.X))
+    dataset = map_to_unit(dataset, args.data)
     # run_cv refuses folds it cannot stratify, so no output directory is left behind
     result = run_cv(dataset, cfg)
     out = _outdir(args)

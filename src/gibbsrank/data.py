@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,10 @@ class Dataset:
     X: np.ndarray                 # (n, d) covariates, on [0, 1] for a fit
     y: np.ndarray                 # (n,), labels in {-1, +1}
     eta: np.ndarray | None = None  # true regression values, synthetic only
+    # a CSV's 1-based data row of each row and header name of each X column;
+    # None names them 1..n and x1..xd, as save_csv writes them
+    rows: np.ndarray | None = None
+    columns: tuple[str, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -48,6 +52,8 @@ class Dataset:
             X=self.X[idx],
             y=self.y[idx],
             eta=None if self.eta is None else self.eta[idx],
+            rows=None if self.rows is None else self.rows[idx],
+            columns=self.columns,
         )
 
 
@@ -112,7 +118,8 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     dropped with a count report.  An infinite cell (inf, -inf, 1e999) is
     refused with a DataError naming its data row and column: no [0, 1] map
     could place it.  An `eta` column, if present, is carried through
-    untouched.
+    untouched.  Every returned array owns its data or views a buffer of its
+    own size, so none keeps the parsed table alive.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -171,8 +178,9 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
         )
     y = np.where(raw_labels == positive_label_value, 1.0, -1.0)
 
-    eta = table[:, eta_idx] if eta_idx is not None else None
-    return Dataset(X=table[:, feat_idx], y=y, eta=eta)
+    eta = table[:, eta_idx].copy() if eta_idx is not None else None
+    return Dataset(X=table[:, feat_idx], y=y, eta=eta, rows=np.flatnonzero(keep) + 1,
+                   columns=tuple(header[i] for i in feat_idx))
 
 
 def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:
@@ -191,6 +199,27 @@ def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:
     out = (X - lo) / span
     out[:, constant] = 0.5
     return out
+
+
+def map_to_unit(data: Dataset, source: str, ranges=None) -> Dataset:
+    """data with X min-max mapped by ranges (X's own when None).
+
+    A cell the map sends to a non-finite value, as when a column spans more
+    than the float range or lies that far outside the given range, is
+    refused with a DataError naming source, the cell's data row and column.
+    """
+    lo, hi = (data.X.min(axis=0), data.X.max(axis=0)) if ranges is None else ranges
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = minmax_normalize(data.X, (lo, hi))
+    bad = ~np.isfinite(X)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        row = i + 1 if data.rows is None else data.rows[i]
+        column = f"x{j + 1}" if data.columns is None else data.columns[j]
+        raise DataError(f"{source}: data row {row}, column {column!r} holds {data.X[i, j]}, "
+                        f"which the range [{lo[j]}, {hi[j]}] maps to {X[i, j]}; "
+                        "mapped values must be finite")
+    return replace(data, X=X)
 
 
 def make_splits(n: int, k: int, seed: int, labels) -> tuple[np.ndarray, ...]:

@@ -6,7 +6,9 @@ from a Gaussian centered on that mask's ridge benchmark fit, picks one
 candidate with probability proportional to posterior/proposal, and accepts
 it through a Metropolis-Hastings ratio.  The run yields the last state
 (randomized estimator) and the post-burn-in average of the zero-padded
-iterates (averaged estimator); only the post-burn-in iterates are kept.
+iterates (averaged estimator).  The coefficients are kept once per
+post-burn-in state, not once per iteration, and the average is a running
+sum over the iterations of those rows.
 """
 
 from __future__ import annotations
@@ -283,13 +285,14 @@ class ChainTrace:
     """Per-iteration record of the chain plus summary statistics.
 
     Masks, risks, acceptances and moves cover all T iterations.  The
-    coefficients are kept only after burn-in, the rows the averaged
-    estimator uses: thetas[i] is iteration burnin + i, so the trace holds
-    (T - burnin) * d * M doubles rather than T * d * M.
+    coefficients are kept once per post-burn-in state, zero-padded: row 0 is
+    the state at iteration burnin (the empty initial state when burnin is
+    0) and each accepted post-burn-in step adds one row, so iteration
+    burnin + i is row concatenate(([0], cumsum(accepted[burnin + 1:])))[i].
     """
 
     masks: np.ndarray       # (T, d) bool
-    thetas: np.ndarray      # (T - burnin, d * M) zero-padded post-burn-in coefficients
+    thetas: np.ndarray      # (1 + accepted post-burn-in steps, d * M) zero-padded
     risks: np.ndarray       # (T,)
     accepted: np.ndarray    # (T,) bool; first row is the initial state
     moves: list[str]
@@ -325,37 +328,50 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     labels are the +-1 labels of the feature rows; the chain is deterministic
     given the state of rng.  The risk kernel's label arrays are prepared once
     here and shared by every candidate of every step.
+
+    The averaged estimator adds each post-burn-in iteration's row to a zero
+    vector in iteration order and divides by T - burnin: bit for bit the
+    mean over axis 0 of the (T - burnin, d * M) per-iteration rows, which
+    numpy also sums row by row from zero.
     """
     bench = BenchmarkCache(features, labels, RIDGE_LAMBDA, gcfg.ball_radius)
     prepared = PreparedLabels(labels)
 
     T, d, M, burnin = scfg.horizon, features.d, features.M, scfg.burnin
     masks = np.zeros((T, d), dtype=bool)
-    thetas = np.zeros((T - burnin, d * M))  # row 0 is the initial state when burnin == 0
     risks = np.zeros(T)
     accepted = np.zeros(T, dtype=bool)
     moves = ["init"]
 
     state = initial_state(features, prepared, gcfg)
     risks[0] = state.risk
+    # (iteration entered, owned values) of each post-burn-in state; a state's
+    # values are a row of its step's (K, k * M) draw, so they are copied
+    kept = [(0, state.theta.values)] if burnin == 0 else []
     for t in range(1, T):
         try:
             state, rec = mcmc_step(state, features, prepared, gcfg, scfg, bench, rng)
         except ChainError as exc:
             raise ChainError(f"iteration {t}: {exc}") from exc
-        theta = state.theta
-        masks[t] = theta.mask.bits
-        if t >= burnin:  # the zero-padded row, written in place
-            thetas[t - burnin].reshape(d, M)[theta.mask.active] = theta.values.reshape(-1, M)
+        masks[t] = state.theta.mask.bits
+        if t == burnin or (t > burnin and rec.accepted):
+            kept.append((t, state.theta.values.copy()))
         risks[t] = state.risk
         accepted[t] = rec.accepted
         moves.append(rec.move)
+
+    thetas = np.zeros((len(kept), d * M))
+    for row, (t, values) in zip(thetas, kept):
+        row.reshape(d, M)[masks[t]] = values.reshape(-1, M)
+    total = np.zeros(d * M)
+    for i in np.concatenate(([0], np.cumsum(accepted[burnin + 1:]))).tolist():
+        total += thetas[i]
 
     trace = ChainTrace(masks=masks, thetas=thetas, risks=risks, accepted=accepted,
                        moves=moves, burnin=burnin)
     estimators = FinalEstimators(
         randomized=SparseCoef(mask=ModelMask(masks[-1]), values=state.theta.values.copy()),
-        averaged=thetas.mean(axis=0),
+        averaged=total / (T - burnin),
     )
     return trace, estimators
 

@@ -355,6 +355,49 @@ def test_infinite_cell_exits_1_before_any_chain_or_output(tmp_path, capsys, monk
     assert not out.exists()
 
 
+def csv_with_overflowing_column(path):
+    """A synthetic CSV whose column x8 holds 1.79e308 at data row 3 and
+    -1.79e308 at data row 5: finite cells no min-max map keeps finite."""
+    save_csv(gen_synthetic(40, d=10, seed=0), path)
+    lines = path.read_text().splitlines(keepends=True)
+    for row, cell in ((3, "1.79e308"), (5, "-1.79e308")):
+        cells = lines[row].split(",")
+        cells[7] = cell
+        lines[row] = ",".join(cells)
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("command, side", [("fit", "train"), ("fit", "test"), ("cv", "data")])
+def test_unmappable_cell_exits_1_before_any_chain_or_output(tmp_path, capsys, monkeypatch,
+                                                            command, side):
+    """A column spanning more than the float range, or a test cell that far
+    outside the training range, is refused in one line where the features
+    are mapped into [0, 1]."""
+    chains = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *args: chains.append(args))
+    bad = csv_with_overflowing_column(tmp_path / "bad.csv")
+    good = tmp_path / "good.csv"
+    save_csv(gen_synthetic(40, d=10, seed=1), good)
+    out = tmp_path / "out"
+    if command == "cv":
+        argv = ["cv", "--data", str(bad)]
+    else:
+        files = {"train": good, "test": good, side: bad}
+        argv = ["fit", "--train", str(files["train"]), "--test", str(files["test"])]
+    assert main(argv + ["--out", str(out), "--iters", "4", "--burnin", "2"]) == 1
+    if side == "test":  # mapped by the training file's x8 range
+        x8 = load_csv(good).X[:, 7]
+        lo, hi, mapped = x8.min(), x8.max(), "inf"
+    else:  # the column's own span overflows: (hi - lo) is inf
+        lo, hi, mapped = -1.79e308, 1.79e308, "nan"
+    assert capsys.readouterr().err == (
+        f"gibbsrank {command}: {bad}: data row 3, column 'x8' holds 1.79e+308, which the "
+        f"range [{lo}, {hi}] maps to {mapped}; mapped values must be finite\n")
+    assert chains == []
+    assert not out.exists()
+
+
 def test_fit_refuses_a_single_class_draw_before_the_chain(tmp_path, capsys, monkeypatch):
     chains = []
     monkeypatch.setattr(experiments, "run_chain", lambda *args: chains.append(args))

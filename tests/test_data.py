@@ -14,6 +14,7 @@ from gibbsrank.data import (
     gen_synthetic,
     load_csv,
     make_splits,
+    map_to_unit,
     minmax_normalize,
     save_csv,
 )
@@ -105,6 +106,48 @@ def test_minmax_normalization(tmp_path):
     loaded = load_csv(path)
     assert np.array_equal(minmax_normalize(loaded.X)[:, 0], [0.0, 0.5, 1.0])
     assert np.array_equal(loaded.y, [-1.0, 1.0, -1.0])
+
+
+def test_map_to_unit_names_the_file_row_and_column_of_an_unplaceable_cell(tmp_path):
+    # x2 spans more than the float range: hi - lo overflows and 1.7e308 maps
+    # to inf / inf; the dropped row 2 still counts in the file's row numbers
+    path = tmp_path / "wide.csv"
+    path.write_text("x1,label,x2\n0.1,1,0\n,0,1\n0.2,0,-1.7e308\n0.3,1,1.7e308\n")
+    loaded = load_csv(path)
+    with pytest.raises(DataError) as err:
+        map_to_unit(loaded, "wide.csv")
+    assert str(err.value) == ("wide.csv: data row 4, column 'x2' holds 1.7e+308, which the "
+                              "range [-1.7e+308, 1.7e+308] maps to nan; "
+                              "mapped values must be finite")
+    # a range that places every cell maps like minmax_normalize
+    ranges = (np.array([0.0, -1.7e308]), np.array([1.0, 0.0]))
+    mapped = map_to_unit(loaded.subset([0, 1]), "wide.csv", ranges)
+    assert np.array_equal(mapped.X, minmax_normalize(loaded.X[:2], ranges))
+    assert mapped.rows.tolist() == [1, 3]
+    # a value far outside a narrow given range overflows too; synthetic rows
+    # and columns are named as save_csv writes them
+    narrow = (np.zeros(6), np.full(6, 1e-320))
+    with pytest.raises(DataError, match=r"^draw: data row 1, column 'x1' holds "):
+        map_to_unit(gen_synthetic(4, d=6, seed=0), "draw", narrow)
+
+
+@pytest.mark.parametrize("with_eta", [True, False])
+def test_load_csv_arrays_do_not_pin_the_parsed_table(tmp_path, with_eta):
+    """Every array load_csv returns owns its data or views a buffer no larger
+    than itself, so none keeps the whole (n, d + 2) table alive."""
+    data = gen_synthetic(30, d=6, seed=4)
+    path = tmp_path / "data.csv"
+    save_csv(data if with_eta else Dataset(X=data.X, y=data.y), path)
+    loaded = load_csv(path)
+    arrays = {"X": loaded.X, "y": loaded.y, "eta": loaded.eta, "rows": loaded.rows}
+    assert (arrays["eta"] is not None) == with_eta
+    for name, a in arrays.items():
+        if a is None:
+            continue
+        buffer = a
+        while buffer.base is not None:
+            buffer = buffer.base
+        assert buffer.nbytes <= a.nbytes, name
 
 
 def test_constant_column_maps_to_half(caplog):

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gibbsrank import sampler
 from gibbsrank.basis import (
     FeatureMatrix,
     ModelMask,
@@ -388,6 +389,11 @@ def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
     assert {size for *_, size in seen} >= {0, 1, 2}
 
 
+def per_iteration_rows(trace):
+    """Row of trace.thetas that each post-burn-in iteration reads."""
+    return np.concatenate(([0], np.cumsum(trace.accepted[trace.burnin + 1:])))
+
+
 @pytest.mark.parametrize("seed", [2, 3])
 def test_run_chain_matches_the_per_candidate_chain(seed):
     data = gen_synthetic(80, d=9, seed=seed)
@@ -411,7 +417,8 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
 
     assert trace.masks.tobytes() == masks.tobytes()
     assert trace.risks.tobytes() == risks.tobytes()
-    assert trace.thetas.tobytes() == thetas.tobytes()
+    assert trace.thetas.shape[0] == 1 + trace.accepted[scfg.burnin + 1:].sum()
+    assert trace.thetas[per_iteration_rows(trace)].tobytes() == thetas.tobytes()
     assert est.averaged.tobytes() == thetas.mean(axis=0).tobytes()
     assert est.randomized.values.tobytes() == state.theta.values.tobytes()
     assert len({m.tobytes() for m in masks}) > 2  # the chain moves
@@ -447,14 +454,61 @@ def test_run_chain_keeps_post_burnin_thetas(burnin):
     data = gen_synthetic(60, d=5, seed=8)
     gcfg = tilted_config(delta=100.0, d=5)
     scfg = SamplerConfig(horizon=80, burnin=burnin, sigma2=0.01)
-    trace, est = run_chain(build_features(data.X), data.y, gcfg, scfg, np.random.default_rng(11))
-    assert trace.thetas.shape == (80 - burnin, 5 * 13)
-    assert np.array_equal(est.averaged, trace.thetas.mean(axis=0))
-    # row i is iteration burnin + i (at burnin 0, the empty initial state):
-    # its support is that iteration's mask
-    support = (trace.thetas.reshape(-1, 5, 13) != 0).any(axis=2)
+    fm = build_features(data.X)
+    trace, est = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(11))
+
+    # the dense per-iteration rows, from the per-candidate chain on the same stream
+    rng = np.random.default_rng(11)
+    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    state = initial_state(fm, data.y, gcfg)
+    dense = np.zeros((80 - burnin, 5 * 13))  # row 0 is the initial state at burnin 0
+    for t in range(1, 80):
+        state, _ = per_candidate_step(state, fm, data.y, gcfg, scfg, bench, rng)
+        if t >= burnin:
+            dense[t - burnin] = state.theta.padded(fm.M)
+
+    n_states = 1 + trace.accepted[burnin + 1:].sum()
+    assert trace.thetas.shape == (n_states, 5 * 13)
+    assert n_states < 80 - burnin  # some steps are rejected: fewer rows than iterations
+    expanded = trace.thetas[per_iteration_rows(trace)]
+    assert expanded.tobytes() == dense.tobytes()
+    assert est.averaged.tobytes() == dense.mean(axis=0).tobytes()
+    # row i of the expansion is iteration burnin + i (at burnin 0, the empty
+    # initial state): its support is that iteration's mask
+    support = (expanded.reshape(-1, 5, 13) != 0).any(axis=2)
     assert np.array_equal(support, trace.masks[burnin:])
     assert len({m.tobytes() for m in trace.masks[burnin:]}) > 1  # the mask moves
+
+
+def test_run_chain_heap_does_not_grow_with_the_horizon(monkeypatch):
+    """Ten times the iterations, at most 1 MB more heap beyond the ridge-fit
+    cache, whose growth follows the masks and covariate pairs the chain
+    visits.  Kept per iteration, the post-burn-in coefficients alone would
+    add 1350 rows of d * M doubles (5.6 MB)."""
+    caches = []
+
+    class SpiedCache(BenchmarkCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(sampler, "BenchmarkCache", SpiedCache)
+    data = gen_synthetic(80, d=40, seed=0)
+    fm = build_features(data.X)
+    gcfg = tilted_config(delta=100.0, d=40)
+    beyond_cache = []
+    for horizon in (300, 3000):
+        scfg = SamplerConfig(horizon=horizon, burnin=horizon // 2, sigma2=0.01)
+        tracemalloc.start()
+        try:
+            run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cache = caches[-1]
+        held = sum(a.nbytes for a in (*cache._cache.values(), *cache._blocks.values()))
+        beyond_cache.append(peak - held)
+    assert beyond_cache[1] - beyond_cache[0] < 1_000_000
 
 
 def test_run_chain_smoke_two_iterations(tmp_path):
