@@ -22,8 +22,6 @@ from .sampler import (
     ChainTrace,
     FinalEstimators,
     SamplerConfig,
-    mcmc_step,
-    propose_neighborhood,
     run_chain,
 )
 from .experiments import ExperimentConfig, run_cv, run_grid, run_grid_cell
@@ -53,8 +51,6 @@ __all__ = [
     "ChainTrace",
     "FinalEstimators",
     "SamplerConfig",
-    "mcmc_step",
-    "propose_neighborhood",
     "run_chain",
     "ExperimentConfig",
     "run_cv",

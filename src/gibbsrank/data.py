@@ -229,8 +229,10 @@ def make_splits(n: int, k: int, seed: int, labels) -> tuple[np.ndarray, ...]:
     permuted and dealt round-robin, so each fold's positive count is within
     one of the proportional share.
     """
-    if k < 2 or k > n:
-        raise ValueError("k must satisfy 2 <= k <= n")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if k > n:
+        raise DataError(f"cannot split {n} rows into {k} folds")
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
     buckets: list[list[int]] = [[] for _ in range(k)]

@@ -70,13 +70,14 @@ class SamplerConfig:
 
 
 class BenchmarkCache:
-    """Per-mask ridge least-squares fits, solved from per-pair Gram blocks.
+    """Per-mask ridge least-squares fits, computed on first use and kept by mask.
 
-    The M x M Gram block of a covariate pair, blocks[i] @ blocks[j].T, is
-    computed the first time a fit needs it and kept, so memory grows with the
-    covariate pairs the chain visits rather than with (d * M)^2.  Fits with
-    norm above the prior ball radius are radially shrunk just inside it so
-    proposals centered on them can land in the support.
+    A miss forms the mask's kM x kM Gram in one batched matmul over its k
+    feature blocks, one BLAS product blocks[i] @ blocks[j].T per covariate
+    pair, and keeps only the k * M fitted values, so memory grows with the
+    masks the chain visits, never with (d * M)^2.  Fits with norm above the
+    prior ball radius are radially shrunk just inside it so proposals
+    centered on them can land in the support.
     """
 
     def __init__(self, features: FeatureMatrix, labels, ridge_lambda: float, ball_radius: float):
@@ -85,15 +86,7 @@ class BenchmarkCache:
         self.ridge_lambda = ridge_lambda
         self.ball_radius = ball_radius
         self.xty = features.blocks @ y  # X^T y as (d, M): row j is blocks[j] @ y
-        self._blocks: dict[tuple[int, int], np.ndarray] = {}  # (i, j) with i <= j
         self._cache: dict[bytes, np.ndarray] = {}
-
-    def _gram_block(self, i: int, j: int) -> np.ndarray:
-        block = self._blocks.get((i, j))
-        if block is None:
-            blocks = self.features.blocks
-            block = self._blocks[i, j] = blocks[i] @ blocks[j].T
-        return block
 
     def fit(self, mask: ModelMask) -> np.ndarray:
         if mask.size == 0:
@@ -102,17 +95,13 @@ class BenchmarkCache:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        M, active = self.features.M, mask.active.tolist()
-        G = np.empty((mask.size * M, mask.size * M))
-        for a, i in enumerate(active):
-            for b in range(a, mask.size):
-                block = self._gram_block(i, active[b])
-                G[a * M:(a + 1) * M, b * M:(b + 1) * M] = block
-                if b > a:
-                    G[b * M:(b + 1) * M, a * M:(a + 1) * M] = block.T
-        G.flat[::G.shape[0] + 1] += self.ridge_lambda
+        A = self.features.blocks[mask.active]  # (k, M, n)
+        kM = A.shape[0] * A.shape[1]
+        # (k, k, M, M) pair products, laid out as the (kM, kM) Gram
+        G = np.matmul(A[:, None], A[None].swapaxes(2, 3)).transpose(0, 2, 1, 3).reshape(kM, kM)
+        G.flat[::kM + 1] += self.ridge_lambda
         try:
-            values = np.linalg.solve(G, self.xty[active].ravel())
+            values = np.linalg.solve(G, self.xty[mask.active].ravel())
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"singular ridge system for mask {mask.active.tolist()}"

@@ -324,6 +324,15 @@ def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cv_with_more_folds_than_rows_exits_1(tmp_path, capsys):
+    path = tmp_path / "small.csv"
+    save_csv(gen_synthetic(12, seed=0), path)
+    assert main(["cv", "--out", str(tmp_path / "out"), "--data", str(path), "--folds", "20"]) == 1
+    err = capsys.readouterr().err
+    assert err == "gibbsrank cv: cannot split 12 rows into 20 folds\n"
+    assert not (tmp_path / "out").exists()
+
+
 def csv_with_infinite_cell(path):
     """A synthetic CSV with -inf at data row 7, column x8."""
     save_csv(gen_synthetic(40, d=10, seed=0), path)

@@ -272,7 +272,7 @@ def test_split_validation_errors():
     labels = np.array([1.0, -1.0] * 5)
     with pytest.raises(ValueError):
         make_splits(10, 1, 0, labels)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="cannot split 10 rows into 11 folds"):
         make_splits(10, 11, 0, labels)
 
 

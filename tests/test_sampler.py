@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gibbsrank import sampler
 from gibbsrank.basis import (
     FeatureMatrix,
     ModelMask,
@@ -115,9 +114,48 @@ def test_benchmark_assembles_blocks_of_a_non_adjacent_mask():
     assert np.allclose(values, direct, rtol=0.0, atol=1e-10)
 
 
-def test_benchmark_memory_grows_with_visited_pairs_not_d_squared():
-    # a dense (d * M)^2 Gram at d=300 would be 122 MB; three covariates need
-    # six 13 x 13 blocks
+def assembled_fit(features, labels, ridge_lambda, ball_radius, mask):
+    """A ridge fit solved from its Gram assembled block by block: pair (i, j)
+    of the mask is blocks[i] @ blocks[j].T, mirrored below the diagonal."""
+    blocks, M, active = features.blocks, features.M, mask.active.tolist()
+    k = len(active)
+    G = np.empty((k * M, k * M))
+    for a, i in enumerate(active):
+        for b in range(a, k):
+            block = blocks[i] @ blocks[active[b]].T
+            G[a * M:(a + 1) * M, b * M:(b + 1) * M] = block
+            if b > a:
+                G[b * M:(b + 1) * M, a * M:(a + 1) * M] = block.T
+    G.flat[::k * M + 1] += ridge_lambda
+    xty = blocks @ np.asarray(labels, dtype=float)
+    values = np.linalg.solve(G, xty[active].ravel())
+    norm = float(np.linalg.norm(values))
+    if norm > ball_radius:
+        values *= ball_radius * (1.0 - 1e-9) / norm
+    return values
+
+
+@pytest.mark.parametrize("n", [80, 1000])
+def test_benchmark_fit_equals_the_blockwise_assembled_solve(n):
+    """The batched Gram product gives the bits of the per-pair assembly, for
+    every model size up to 6 and for masks with gaps between covariates."""
+    rng = np.random.default_rng(n)
+    d = 20
+    fm = build_features(rng.random((n, d)))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    cache = BenchmarkCache(fm, y, RIDGE_LAMBDA, 2.0)
+    actives = [np.sort(rng.choice(d, size=k, replace=False)) for k in range(1, 7) for _ in range(6)]
+    # no two covariates adjacent, the last mask spanning both ends
+    actives += [[0, 2], [1, 5, 9], [0, 4, 11, 19], [3, 6, 10, 14, 17], [0, 3, 7, 11, 15, 19]]
+    for active in actives:
+        mask = ModelMask.from_active(d, active)
+        want = assembled_fit(fm, y, RIDGE_LAMBDA, 2.0, mask)
+        assert cache.fit(mask).tobytes() == want.tobytes()
+
+
+def test_benchmark_memory_grows_with_visited_masks_not_d_squared():
+    # a dense (d * M)^2 Gram at d=300 would be 122 MB; a three-covariate fit
+    # forms one 39 x 39 Gram and keeps only its 39 values
     fm = build_features(np.random.default_rng(5).random((20, 300)))
     y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
     tracemalloc.start()
@@ -128,6 +166,28 @@ def test_benchmark_memory_grows_with_visited_pairs_not_d_squared():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_benchmark_cache_retains_only_its_fits():
+    """The 299 two-covariate masks {0, j} share covariate 0 but no pair: the
+    heap the cache retains stays within 3x the bytes of the fits it holds.
+    Keeping each fit's per-pair Gram blocks would add 599 blocks of 13 x 13
+    doubles, 0.8 MB, against 62 KB of fits."""
+    d = 300
+    fm = build_features(np.random.default_rng(6).random((20, d)))
+    y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+    masks = [ModelMask.from_active(d, [0, j]) for j in range(1, d)]
+    tracemalloc.start()
+    try:
+        cache = BenchmarkCache(fm, y, ridge_lambda=1.0, ball_radius=2.0)
+        before = tracemalloc.get_traced_memory()[0]
+        fits = [cache.fit(mask) for mask in masks]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    held = sum(values.nbytes for values in fits)
+    assert held == (d - 1) * 2 * fm.M * 8
+    assert grown < 3 * held
 
 
 def test_benchmark_shrinks_into_ball():
@@ -480,35 +540,24 @@ def test_run_chain_keeps_post_burnin_thetas(burnin):
     assert len({m.tobytes() for m in trace.masks[burnin:]}) > 1  # the mask moves
 
 
-def test_run_chain_heap_does_not_grow_with_the_horizon(monkeypatch):
-    """Ten times the iterations, at most 1 MB more heap beyond the ridge-fit
-    cache, whose growth follows the masks and covariate pairs the chain
-    visits.  Kept per iteration, the post-burn-in coefficients alone would
+def test_run_chain_heap_does_not_grow_with_the_horizon():
+    """Ten times the iterations, at most 1 MB more heap, the ridge-fit cache
+    included: it keeps one fit per visited mask (k * M doubles) and no Gram
+    blocks.  Kept per iteration, the post-burn-in coefficients alone would
     add 1350 rows of d * M doubles (5.6 MB)."""
-    caches = []
-
-    class SpiedCache(BenchmarkCache):
-        def __init__(self, *args):
-            super().__init__(*args)
-            caches.append(self)
-
-    monkeypatch.setattr(sampler, "BenchmarkCache", SpiedCache)
     data = gen_synthetic(80, d=40, seed=0)
     fm = build_features(data.X)
     gcfg = tilted_config(delta=100.0, d=40)
-    beyond_cache = []
+    peaks = []
     for horizon in (300, 3000):
         scfg = SamplerConfig(horizon=horizon, burnin=horizon // 2, sigma2=0.01)
         tracemalloc.start()
         try:
             run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        cache = caches[-1]
-        held = sum(a.nbytes for a in (*cache._cache.values(), *cache._blocks.values()))
-        beyond_cache.append(peak - held)
-    assert beyond_cache[1] - beyond_cache[0] < 1_000_000
+    assert peaks[1] - peaks[0] < 1_000_000
 
 
 def test_run_chain_smoke_two_iterations(tmp_path):
