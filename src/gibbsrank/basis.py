@@ -135,53 +135,64 @@ def build_features(X: np.ndarray, covariates=None) -> FeatureMatrix:
 
 
 class ModelMask:
-    """Binary inclusion vector over covariates.
+    """The active covariates of a model over d covariates.
 
-    Masks are immutable, so the active covariates and the model size are
-    found once, here.
+    A mask is its active indices, ascending and read-only intp, stored once
+    with d and the model size; the binary inclusion vector ``bits`` is
+    derived from them on each access.  The constructor takes d and such an
+    index array as they are, without a copy or a check, so a neighborhood's
+    masks can be the rows of one index array; from_active checks and
+    converts any list of indices.
     """
 
-    __slots__ = ("bits", "active", "size")
+    __slots__ = ("d", "active", "size")
 
-    def __init__(self, bits):
-        bits = np.array(bits, dtype=bool)
-        bits.setflags(write=False)
-        active = np.flatnonzero(bits)
-        active.setflags(write=False)
-        self.bits = bits
+    def __init__(self, d: int, active: np.ndarray):
+        self.d = d
         self.active = active
         self.size = active.size
 
     @classmethod
-    def from_views(cls, bits: np.ndarray, active: np.ndarray) -> "ModelMask":
-        """A mask over read-only bits and their ascending intp active indices,
-        taken without a copy or a check: the caller guarantees both."""
-        mask = cls.__new__(cls)
-        mask.bits = bits
-        mask.active = active
-        mask.size = active.size
-        return mask
-
-    @classmethod
     def empty(cls, d: int) -> "ModelMask":
-        return cls(np.zeros(d, dtype=bool))
+        return cls(int(d), _NO_COVARIATES)
 
     @classmethod
     def from_active(cls, d: int, active) -> "ModelMask":
-        bits = np.zeros(d, dtype=bool)
-        bits[list(active)] = True
-        return cls(bits)
+        """The mask over d covariates whose active indices are listed, in any order.
+
+        An index outside 0..d-1, or one listed twice, is a ValueError naming
+        d and the index.
+        """
+        d = int(d)
+        listed = np.asarray(list(active))
+        if listed.size and (listed.ndim != 1 or listed.dtype.kind not in "iu"):
+            raise ValueError(f"active indices must be a list of integers, got {listed.tolist()}")
+        indices = sorted(listed.tolist())
+        outside = [j for j in indices if not 0 <= j < d]
+        if outside:
+            raise ValueError(f"active index {outside[0]} outside 0..{d - 1} for d={d}")
+        repeated = [j for j, following in zip(indices, indices[1:]) if j == following]
+        if repeated:
+            raise ValueError(f"active index {repeated[0]} listed twice for d={d}")
+        indices = np.array(indices, dtype=np.intp)
+        indices.setflags(write=False)
+        return cls(d, indices)
 
     @property
-    def d(self) -> int:
-        return self.bits.size
+    def bits(self) -> np.ndarray:
+        """The read-only (d,) bool inclusion vector."""
+        bits = np.zeros(self.d, dtype=bool)
+        bits[self.active] = True
+        bits.setflags(write=False)
+        return bits
 
     def key(self) -> bytes:
         """The active indices' bytes, unique among masks over the same d."""
         return self.active.tobytes()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ModelMask) and np.array_equal(self.bits, other.bits)
+        return (isinstance(other, ModelMask) and self.d == other.d
+                and np.array_equal(self.active, other.active))
 
     def __hash__(self) -> int:
         return hash((self.d, self.key()))
@@ -190,28 +201,22 @@ class ModelMask:
         return f"ModelMask(active={self.active.tolist()}, d={self.d})"
 
 
-@dataclass(frozen=True)
+_NO_COVARIATES = np.zeros(0, dtype=np.intp)
+_NO_COVARIATES.setflags(write=False)
+
+
 class SparseCoef:
     """Coefficient vector restricted to the support of a model mask.
 
-    values holds M coefficients per active covariate, in covariate order.
+    values holds M coefficients per active covariate, in covariate order, as
+    float64; float64 values are kept as they are, without a copy.
     """
 
-    mask: ModelMask
-    values: np.ndarray
+    __slots__ = ("mask", "values")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def _trusted(cls, mask: ModelMask, values: np.ndarray) -> "SparseCoef":
-        """A coefficient vector over float64 values, taken as they are: no
-        __init__, no conversion.  The caller guarantees the dtype."""
-        coef = object.__new__(cls)
-        object.__setattr__(coef, "mask", mask)
-        object.__setattr__(coef, "values", values)
-        return coef
+    def __init__(self, mask: ModelMask, values):
+        self.mask = mask
+        self.values = np.asarray(values, dtype=float)
 
     def check(self, M: int) -> None:
         if self.values.size != self.mask.size * M:
@@ -219,12 +224,8 @@ class SparseCoef:
                 f"coefficient length {self.values.size} != |m|_0 * M = {self.mask.size * M}"
             )
 
-    def padded(self, M: int) -> np.ndarray:
-        """Embed into the full d*M coefficient vector, zero outside the support."""
-        self.check(M)
-        full = np.zeros((self.mask.d, M))
-        full[self.mask.active] = self.values.reshape(-1, M)
-        return full.ravel()
+    def __repr__(self) -> str:
+        return f"SparseCoef(mask={self.mask!r}, values={self.values!r})"
 
 
 def _additive_score(features: FeatureMatrix, covariates, values: np.ndarray) -> np.ndarray:

@@ -219,7 +219,7 @@ def cmd_cv(args) -> int:
 def cmd_auc(args) -> int:
     import csv as _csv
 
-    with open(args.data, newline="") as fh:
+    with open(args.data, newline="", encoding="utf-8-sig") as fh:  # as load_csv opens it
         reader = _csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{args.data}: empty file")

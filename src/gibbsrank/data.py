@@ -121,7 +121,9 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     untouched.  Every returned array owns its data or views a buffer of its
     own size, so none keeps the parsed table alive.
     """
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put
+    # before the first header cell
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

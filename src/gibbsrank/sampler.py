@@ -118,12 +118,12 @@ def propose_neighborhood(current: ModelMask, rng: np.random.Generator,
                          scfg: SamplerConfig) -> tuple[str, list[ModelMask]]:
     """Sample a move and enumerate the corresponding neighborhood.
 
-    An add neighborhood lists its masks by added covariate ascending, a
-    remove neighborhood by removed covariate ascending.  The K masks are row
-    views of one read-only (K, d) bool array, built from current.bits and
-    the flipped covariates, and of the (K, k +- 1) array of its set columns.
-    Empty neighborhoods (add at the full model, remove at the empty model)
-    fall back to a stay move.
+    The K masks are the rows of one read-only (K, k +- 1) index array.  An
+    add neighborhood is current.active with each free covariate inserted in
+    sorted position, listed by added covariate ascending; a remove
+    neighborhood is current.active with each entry dropped in turn, listed
+    by removed covariate ascending.  Empty neighborhoods (add at the full
+    model, remove at the empty model) fall back to a stay move.
     """
     u = rng.random()
     if u < scfg.move_prob:
@@ -132,36 +132,29 @@ def propose_neighborhood(current: ModelMask, rng: np.random.Generator,
         move = MOVE_REMOVE
     else:
         move = MOVE_STAY
-    if move == MOVE_ADD and current.size < current.d:
-        flips = np.flatnonzero(~current.bits)
-    elif move == MOVE_REMOVE and current.size:
-        flips = current.active
+    active, k, d = current.active, current.size, current.d
+    if move == MOVE_ADD and k < d:
+        # the free covariates lo..hi-1 between active[p - 1] and active[p]
+        # are a block of rows, each inserted at column p.  Slice writes
+        # only: a sort or a broadcast fancy index would page in about
+        # 0.2 MB more of numpy's kernels for every chain process
+        rows = np.empty((d - k, k + 1), dtype=np.intp)
+        rows[:, 1:] = active
+        start = lo = 0
+        for p, hi in enumerate(active.tolist() + [d]):
+            end = start + hi - lo
+            rows[start:end, :p] = active[:p]
+            rows[start:end, p] = np.arange(lo, hi)
+            start, lo = end, hi + 1
+    elif move == MOVE_REMOVE and k:
+        rows = np.empty((k, k - 1), dtype=np.intp)
+        rows[:] = active[1:]
+        for i in range(1, k):  # row i keeps active[:i] and skips entry i
+            rows[i, :i] = active[:i]
     else:
         return MOVE_STAY, [current]
-    bits = np.repeat(current.bits[None], flips.size, axis=0)
-    bits[np.arange(flips.size), flips] = move == MOVE_ADD  # set by add, cleared by remove
-    bits.setflags(write=False)
-    # every row has the same count of set bits, listed row by row, ascending
-    rows = bits.nonzero()[1].reshape(flips.size, -1)
     rows.setflags(write=False)
-    return move, [ModelMask.from_views(b, a) for b, a in zip(bits, rows)]
-
-
-def log_proposal_density(values: np.ndarray, mean: np.ndarray, cfg: GibbsConfig,
-                         sigma2: float) -> float:
-    """Normalised log density of the benchmark-centered Gaussian proposal.
-
-    Its dimension is cfg.ball_dim of the model size, that of the full
-    coefficient vector.  The empty model's point proposal has log density 0
-    by convention.
-    """
-    if values.size == 0:
-        return 0.0
-    resid = values - mean
-    np.square(resid, out=resid)
-    quad = -float(np.add.reduce(resid)) / (2.0 * sigma2)
-    dim = cfg.ball_dim(values.size // cfg.M)
-    return quad - 0.5 * dim * math.log(2.0 * math.pi * sigma2)
+    return move, [ModelMask(d, row) for row in rows]
 
 
 def select_index(rng: np.random.Generator, log_weights: np.ndarray) -> int:
@@ -203,18 +196,20 @@ def chain_risk(scores, labels) -> float:
 
 def initial_state(features: FeatureMatrix, labels, gcfg: GibbsConfig) -> ChainState:
     """Chain start: the empty model with theta = 0."""
-    theta = SparseCoef(mask=ModelMask.empty(features.d), values=np.zeros(0))
+    theta = SparseCoef(ModelMask.empty(features.d), np.zeros(0))
     r = chain_risk(np.zeros(features.n), labels)
     return ChainState(theta=theta, risk=r, log_post=log_gibbs(theta, r, gcfg), log_prop=0.0)
 
 
 def _log_proposal_rows(values: np.ndarray, means: np.ndarray, cfg: GibbsConfig,
                        sigma2: float) -> np.ndarray:
-    """log_proposal_density of each row of values about the same row of means.
+    """Normalised log density of each row of values under the Gaussian
+    proposal centred on the same row of means.
 
-    The rows share one model size, so one subtraction, one square, one row
-    reduction and one constant give every row's density, bit for bit what a
-    log_proposal_density call per row gives.
+    The rows share one model size, whose cfg.ball_dim is the density's
+    dimension, so one subtraction, one square, one row reduction and one
+    constant give every row's density.  Rows of width 0, the empty model's
+    point proposal, have log density 0.
     """
     resid = values - means
     np.square(resid, out=resid)
@@ -230,18 +225,16 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
 
     Every mask of a neighborhood has the same size, so one standard_normal
     call of shape (K, k * M) draws the noise of all K candidates: the same
-    numbers, in the same order, as one call per candidate.  Each candidate
-    is a row view of that draw, taken as a SparseCoef without a copy.
+    numbers, in the same order, as one call per candidate, and nothing at
+    all for the empty model (k = 0).  Each candidate is a row view of that
+    draw, taken as a SparseCoef without a copy.
     """
     move, masks = propose_neighborhood(state.theta.mask, rng, scfg)
     means = np.array([bench.fit(mask) for mask in masks])  # (K, k * M)
-    if means.shape[1]:
-        values = means + math.sqrt(scfg.sigma2) * rng.standard_normal(means.shape)
-        log_q = _log_proposal_rows(values, means, gcfg, scfg.sigma2).tolist()
-    else:  # the empty model's point proposal draws nothing and has log density 0
-        values, log_q = means, [0.0] * len(masks)
+    values = means + math.sqrt(scfg.sigma2) * rng.standard_normal(means.shape)
+    log_q = _log_proposal_rows(values, means, gcfg, scfg.sigma2).tolist()
 
-    thetas = [SparseCoef._trusted(mask, row) for mask, row in zip(masks, values)]
+    thetas = [SparseCoef(mask, row) for mask, row in zip(masks, values)]
     risks = [math.nan] * len(thetas)
     log_posts = [-math.inf] * len(thetas)
     log_w = np.empty(len(thetas))
@@ -342,7 +335,10 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
             state, rec = mcmc_step(state, features, prepared, gcfg, scfg, bench, rng)
         except ChainError as exc:
             raise ChainError(f"iteration {t}: {exc}") from exc
-        masks[t] = state.theta.mask.bits
+        if rec.accepted:
+            masks[t, state.theta.mask.active] = True
+        else:  # the state stays, and so does its mask
+            masks[t] = masks[t - 1]
         if t == burnin or (t > burnin and rec.accepted):
             kept.append((t, state.theta.values.copy()))
         risks[t] = state.risk
@@ -359,7 +355,7 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     trace = ChainTrace(masks=masks, thetas=thetas, risks=risks, accepted=accepted,
                        moves=moves, burnin=burnin)
     estimators = FinalEstimators(
-        randomized=SparseCoef(mask=ModelMask(masks[-1]), values=state.theta.values.copy()),
+        randomized=SparseCoef(state.theta.mask, state.theta.values.copy()),
         averaged=total / (T - burnin),
     )
     return trace, estimators

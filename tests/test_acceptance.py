@@ -30,11 +30,11 @@ from gibbsrank.sampler import (
     ChainState,
     SamplerConfig,
     chain_risk,
-    log_proposal_density,
     mcmc_step,
     run_chain,
     select_index,
 )
+from oracles import log_proposal_density
 from test_risk import brute_auc, brute_risk, random_instance
 from test_sampler import FakeRng
 

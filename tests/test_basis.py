@@ -20,6 +20,7 @@ from gibbsrank.basis import (
     score,
     score_dense,
 )
+from oracles import padded
 
 
 def test_default_dictionary_size():
@@ -206,9 +207,9 @@ def test_score_matches_naive_evaluation():
     mask = ModelMask.from_active(4, [0, 2])
     values = rng.standard_normal(2 * 13)
     coef = SparseCoef(mask=mask, values=values)
-    expected = naive_score(coef.padded(13), X)
+    expected = naive_score(padded(coef, 13), X)
     assert np.allclose(score(coef, fm), expected, atol=1e-10)
-    assert np.allclose(score_dense(coef.padded(13), fm), expected, atol=1e-10)
+    assert np.allclose(score_dense(padded(coef, 13), fm), expected, atol=1e-10)
 
 
 def row_major_features(X):
@@ -260,6 +261,28 @@ def test_mask_operations():
     assert m != ModelMask.from_active(5, [1, 2])
 
 
+@pytest.mark.parametrize("active, message", [
+    ([-1], "active index -1 outside 0..4 for d=5"),
+    ([2, 5], "active index 5 outside 0..4 for d=5"),
+    ([1, 1, 3], "active index 1 listed twice for d=5"),
+    ([True, False], "active indices must be a list of integers"),
+    ([1.0], "active indices must be a list of integers"),
+], ids=["negative", "too-large", "repeated", "bools", "floats"])
+def test_from_active_refuses_indices_that_name_no_distinct_covariate(active, message):
+    with pytest.raises(ValueError, match=message):
+        ModelMask.from_active(5, active)
+
+
+def test_from_active_accepts_any_order_and_stores_ascending_read_only_indices():
+    for listed in ([3, 0, 4], (4, 3, 0), np.array([0, 4, 3]), range(0)):
+        mask = ModelMask.from_active(5, listed)
+        assert mask.active.dtype == np.intp and not mask.active.flags.writeable
+        assert mask.active.tolist() == sorted(listed)
+        assert mask.bits.tolist() == [j in set(listed) for j in range(5)]
+    assert ModelMask.from_active(5, []) == ModelMask.empty(5)
+    assert ModelMask.from_active(5, [1]) != ModelMask.from_active(6, [1])
+
+
 def test_mask_bits_are_immutable():
     m = ModelMask.from_active(3, [0])
     with pytest.raises(ValueError):
@@ -276,7 +299,7 @@ def test_sparse_coef_padding_layout():
     mask = ModelMask.from_active(3, [0, 2])
     values = np.arange(4, dtype=float)
     coef = SparseCoef(mask=mask, values=values)
-    full = coef.padded(2)
+    full = padded(coef, 2)
     assert np.array_equal(full, [0.0, 1.0, 0.0, 0.0, 2.0, 3.0])
 
 

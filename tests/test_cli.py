@@ -490,6 +490,22 @@ def test_cv_two_folds(tmp_path):
     assert summary["size_prior"] == chain_size_prior(10)
 
 
+def test_cv_reads_a_csv_behind_a_byte_order_mark(tmp_path):
+    """The mark sits on the first header cell, here the label column's."""
+    data = gen_synthetic(60, seed=1)
+    rows = ["label," + ",".join(f"x{j + 1}" for j in range(data.d))]
+    rows += [f"{int(y > 0)}," + ",".join(f"{v:.6f}" for v in x) for x, y in zip(data.X, data.y)]
+    text = ("\n".join(rows) + "\n").encode()
+    outs = []
+    for name, raw in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"cv-{name}"
+        path.write_bytes(raw)
+        run_cli("cv", "--out", str(out), "--data", str(path), "--folds", "2",
+                "--iters", "20", "--burnin", "10")
+        outs.append((out / "cv.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_cv_handles_constant_feature_column(tmp_path):
     rng = np.random.default_rng(2)
     n = 60
@@ -568,5 +584,12 @@ def test_auc_subcommand_refuses_a_file_without_rows(tmp_path, capsys, text, mess
 def test_auc_subcommand_strips_header_cells_as_load_csv_does(tmp_path, capsys):
     path = tmp_path / "scores.csv"
     path.write_text("score , label\n0.9,1\n0.1,0\n")
+    assert main(["auc", "--data", str(path)]) == 0
+    assert "auc_half 1.000000" in capsys.readouterr().out
+
+
+def test_auc_subcommand_reads_a_header_behind_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"\xef\xbb\xbfscore,label\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n")
     assert main(["auc", "--data", str(path)]) == 0
     assert "auc_half 1.000000" in capsys.readouterr().out

@@ -79,6 +79,21 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(loaded.eta, data.eta, atol=1e-12)
 
 
+def test_load_csv_reads_a_header_behind_a_byte_order_mark(tmp_path):
+    """Spreadsheet exports put a UTF-8 byte-order mark before the first
+    header cell; it is not part of that cell's name."""
+    data = gen_synthetic(30, d=6, seed=2)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_csv(data, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    loaded, expected = load_csv(marked), load_csv(plain)
+    assert np.array_equal(loaded.X, expected.X)
+    assert np.array_equal(loaded.y, expected.y)
+    labels_first = tmp_path / "labels_first.csv"  # the marked cell is the label column
+    labels_first.write_bytes(b"\xef\xbb\xbflabel,x1\n1,0.2\n0,0.7\n")
+    assert load_csv(labels_first).y.tolist() == [1.0, -1.0]
+
+
 @pytest.mark.parametrize("with_eta", [True, False])
 def test_save_csv_bytes_match_csv_writer(tmp_path, with_eta):
     data = gen_synthetic(25, d=7, seed=3)

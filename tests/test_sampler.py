@@ -1,5 +1,6 @@
 """Benchmark fits, neighborhood proposals, and the Metropolis-Hastings step."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -25,13 +26,13 @@ from gibbsrank.sampler import (
     StepRecord,
     chain_risk,
     initial_state,
-    log_proposal_density,
     mcmc_step,
     propose_neighborhood,
     run_chain,
     select_index,
     trace_to_csv,
 )
+from oracles import log_proposal_density, padded
 
 
 def tilted_config(delta, d, sigma2=0.01):
@@ -270,6 +271,41 @@ def test_neighborhood_masks_match_independently_built_masks(move, u, size):
     assert current == ModelMask.from_active(d, current.active)  # the current mask is untouched
 
 
+def test_every_neighborhood_up_to_d6_matches_independently_built_masks():
+    """Every mask over d <= 6 covariates: free covariates below, between
+    and above the active ones, and adjacent active ones."""
+    for d in range(1, 7):
+        for active in itertools.chain.from_iterable(
+                itertools.combinations(range(d), k) for k in range(d + 1)):
+            current = ModelMask.from_active(d, active)
+            for move, u in (("add", 0.1), ("remove", 0.3)):
+                got_move, masks = propose_neighborhood(current, FakeRng([u]), SamplerConfig())
+                expected = independent_neighborhood(current, move)
+                if not expected:
+                    assert got_move == "stay" and masks == [current]
+                    continue
+                assert got_move == move and masks == expected
+                assert all(not m.active.flags.writeable for m in masks)
+
+
+def test_large_add_neighborhood_peaks_at_its_index_array():
+    """An add neighborhood at d=4000 and |m|=2 is 3998 rows of one (K, 3)
+    index array, 96 KB, plus one small object per mask: it peaks far below
+    the 16 MB of a (K, d) bool matrix."""
+    d = 4000
+    current = ModelMask.from_active(d, [17, 2500])
+    tracemalloc.start()
+    try:
+        move, masks = propose_neighborhood(current, FakeRng([0.1]), SamplerConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert move == "add" and len(masks) == d - 2
+    assert peak < 2_000_000
+    for mask, want in zip(masks, independent_neighborhood(current, "add")):
+        assert mask == want
+
+
 def test_select_index_matches_weights():
     rng = np.random.default_rng(4)
     log_w = np.array([0.0, math.log(3.0)])
@@ -473,7 +509,7 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
         state, _ = per_candidate_step(state, fm, data.y, gcfg, scfg, bench, rng)
         masks[t], risks[t] = state.theta.mask.bits, state.risk
         if t >= scfg.burnin:
-            thetas[t - scfg.burnin] = state.theta.padded(fm.M)
+            thetas[t - scfg.burnin] = padded(state.theta, fm.M)
 
     assert trace.masks.tobytes() == masks.tobytes()
     assert trace.risks.tobytes() == risks.tobytes()
@@ -525,7 +561,7 @@ def test_run_chain_keeps_post_burnin_thetas(burnin):
     for t in range(1, 80):
         state, _ = per_candidate_step(state, fm, data.y, gcfg, scfg, bench, rng)
         if t >= burnin:
-            dense[t - burnin] = state.theta.padded(fm.M)
+            dense[t - burnin] = padded(state.theta, fm.M)
 
     n_states = 1 + trace.accepted[burnin + 1:].sum()
     assert trace.thetas.shape == (n_states, 5 * 13)
