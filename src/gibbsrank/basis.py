@@ -200,6 +200,9 @@ class ModelMask:
     def __repr__(self) -> str:
         return f"ModelMask(active={self.active.tolist()}, d={self.d})"
 
+    def __reduce__(self):  # through from_active: the indices unpickle read-only
+        return type(self).from_active, (self.d, self.active.tolist())
+
 
 _NO_COVARIATES = np.zeros(0, dtype=np.intp)
 _NO_COVARIATES.setflags(write=False)

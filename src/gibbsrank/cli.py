@@ -7,6 +7,7 @@ KEY=VALUE config file (--config); explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, derive_seed, gen_synthetic, load_csv, map_to_unit, save_csv
+from .data import (DataError, derive_seed, gen_synthetic, header_names, load_csv, map_to_unit,
+                   save_csv)
 from .experiments import (
     TABLE_DELTAS,
     TABLE_SIGMA2S,
@@ -171,7 +173,9 @@ def _parse_grid_list(raw: str | None, default, cfg: ExperimentConfig, name: str)
         raise ValueError(f"--{name}s: {exc}") from None
     if not values:
         raise ValueError(f"--{name}s is an empty grid list")
-    for value in values:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"--{name}s lists {value!r} twice")
         replace(cfg, **{name: value})
     return values
 
@@ -217,13 +221,11 @@ def cmd_cv(args) -> int:
 
 
 def cmd_auc(args) -> int:
-    import csv as _csv
-
     with open(args.data, newline="", encoding="utf-8-sig") as fh:  # as load_csv opens it
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{args.data}: empty file")
-        reader.fieldnames = [h.strip() for h in reader.fieldnames]  # as load_csv reads a header
+        reader.fieldnames = header_names(args.data, reader.fieldnames)  # as load_csv reads it
         for flag, column in (("--score-column", args.score_column),
                              ("--label-column", args.label_column)):
             if column not in reader.fieldnames:

@@ -109,6 +109,15 @@ def _parse_cell(cell: str) -> float:
         return np.nan
 
 
+def header_names(path, cells) -> list[str]:
+    """A header row's column names, stripped; a name listed twice is a DataError."""
+    names = [cell.strip() for cell in cells]
+    if len(set(names)) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise DataError(f"{path}: column {repeated!r} is named twice in header {names}")
+    return names
+
+
 def load_csv(path, label_column: str = "label", positive_label_value: float = 1.0) -> Dataset:
     """Load a delimited numeric table with a header row.
 
@@ -126,10 +135,9 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = header_names(path, next(reader))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r} in header {header}")
         # Each row becomes floats as it is read, so no table of strings is

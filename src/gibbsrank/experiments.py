@@ -16,8 +16,8 @@ gibbs.tilted_size_log_weights at the run's sigma2,
 
     beta^(kM) * Vol_kM(2) * (2 pi sigma2)^(-kM/2)   for model size k,
 
-rather than the default beta^(kM), with move probability 0.4, the
-prior-ball radius that GibbsConfig defaults to and the ridge penalty
+rather than the default beta^(kM), with move probability sampler.MOVE_PROB,
+the prior-ball radius that GibbsConfig defaults to and the ridge penalty
 sampler.RIDGE_LAMBDA.  Run metadata records this prior as "size_prior".
 """
 
@@ -75,11 +75,7 @@ class ExperimentConfig:
         # the power map of a delta <= 0 is complex or zero
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        try:
-            chain_configs(self, 1, self.d)  # SamplerConfig's and GibbsConfig's checks
-        except ValueError as exc:
-            # SamplerConfig calls iters the horizon
-            raise ValueError(str(exc).replace("horizon", "iters")) from None
+        chain_configs(self, 1, self.d)  # SamplerConfig's and GibbsConfig's checks
 
 
 def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
@@ -89,7 +85,7 @@ def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
 
 def chain_configs(cfg: ExperimentConfig, n_train: int, d: int):
     # SamplerConfig first: its checks name sigma2 before the tilted weights take its log
-    scfg = SamplerConfig(horizon=cfg.iters, burnin=cfg.burnin, sigma2=cfg.sigma2, move_prob=0.4)
+    scfg = SamplerConfig(iters=cfg.iters, burnin=cfg.burnin, sigma2=cfg.sigma2)
     gcfg = GibbsConfig(delta=effective_delta(cfg, n_train), d=d, beta=cfg.beta)
     gcfg = replace(gcfg, size_log_weights=tilted_size_log_weights(gcfg, cfg.sigma2))
     return gcfg, scfg
@@ -110,8 +106,6 @@ class FitResult:
     train_auc_randomized: float
     test_auc_averaged: float
     test_auc_randomized: float
-    acceptance_rate: float
-    selection_frequency: np.ndarray
     trace: ChainTrace
     estimators: FinalEstimators
 
@@ -121,8 +115,8 @@ class FitResult:
             "train_auc_randomized": self.train_auc_randomized,
             "test_auc_averaged": self.test_auc_averaged,
             "test_auc_randomized": self.test_auc_randomized,
-            "acceptance_rate": self.acceptance_rate,
-            "selection_frequency": self.selection_frequency.tolist(),
+            "acceptance_rate": self.trace.acceptance_rate,
+            "selection_frequency": self.trace.selection_frequency().tolist(),
         }
 
 
@@ -170,8 +164,6 @@ def fit_and_evaluate(train: Dataset, test: Dataset, cfg: ExperimentConfig,
         train_auc_randomized=train_aucs[1],
         test_auc_averaged=test_aucs[0],
         test_auc_randomized=test_aucs[1],
-        acceptance_rate=trace.acceptance_rate,
-        selection_frequency=trace.selection_frequency(),
         trace=trace,
         estimators=estimators,
     )

@@ -13,7 +13,6 @@ sum over the iterations of those rows.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ import numpy as np
 from .basis import FeatureMatrix, ModelMask, SparseCoef, score
 from .gibbs import GibbsConfig, log_gibbs, log_prior
 from .risk import PreparedLabels, empirical_rank_risk
-
-logger = logging.getLogger(__name__)
 
 MOVE_ADD = "add"
 MOVE_REMOVE = "remove"
@@ -45,28 +42,25 @@ class ChainError(RuntimeError):
 # ridge keeps fits interior at essentially the same risk.
 RIDGE_LAMBDA = 1.0
 
+MOVE_PROB = 0.4  # P(add) = P(remove); P(stay) = 1 - 2 * MOVE_PROB
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain length, burn-in, proposal variance and move probability.
+    """Chain length, burn-in and proposal variance; the ridge is RIDGE_LAMBDA
+    and the move probability MOVE_PROB."""
 
-    run_chain takes the random stream; the benchmark fits' ridge is RIDGE_LAMBDA.
-    """
-
-    horizon: int = 1000
-    burnin: int = 800
-    sigma2: float = 0.01
-    move_prob: float = 0.25  # P(add) = P(remove); P(stay) = 1 - 2 * move_prob
+    iters: int
+    burnin: int
+    sigma2: float
 
     def __post_init__(self):
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2")
-        if not 0 <= self.burnin < self.horizon:
-            raise ValueError("burnin must satisfy 0 <= burnin < horizon")
+        if self.iters < 2:
+            raise ValueError("iters must be at least 2")
+        if not 0 <= self.burnin < self.iters:
+            raise ValueError("burnin must satisfy 0 <= burnin < iters")
         if not 0 < self.sigma2 < math.inf:
             raise ValueError("sigma2 must be positive and finite")
-        if not 0 < self.move_prob <= 0.5:
-            raise ValueError("move_prob must lie in (0, 0.5]")
 
 
 class BenchmarkCache:
@@ -114,8 +108,8 @@ class BenchmarkCache:
         return values
 
 
-def propose_neighborhood(current: ModelMask, rng: np.random.Generator,
-                         scfg: SamplerConfig) -> tuple[str, list[ModelMask]]:
+def propose_neighborhood(current: ModelMask,
+                         rng: np.random.Generator) -> tuple[str, list[ModelMask]]:
     """Sample a move and enumerate the corresponding neighborhood.
 
     The K masks are the rows of one read-only (K, k +- 1) index array.  An
@@ -126,9 +120,9 @@ def propose_neighborhood(current: ModelMask, rng: np.random.Generator,
     model, remove at the empty model) fall back to a stay move.
     """
     u = rng.random()
-    if u < scfg.move_prob:
+    if u < MOVE_PROB:
         move = MOVE_ADD
-    elif u < 2 * scfg.move_prob:
+    elif u < 2 * MOVE_PROB:
         move = MOVE_REMOVE
     else:
         move = MOVE_STAY
@@ -229,7 +223,7 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
     all for the empty model (k = 0).  Each candidate is a row view of that
     draw, taken as a SparseCoef without a copy.
     """
-    move, masks = propose_neighborhood(state.theta.mask, rng, scfg)
+    move, masks = propose_neighborhood(state.theta.mask, rng)
     means = np.array([bench.fit(mask) for mask in masks])  # (K, k * M)
     values = means + math.sqrt(scfg.sigma2) * rng.standard_normal(means.shape)
     log_q = _log_proposal_rows(values, means, gcfg, scfg.sigma2).tolist()
@@ -281,7 +275,7 @@ class ChainTrace:
     burnin: int
 
     @property
-    def horizon(self) -> int:
+    def iters(self) -> int:
         return self.masks.shape[0]
 
     @property
@@ -319,7 +313,7 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     bench = BenchmarkCache(features, labels, RIDGE_LAMBDA, gcfg.ball_radius)
     prepared = PreparedLabels(labels)
 
-    T, d, M, burnin = scfg.horizon, features.d, features.M, scfg.burnin
+    T, d, M, burnin = scfg.iters, features.d, features.M, scfg.burnin
     masks = np.zeros((T, d), dtype=bool)
     risks = np.zeros(T)
     accepted = np.zeros(T, dtype=bool)
@@ -365,7 +359,7 @@ def trace_to_csv(trace: ChainTrace, path) -> None:
     """One row per iteration: t, model size, active covariates, risk, accepted, move."""
     with open(path, "w") as fh:
         fh.write("t,model_size,active,risk,accepted,move\n")
-        for t in range(trace.horizon):
+        for t in range(trace.iters):
             active = ";".join(str(j + 1) for j in np.flatnonzero(trace.masks[t]))
             fh.write(f"{t},{int(trace.masks[t].sum())},{active},"
                      f"{trace.risks[t]:.17g},{int(trace.accepted[t])},{trace.moves[t]}\n")

@@ -142,7 +142,7 @@ def test_criterion_7b_self_proposal_acceptance():
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
     gcfg = GibbsConfig(delta=50.0, d=5)
-    scfg = SamplerConfig(sigma2=0.01)
+    scfg = SamplerConfig(iters=1000, burnin=800, sigma2=0.01)
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     mask = ModelMask.from_active(5, [2])
     mean = bench.fit(mask)
@@ -164,7 +164,7 @@ def test_criterion_7c_prior_recovery_at_zero_temperature():
     counts = np.zeros(gcfg.d + 1)
     for seed in range(10):
         data = gen_synthetic(40, d=5, seed=seed)
-        scfg = SamplerConfig(horizon=3000, burnin=500, sigma2=0.5)
+        scfg = SamplerConfig(iters=3000, burnin=500, sigma2=0.5)
         trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg,
                              np.random.default_rng(seed))
         counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)

@@ -1,6 +1,7 @@
 """Dictionary evaluation and sparse additive scoring."""
 
 import logging
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,19 @@ def test_mask_bits_are_immutable():
     m = ModelMask.from_active(3, [0])
     with pytest.raises(ValueError):
         m.bits[1] = True
+
+
+@pytest.mark.parametrize("active", [[1, 3], []])
+def test_mask_stays_read_only_through_a_pickle_round_trip(active):
+    mask = ModelMask.from_active(5, active)
+    copy = pickle.loads(pickle.dumps(mask))
+    assert not copy.active.flags.writeable
+    assert copy.active.dtype == np.intp
+    assert copy == mask and hash(copy) == hash(mask)
+    assert (copy.d, copy.size, copy.active.tolist()) == (5, len(active), active)
+    if active:
+        with pytest.raises(ValueError):
+            copy.active[0] = 4
 
 
 def test_sparse_coef_length_check():

@@ -313,6 +313,17 @@ def test_grid_list_names_the_flag_of_a_non_number(tmp_path, capsys, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, raw, shown", [("--deltas", "1,0.5,1.0", "1.0"),
+                                              ("--sigma2s", "0.01,0.010", "0.01")])
+def test_grid_refuses_a_repeated_grid_value(tmp_path, capsys, flag, raw, shown):
+    # run twice, the cell would write two identical grid.csv rows
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--out", str(tmp_path / "out"), flag, raw])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"gibbsrank grid: error: {flag} lists {shown} twice\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
     data = gen_synthetic(40, seed=0)
     path = tmp_path / "one.csv"
@@ -579,6 +590,18 @@ def test_auc_subcommand_refuses_a_file_without_rows(tmp_path, capsys, text, mess
     path.write_text(text)
     assert main(["auc", "--data", str(path)]) == 1
     assert capsys.readouterr().err == f"gibbsrank auc: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("header, column", [("score,label,score", "score"),
+                                            ("label,score, label", "label")])
+def test_auc_subcommand_refuses_a_column_named_twice(tmp_path, capsys, header, column):
+    # read as a dict, the last score column would stand for the first
+    path = tmp_path / "scores.csv"
+    path.write_text(f"{header}\n0.9,1,0.1\n0.1,0,0.9\n")
+    assert main(["auc", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gibbsrank auc: {path}: column {column!r} is named twice")
 
 
 def test_auc_subcommand_strips_header_cells_as_load_csv_does(tmp_path, capsys):

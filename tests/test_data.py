@@ -236,6 +236,15 @@ def test_empty_and_missing_column_errors(tmp_path):
         load_csv(path, label_column="label")
 
 
+@pytest.mark.parametrize("header, column", [("label,x1,label", "label"), ("x1,x2 ,x2", "x2")])
+def test_load_csv_refuses_a_column_named_twice(tmp_path, header, column):
+    # a second label column would otherwise enter the model as a feature
+    path = tmp_path / "twice.csv"
+    path.write_text(f"{header}\n1,0.1,1\n0,0.2,0\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: column {column!r} is named twice")):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("rows, where", [
     ("0.1,0.2,1\n0.3,0\n", "data row 2 (line 3)"),
     ("0.1,0.2,1\n0.3,0.4,0,9\n", "data row 2 (line 3)"),

@@ -75,12 +75,11 @@ def test_chain_configs_carry_settings():
     assert gcfg.d == 7
     assert gcfg.beta == 0.4
     assert gcfg.delta == pytest.approx(effective_delta(cfg, 200))
-    assert scfg.horizon == 123
+    assert scfg.iters == 123
     assert scfg.burnin == 45
     assert scfg.sigma2 == 0.5
     base = GibbsConfig(delta=gcfg.delta, d=7, beta=0.4)
     assert gcfg.size_log_weights == tilted_size_log_weights(base, cfg.sigma2)
-    assert scfg.move_prob == 0.4
 
 
 def test_fit_and_evaluate_metrics_shape():

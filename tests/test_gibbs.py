@@ -142,7 +142,7 @@ def test_chain_samples_its_size_prior_vector():
     counts = np.zeros(gcfg.d + 1)
     for seed in range(10):
         data = gen_synthetic(40, d=5, seed=seed)
-        scfg = SamplerConfig(horizon=3000, burnin=500, sigma2=sigma2)
+        scfg = SamplerConfig(iters=3000, burnin=500, sigma2=sigma2)
         trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg,
                              np.random.default_rng(seed))
         counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)

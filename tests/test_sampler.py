@@ -19,6 +19,7 @@ from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import GibbsConfig, log_gibbs, log_prior, tilted_size_log_weights
 from gibbsrank.risk import PreparedLabels
 from gibbsrank.sampler import (
+    MOVE_PROB,
     RIDGE_LAMBDA,
     BenchmarkCache,
     ChainState,
@@ -33,6 +34,10 @@ from gibbsrank.sampler import (
     trace_to_csv,
 )
 from oracles import log_proposal_density, padded
+
+
+# the settings of a single step: mcmc_step reads only sigma2
+STEP_CFG = SamplerConfig(iters=1000, burnin=800, sigma2=0.01)
 
 
 def tilted_config(delta, d, sigma2=0.01):
@@ -55,14 +60,14 @@ class FakeRng:
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        SamplerConfig(horizon=1)
-    with pytest.raises(ValueError):
-        SamplerConfig(burnin=1000, horizon=1000)
-    with pytest.raises(ValueError):
-        SamplerConfig(sigma2=0.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(move_prob=0.6)
+    with pytest.raises(ValueError, match="iters must be at least 2"):
+        SamplerConfig(iters=1, burnin=0, sigma2=0.01)
+    with pytest.raises(ValueError, match="burnin must satisfy 0 <= burnin < iters"):
+        SamplerConfig(iters=1000, burnin=1000, sigma2=0.01)
+    with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+        SamplerConfig(iters=1000, burnin=800, sigma2=0.0)
+    with pytest.raises(TypeError):  # ExperimentConfig holds the only defaults
+        SamplerConfig(sigma2=0.01)
 
 
 def test_benchmark_orthonormal_design():
@@ -205,7 +210,7 @@ def test_benchmark_shrinks_into_ball():
 
 def test_add_neighborhood_enumeration():
     current = ModelMask.from_active(10, [1, 4, 7])
-    move, masks = propose_neighborhood(current, FakeRng([0.1]), SamplerConfig())
+    move, masks = propose_neighborhood(current, FakeRng([0.1]))
     assert move == "add"
     assert len(masks) == 7
     for m in masks:
@@ -215,21 +220,21 @@ def test_add_neighborhood_enumeration():
 
 def test_remove_neighborhood_enumeration():
     current = ModelMask.from_active(6, [0, 5])
-    move, masks = propose_neighborhood(current, FakeRng([0.3]), SamplerConfig())
+    move, masks = propose_neighborhood(current, FakeRng([0.5]))
     assert move == "remove"
     assert {m.active.tolist()[0] for m in masks} == {0, 5}
 
 
 def test_add_at_full_model_falls_back_to_stay():
     current = ModelMask.from_active(3, [0, 1, 2])
-    move, masks = propose_neighborhood(current, FakeRng([0.1]), SamplerConfig())
+    move, masks = propose_neighborhood(current, FakeRng([0.1]))
     assert move == "stay"
     assert masks == [current]
 
 
 def test_remove_at_empty_model_falls_back_to_stay():
     current = ModelMask.empty(3)
-    move, masks = propose_neighborhood(current, FakeRng([0.3]), SamplerConfig())
+    move, masks = propose_neighborhood(current, FakeRng([0.5]))
     assert move == "stay"
     assert masks == [current]
 
@@ -242,12 +247,12 @@ def independent_neighborhood(current, move):
     return [ModelMask.from_active(d, [i for i in active if i != j]) for j in active]
 
 
-@pytest.mark.parametrize("move,u", [("add", 0.1), ("remove", 0.3)])
+@pytest.mark.parametrize("move,u", [("add", 0.1), ("remove", 0.5)])
 @pytest.mark.parametrize("size", [0, 1, 2, 6, 7])
 def test_neighborhood_masks_match_independently_built_masks(move, u, size):
     d = 7
     current = ModelMask.from_active(d, np.random.default_rng(size).permutation(d)[:size])
-    got_move, masks = propose_neighborhood(current, FakeRng([u]), SamplerConfig())
+    got_move, masks = propose_neighborhood(current, FakeRng([u]))
     if (move, size) in {("add", d), ("remove", 0)}:  # an empty neighborhood stays
         assert got_move == "stay"
         assert len(masks) == 1 and masks[0] is current
@@ -278,8 +283,8 @@ def test_every_neighborhood_up_to_d6_matches_independently_built_masks():
         for active in itertools.chain.from_iterable(
                 itertools.combinations(range(d), k) for k in range(d + 1)):
             current = ModelMask.from_active(d, active)
-            for move, u in (("add", 0.1), ("remove", 0.3)):
-                got_move, masks = propose_neighborhood(current, FakeRng([u]), SamplerConfig())
+            for move, u in (("add", 0.1), ("remove", 0.5)):
+                got_move, masks = propose_neighborhood(current, FakeRng([u]))
                 expected = independent_neighborhood(current, move)
                 if not expected:
                     assert got_move == "stay" and masks == [current]
@@ -296,7 +301,7 @@ def test_large_add_neighborhood_peaks_at_its_index_array():
     current = ModelMask.from_active(d, [17, 2500])
     tracemalloc.start()
     try:
-        move, masks = propose_neighborhood(current, FakeRng([0.1]), SamplerConfig())
+        move, masks = propose_neighborhood(current, FakeRng([0.1]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,7 +391,7 @@ def test_self_proposal_is_always_accepted():
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
     gcfg = GibbsConfig(delta=50.0, d=5)
-    scfg = SamplerConfig(sigma2=0.01)
+    scfg = STEP_CFG
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     mask = ModelMask.from_active(5, [2])
     mean = bench.fit(mask)
@@ -412,7 +417,7 @@ def test_all_candidates_outside_ball_are_rejected():
     fm = build_features(data.X)
     # prior ball so small that every non-empty candidate falls outside
     gcfg = GibbsConfig(delta=1.0, d=5, ball_radius=1e-9)
-    scfg = SamplerConfig(sigma2=0.01)
+    scfg = STEP_CFG
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, 2.0)
     state = initial_state(fm, data.y, gcfg)
     rng = FakeRng([0.1])  # add move; no acceptance draw is reached
@@ -426,7 +431,7 @@ def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
     call and one log_proposal_density call per candidate, and raw labels: the
     reference mcmc_step must match bit for bit."""
     u = rng.random()
-    move = "add" if u < scfg.move_prob else "remove" if u < 2 * scfg.move_prob else "stay"
+    move = "add" if u < MOVE_PROB else "remove" if u < 2 * MOVE_PROB else "stay"
     current = state.theta.mask
     masks = independent_neighborhood(current, move) if move != "stay" else []
     if not masks:
@@ -461,8 +466,11 @@ def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
 def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
     data = gen_synthetic(80, d=12, seed=seed)
     fm = build_features(data.X)
-    gcfg = tilted_config(delta=100.0, d=12)
-    scfg = SamplerConfig(sigma2=0.01)
+    # at delta 100 the seed-1 chain accepts no remove: from step 127 on it
+    # holds one size-6 state for at least 20,000 steps.  At 50 both chains
+    # accept every move kind within 300 steps
+    gcfg = tilted_config(delta=50.0, d=12)
+    scfg = STEP_CFG
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     oracle_bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -495,17 +503,17 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
     data = gen_synthetic(80, d=9, seed=seed)
     fm = build_features(data.X)
     gcfg = tilted_config(delta=100.0, d=9)
-    scfg = SamplerConfig(horizon=200, burnin=120, sigma2=0.01)
+    scfg = SamplerConfig(iters=200, burnin=120, sigma2=0.01)
     trace, est = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(seed))
 
     rng = np.random.default_rng(seed)
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
     state = initial_state(fm, data.y, gcfg)
-    masks = np.zeros((scfg.horizon, fm.d), dtype=bool)
-    risks = np.zeros(scfg.horizon)
+    masks = np.zeros((scfg.iters, fm.d), dtype=bool)
+    risks = np.zeros(scfg.iters)
     risks[0] = state.risk
-    thetas = np.zeros((scfg.horizon - scfg.burnin, fm.d * fm.M))
-    for t in range(1, scfg.horizon):
+    thetas = np.zeros((scfg.iters - scfg.burnin, fm.d * fm.M))
+    for t in range(1, scfg.iters):
         state, _ = per_candidate_step(state, fm, data.y, gcfg, scfg, bench, rng)
         masks[t], risks[t] = state.theta.mask.bits, state.risk
         if t >= scfg.burnin:
@@ -533,7 +541,7 @@ def test_initial_state_is_empty_model():
 def test_run_chain_is_deterministic():
     data = gen_synthetic(60, d=5, seed=8)
     gcfg = tilted_config(delta=100.0, d=5)
-    scfg = SamplerConfig(horizon=80, burnin=40, sigma2=0.01)
+    scfg = SamplerConfig(iters=80, burnin=40, sigma2=0.01)
     fm = build_features(data.X)
     trace_a, est_a = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(11))
     trace_b, est_b = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(11))
@@ -549,7 +557,7 @@ def test_run_chain_is_deterministic():
 def test_run_chain_keeps_post_burnin_thetas(burnin):
     data = gen_synthetic(60, d=5, seed=8)
     gcfg = tilted_config(delta=100.0, d=5)
-    scfg = SamplerConfig(horizon=80, burnin=burnin, sigma2=0.01)
+    scfg = SamplerConfig(iters=80, burnin=burnin, sigma2=0.01)
     fm = build_features(data.X)
     trace, est = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(11))
 
@@ -585,8 +593,8 @@ def test_run_chain_heap_does_not_grow_with_the_horizon():
     fm = build_features(data.X)
     gcfg = tilted_config(delta=100.0, d=40)
     peaks = []
-    for horizon in (300, 3000):
-        scfg = SamplerConfig(horizon=horizon, burnin=horizon // 2, sigma2=0.01)
+    for iters in (300, 3000):
+        scfg = SamplerConfig(iters=iters, burnin=iters // 2, sigma2=0.01)
         tracemalloc.start()
         try:
             run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(0))
@@ -599,10 +607,10 @@ def test_run_chain_heap_does_not_grow_with_the_horizon():
 def test_run_chain_smoke_two_iterations(tmp_path):
     data = gen_synthetic(20, d=5, seed=9)
     gcfg = GibbsConfig(delta=1.0, d=5)
-    scfg = SamplerConfig(horizon=2, burnin=0)
+    scfg = SamplerConfig(iters=2, burnin=0, sigma2=0.01)
     trace, estimators = run_chain(build_features(data.X), data.y, gcfg, scfg,
                                   np.random.default_rng(0))
-    assert trace.horizon == 2
+    assert trace.iters == 2
     assert estimators.averaged.shape == (5 * 13,)
     out = tmp_path / "trace.csv"
     trace_to_csv(trace, out)
@@ -614,7 +622,7 @@ def test_run_chain_smoke_two_iterations(tmp_path):
 def test_trace_summaries():
     data = gen_synthetic(40, d=5, seed=10)
     gcfg = tilted_config(delta=200.0, d=5)
-    scfg = SamplerConfig(horizon=60, burnin=30, sigma2=0.01)
+    scfg = SamplerConfig(iters=60, burnin=30, sigma2=0.01)
     trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg, np.random.default_rng(3))
     freq = trace.selection_frequency()
     assert freq.shape == (5,)
