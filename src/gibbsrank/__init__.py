@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .basis import (
     DICTIONARY_SIZE,
     FeatureMatrix,
-    ModelMask,
     SparseCoef,
     build_features,
     eval_basis,
@@ -29,7 +28,6 @@ from .experiments import ExperimentConfig, run_cv, run_grid, run_grid_cell
 __all__ = [
     "DICTIONARY_SIZE",
     "FeatureMatrix",
-    "ModelMask",
     "SparseCoef",
     "build_features",
     "eval_basis",

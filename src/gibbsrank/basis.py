@@ -8,7 +8,7 @@ linear combination of these functions applied coordinate-wise:
 
     s(x) = sum_j sum_k theta[j, k] * phi_k(rescale(x_j))
 
-with j ranging over the active covariates of a model mask.
+with j ranging over the active covariates of a model.
 """
 
 from __future__ import annotations
@@ -134,101 +134,37 @@ def build_features(X: np.ndarray, covariates=None) -> FeatureMatrix:
     return FeatureMatrix(blocks=blocks)
 
 
-class ModelMask:
-    """The active covariates of a model over d covariates.
-
-    A mask is its active indices, ascending and read-only intp, stored once
-    with d and the model size; the binary inclusion vector ``bits`` is
-    derived from them on each access.  The constructor takes d and such an
-    index array as they are, without a copy or a check, so a neighborhood's
-    masks can be the rows of one index array; from_active checks and
-    converts any list of indices.
-    """
-
-    __slots__ = ("d", "active", "size")
-
-    def __init__(self, d: int, active: np.ndarray):
-        self.d = d
-        self.active = active
-        self.size = active.size
-
-    @classmethod
-    def empty(cls, d: int) -> "ModelMask":
-        return cls(int(d), _NO_COVARIATES)
-
-    @classmethod
-    def from_active(cls, d: int, active) -> "ModelMask":
-        """The mask over d covariates whose active indices are listed, in any order.
-
-        An index outside 0..d-1, or one listed twice, is a ValueError naming
-        d and the index.
-        """
-        d = int(d)
-        listed = np.asarray(list(active))
-        if listed.size and (listed.ndim != 1 or listed.dtype.kind not in "iu"):
-            raise ValueError(f"active indices must be a list of integers, got {listed.tolist()}")
-        indices = sorted(listed.tolist())
-        outside = [j for j in indices if not 0 <= j < d]
-        if outside:
-            raise ValueError(f"active index {outside[0]} outside 0..{d - 1} for d={d}")
-        repeated = [j for j, following in zip(indices, indices[1:]) if j == following]
-        if repeated:
-            raise ValueError(f"active index {repeated[0]} listed twice for d={d}")
-        indices = np.array(indices, dtype=np.intp)
-        indices.setflags(write=False)
-        return cls(d, indices)
-
-    @property
-    def bits(self) -> np.ndarray:
-        """The read-only (d,) bool inclusion vector."""
-        bits = np.zeros(self.d, dtype=bool)
-        bits[self.active] = True
-        bits.setflags(write=False)
-        return bits
-
-    def key(self) -> bytes:
-        """The active indices' bytes, unique among masks over the same d."""
-        return self.active.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ModelMask) and self.d == other.d
-                and np.array_equal(self.active, other.active))
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.key()))
-
-    def __repr__(self) -> str:
-        return f"ModelMask(active={self.active.tolist()}, d={self.d})"
-
-    def __reduce__(self):  # through from_active: the indices unpickle read-only
-        return type(self).from_active, (self.d, self.active.tolist())
-
-
-_NO_COVARIATES = np.zeros(0, dtype=np.intp)
-_NO_COVARIATES.setflags(write=False)
-
-
 class SparseCoef:
-    """Coefficient vector restricted to the support of a model mask.
+    """Coefficient vector restricted to a model's active covariates.
 
-    values holds M coefficients per active covariate, in covariate order, as
-    float64; float64 values are kept as they are, without a copy.
+    A model is its active covariate indices, an ascending read-only intp
+    array, taken as it is, without a copy or a check.  values holds M
+    coefficients per active covariate, in covariate order, as float64;
+    float64 values are kept as they are, without a copy.
     """
 
-    __slots__ = ("mask", "values")
+    __slots__ = ("active", "values")
 
-    def __init__(self, mask: ModelMask, values):
-        self.mask = mask
+    def __init__(self, active: np.ndarray, values):
+        self.active = active
         self.values = np.asarray(values, dtype=float)
 
-    def check(self, M: int) -> None:
-        if self.values.size != self.mask.size * M:
+    def check(self, M: int, d: int) -> None:
+        """ValueError unless there are M values per active covariate and
+        every active index lies in 0..d-1."""
+        active = self.active
+        if self.values.size != active.size * M:
             raise ValueError(
-                f"coefficient length {self.values.size} != |m|_0 * M = {self.mask.size * M}"
+                f"coefficient length {self.values.size} != |m|_0 * M = {active.size * M}"
             )
+        # ascending, so the first and the last index bound all of them
+        if active.size:
+            lo, hi = active.item(0), active.item(-1)
+            if lo < 0 or hi >= d:
+                raise ValueError(f"active index {lo if lo < 0 else hi} outside 0..{d - 1} for d={d}")
 
     def __repr__(self) -> str:
-        return f"SparseCoef(mask={self.mask!r}, values={self.values!r})"
+        return f"SparseCoef(active={self.active.tolist()}, values={self.values!r})"
 
 
 def _additive_score(features: FeatureMatrix, covariates, values: np.ndarray) -> np.ndarray:
@@ -249,10 +185,8 @@ def _additive_score(features: FeatureMatrix, covariates, values: np.ndarray) -> 
 
 def score(coef: SparseCoef, features: FeatureMatrix) -> np.ndarray:
     """Scores of all rows under the sparse additive scoring function."""
-    coef.check(features.M)
-    if coef.mask.d != features.d:
-        raise ValueError(f"mask over {coef.mask.d} covariates, features built for {features.d}")
-    return _additive_score(features, coef.mask.active, coef.values)
+    coef.check(features.M, features.d)
+    return _additive_score(features, coef.active, coef.values)
 
 
 def score_dense(theta: np.ndarray, features: FeatureMatrix) -> np.ndarray:

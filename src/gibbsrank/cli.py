@@ -148,7 +148,7 @@ def cmd_fit(args) -> int:
     with open(out / "estimators.json", "w") as fh:
         json.dump({
             "randomized": {
-                "active_covariates": (result.estimators.randomized.mask.active + 1).tolist(),
+                "active_covariates": (result.estimators.randomized.active + 1).tolist(),
                 "values": result.estimators.randomized.values.tolist(),
             },
             "averaged": result.estimators.averaged.tolist(),

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .basis import ModelMask, SparseCoef, build_features, score, score_dense
+from .basis import SparseCoef, build_features, score, score_dense
 from .data import SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits
 from .gibbs import GibbsConfig, prior_size_distribution, tilted_size_log_weights
 from .risk import auc
@@ -130,14 +130,15 @@ def _on_support(estimators: FinalEstimators, d: int):
     """The ascending covariates where either estimator is nonzero, and both
     estimators restricted to them, with covariates renumbered by support slot."""
     averaged = estimators.averaged.reshape(d, -1)
-    active = estimators.randomized.mask.active
+    active = estimators.randomized.active
     # a bool mask, not np.union1d: that would import numpy.ma, about 1 MB
     used = averaged.any(axis=1)
     used[active] = True
     support = np.flatnonzero(used)
-    mask = ModelMask.from_active(support.size, np.searchsorted(support, active))
+    slots = np.searchsorted(support, active)
+    slots.setflags(write=False)
     return support, FinalEstimators(
-        randomized=SparseCoef(mask=mask, values=estimators.randomized.values),
+        randomized=SparseCoef(slots, estimators.randomized.values),
         averaged=averaged[support].ravel())
 
 
@@ -148,7 +149,7 @@ def fit_and_evaluate(train: Dataset, test: Dataset, cfg: ExperimentConfig,
     The training features are released before the test features are built,
     so the two never coexist.  The test features cover only the estimators'
     support, the covariates with a nonzero averaged row or in the randomized
-    mask, and both estimators are restricted to it: every dropped term is an
+    model, and both estimators are restricted to it: every dropped term is an
     exact zero, so the test scores are those of the full estimators, and a
     fit peaks at its training features, not at a (d, M, n_test) tensor.
     """

@@ -41,11 +41,12 @@ class GibbsConfig:
     which depends on the proposal variance sigma2 and, at small sigma2,
     favours large models; tests/test_gibbs.py::
     test_chain_samples_its_size_prior_vector checks that a chain recovers it.
+    beta has no default here: ExperimentConfig.beta is the one chain default.
     """
 
     delta: float
     d: int
-    beta: float = 0.5
+    beta: float
     M: int = DICTIONARY_SIZE
     ball_radius: float = 2.0
     size_log_weights: tuple[float, ...] | None = None
@@ -100,13 +101,11 @@ def log_prior(theta: SparseCoef, cfg: GibbsConfig) -> float:
     for the default and the tilted vector.  The size term comes from cfg's
     per-size table, the same doubles as computing it here.
     """
-    theta.check(cfg.M)
-    if theta.mask.d != cfg.d:
-        raise ValueError(f"mask over {theta.mask.d} covariates, config says d={cfg.d}")
+    theta.check(cfg.M, cfg.d)
     values = theta.values
     if math.sqrt(values @ values) > cfg.ball_radius:
         return -math.inf
-    return cfg._log_prior_by_size[theta.mask.size]
+    return cfg._log_prior_by_size[theta.active.size]
 
 
 def log_gibbs(theta: SparseCoef, Ln: float, cfg: GibbsConfig) -> float:

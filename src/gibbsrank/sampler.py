@@ -1,8 +1,9 @@
-"""Transdimensional Metropolis-Hastings over (model mask, coefficients).
+"""Transdimensional Metropolis-Hastings over (model, coefficients).
 
+A model is its active covariates, an ascending read-only intp index array.
 Each step selects a move (add / remove / stay a covariate), draws one
-candidate coefficient vector per mask in the corresponding neighborhood
-from a Gaussian centered on that mask's ridge benchmark fit, picks one
+candidate coefficient vector per model in the corresponding neighborhood
+from a Gaussian centered on that model's ridge benchmark fit, picks one
 candidate with probability proportional to posterior/proposal, and accepts
 it through a Metropolis-Hastings ratio.  The run yields the last state
 (randomized estimator) and the post-burn-in average of the zero-padded
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FeatureMatrix, ModelMask, SparseCoef, score
+from .basis import FeatureMatrix, SparseCoef, score
 from .gibbs import GibbsConfig, log_gibbs, log_prior
 from .risk import PreparedLabels, empirical_rank_risk
 
@@ -64,12 +65,13 @@ class SamplerConfig:
 
 
 class BenchmarkCache:
-    """Per-mask ridge least-squares fits, computed on first use and kept by mask.
+    """Per-model ridge least-squares fits, computed on first use and kept by
+    the bytes of the model's active indices.
 
-    A miss forms the mask's kM x kM Gram in one batched matmul over its k
+    A miss forms the model's kM x kM Gram in one batched matmul over its k
     feature blocks, one BLAS product blocks[i] @ blocks[j].T per covariate
     pair, and keeps only the k * M fitted values, so memory grows with the
-    masks the chain visits, never with (d * M)^2.  Fits with norm above the
+    models the chain visits, never with (d * M)^2.  Fits with norm above the
     prior ball radius are radially shrunk just inside it so proposals
     centered on them can land in the support.
     """
@@ -82,23 +84,23 @@ class BenchmarkCache:
         self.xty = features.blocks @ y  # X^T y as (d, M): row j is blocks[j] @ y
         self._cache: dict[bytes, np.ndarray] = {}
 
-    def fit(self, mask: ModelMask) -> np.ndarray:
-        if mask.size == 0:
+    def fit(self, active: np.ndarray) -> np.ndarray:
+        if active.size == 0:
             return np.zeros(0)
-        key = mask.key()
+        key = active.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        A = self.features.blocks[mask.active]  # (k, M, n)
+        A = self.features.blocks[active]  # (k, M, n)
         kM = A.shape[0] * A.shape[1]
         # (k, k, M, M) pair products, laid out as the (kM, kM) Gram
         G = np.matmul(A[:, None], A[None].swapaxes(2, 3)).transpose(0, 2, 1, 3).reshape(kM, kM)
         G.flat[::kM + 1] += self.ridge_lambda
         try:
-            values = np.linalg.solve(G, self.xty[mask.active].ravel())
+            values = np.linalg.solve(G, self.xty[active].ravel())
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
-                f"singular ridge system for mask {mask.active.tolist()}"
+                f"singular ridge system for active covariates {active.tolist()}"
             ) from exc
         norm = float(np.linalg.norm(values))
         if norm > self.ball_radius:
@@ -108,16 +110,18 @@ class BenchmarkCache:
         return values
 
 
-def propose_neighborhood(current: ModelMask,
-                         rng: np.random.Generator) -> tuple[str, list[ModelMask]]:
+def propose_neighborhood(active: np.ndarray, d: int,
+                         rng: np.random.Generator) -> tuple[str, np.ndarray]:
     """Sample a move and enumerate the corresponding neighborhood.
 
-    The K masks are the rows of one read-only (K, k +- 1) index array.  An
-    add neighborhood is current.active with each free covariate inserted in
-    sorted position, listed by added covariate ascending; a remove
-    neighborhood is current.active with each entry dropped in turn, listed
-    by removed covariate ascending.  Empty neighborhoods (add at the full
-    model, remove at the empty model) fall back to a stay move.
+    active is the current model's ascending indices among d covariates.
+    The K models of the neighborhood are the rows of one read-only
+    (K, k +- 1) index array.  An add neighborhood is active with each free
+    covariate inserted in sorted position, listed by added covariate
+    ascending; a remove neighborhood is active with each entry dropped in
+    turn, listed by removed covariate ascending.  Empty neighborhoods (add
+    at the full model, remove at the empty model) fall back to a stay move,
+    whose one row is active itself.
     """
     u = rng.random()
     if u < MOVE_PROB:
@@ -126,7 +130,7 @@ def propose_neighborhood(current: ModelMask,
         move = MOVE_REMOVE
     else:
         move = MOVE_STAY
-    active, k, d = current.active, current.size, current.d
+    k = active.size
     if move == MOVE_ADD and k < d:
         # the free covariates lo..hi-1 between active[p - 1] and active[p]
         # are a block of rows, each inserted at column p.  Slice writes
@@ -146,9 +150,9 @@ def propose_neighborhood(current: ModelMask,
         for i in range(1, k):  # row i keeps active[:i] and skips entry i
             rows[i, :i] = active[:i]
     else:
-        return MOVE_STAY, [current]
+        return MOVE_STAY, active[None]
     rows.setflags(write=False)
-    return move, [ModelMask(d, row) for row in rows]
+    return move, rows
 
 
 def select_index(rng: np.random.Generator, log_weights: np.ndarray) -> int:
@@ -190,7 +194,9 @@ def chain_risk(scores, labels) -> float:
 
 def initial_state(features: FeatureMatrix, labels, gcfg: GibbsConfig) -> ChainState:
     """Chain start: the empty model with theta = 0."""
-    theta = SparseCoef(ModelMask.empty(features.d), np.zeros(0))
+    empty = np.zeros(0, dtype=np.intp)
+    empty.setflags(write=False)
+    theta = SparseCoef(empty, np.zeros(0))
     r = chain_risk(np.zeros(features.n), labels)
     return ChainState(theta=theta, risk=r, log_post=log_gibbs(theta, r, gcfg), log_prop=0.0)
 
@@ -217,18 +223,18 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
               bench: BenchmarkCache, rng: np.random.Generator) -> tuple[ChainState, StepRecord]:
     """One transdimensional Metropolis-Hastings transition.
 
-    Every mask of a neighborhood has the same size, so one standard_normal
+    Every model of a neighborhood has the same size, so one standard_normal
     call of shape (K, k * M) draws the noise of all K candidates: the same
     numbers, in the same order, as one call per candidate, and nothing at
     all for the empty model (k = 0).  Each candidate is a row view of that
     draw, taken as a SparseCoef without a copy.
     """
-    move, masks = propose_neighborhood(state.theta.mask, rng)
-    means = np.array([bench.fit(mask) for mask in masks])  # (K, k * M)
+    move, rows = propose_neighborhood(state.theta.active, features.d, rng)
+    means = np.array([bench.fit(active) for active in rows])  # (K, k * M)
     values = means + math.sqrt(scfg.sigma2) * rng.standard_normal(means.shape)
     log_q = _log_proposal_rows(values, means, gcfg, scfg.sigma2).tolist()
 
-    thetas = [SparseCoef(mask, row) for mask, row in zip(masks, values)]
+    thetas = [SparseCoef(active, row) for active, row in zip(rows, values)]
     risks = [math.nan] * len(thetas)
     log_posts = [-math.inf] * len(thetas)
     log_w = np.empty(len(thetas))
@@ -330,8 +336,8 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
         except ChainError as exc:
             raise ChainError(f"iteration {t}: {exc}") from exc
         if rec.accepted:
-            masks[t, state.theta.mask.active] = True
-        else:  # the state stays, and so does its mask
+            masks[t, state.theta.active] = True
+        else:  # the state stays, and so does its model
             masks[t] = masks[t - 1]
         if t == burnin or (t > burnin and rec.accepted):
             kept.append((t, state.theta.values.copy()))
@@ -349,7 +355,7 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     trace = ChainTrace(masks=masks, thetas=thetas, risks=risks, accepted=accepted,
                        moves=moves, burnin=burnin)
     estimators = FinalEstimators(
-        randomized=SparseCoef(state.theta.mask, state.theta.values.copy()),
+        randomized=SparseCoef(state.theta.active, state.theta.values.copy()),
         averaged=total / (T - burnin),
     )
     return trace, estimators

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from gibbsrank.basis import ModelMask, SparseCoef, build_features, score
+from gibbsrank.basis import SparseCoef, build_features, score
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import (
     GibbsConfig,
@@ -34,7 +34,7 @@ from gibbsrank.sampler import (
     run_chain,
     select_index,
 )
-from oracles import log_proposal_density
+from oracles import active, log_proposal_density
 from test_risk import brute_auc, brute_risk, random_instance
 from test_sampler import FakeRng
 
@@ -112,7 +112,7 @@ def test_criterion_6_prior_log_ratio_identity():
         def coef(size):
             values = np.zeros(size * M)
             values[0] = 1.0
-            return SparseCoef(mask=ModelMask.from_active(d, list(range(size))), values=values)
+            return SparseCoef(active(d, range(size)), values=values)
 
         lhs = log_prior(coef(k + 1), cfg) - log_prior(coef(k), cfg)
         rhs = (M * math.log(cfg.beta)
@@ -141,12 +141,12 @@ def test_criterion_7a_selection_frequencies():
 def test_criterion_7b_self_proposal_acceptance():
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=50.0, d=5)
+    gcfg = GibbsConfig(delta=50.0, d=5, beta=0.5)
     scfg = SamplerConfig(iters=1000, burnin=800, sigma2=0.01)
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
-    mask = ModelMask.from_active(5, [2])
-    mean = bench.fit(mask)
-    theta = SparseCoef(mask=mask, values=mean.copy())
+    model = active(5, [2])
+    mean = bench.fit(model)
+    theta = SparseCoef(model, values=mean.copy())
     r = chain_risk(score(theta, fm), data.y)
     state = ChainState(theta=theta, risk=r,
                        log_post=log_gibbs(theta, r, gcfg),

@@ -1,7 +1,6 @@
 """Dictionary evaluation and sparse additive scoring."""
 
 import logging
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ from gibbsrank.basis import (
     N_HARMONICS,
     N_LEGENDRE,
     FeatureMatrix,
-    ModelMask,
     SparseCoef,
     build_features,
     eval_basis,
@@ -21,7 +19,7 @@ from gibbsrank.basis import (
     score,
     score_dense,
 )
-from oracles import padded
+from oracles import active, padded
 
 
 def test_default_dictionary_size():
@@ -176,7 +174,7 @@ def test_build_features_peaks_near_the_size_of_its_features():
 
 def test_score_empty_mask_is_zero():
     fm = build_features(np.random.default_rng(1).random((6, 3)))
-    coef = SparseCoef(mask=ModelMask.empty(3), values=np.zeros(0))
+    coef = SparseCoef(active(3, []), values=np.zeros(0))
     assert np.array_equal(score(coef, fm), np.zeros(6))
 
 
@@ -184,7 +182,7 @@ def test_score_constant_function():
     fm = build_features(np.random.default_rng(2).random((6, 3)))
     values = np.zeros(13)
     values[0] = 1.0  # weight 1 on the constant dictionary function
-    coef = SparseCoef(mask=ModelMask.from_active(3, [1]), values=values)
+    coef = SparseCoef(active(3, [1]), values=values)
     assert np.allclose(score(coef, fm), 1.0, atol=1e-14)
 
 
@@ -205,12 +203,11 @@ def test_score_matches_naive_evaluation():
     rng = np.random.default_rng(3)
     X = rng.random((7, 4))
     fm = build_features(X)
-    mask = ModelMask.from_active(4, [0, 2])
     values = rng.standard_normal(2 * 13)
-    coef = SparseCoef(mask=mask, values=values)
-    expected = naive_score(padded(coef, 13), X)
+    coef = SparseCoef(active(4, [0, 2]), values=values)
+    expected = naive_score(padded(coef, 4, 13), X)
     assert np.allclose(score(coef, fm), expected, atol=1e-10)
-    assert np.allclose(score_dense(padded(coef, 13), fm), expected, atol=1e-10)
+    assert np.allclose(score_dense(padded(coef, 4, 13), fm), expected, atol=1e-10)
 
 
 def row_major_features(X):
@@ -226,18 +223,18 @@ def test_score_matches_column_gather():
     cases = [(6, [2, 3]), (6, [0, 4]), (6, [1, 2, 5]), (6, range(6)), (1, [0])]
     cases += [(9, rng.choice(9, size=k, replace=False)) for k in range(1, 10)]
     cases += [(100, [2, 4]), (100, [0, 57, 99]), (100, rng.choice(100, size=30, replace=False))]
-    for d, active in cases:
+    for d, listed in cases:
         X = rng.random((40, d))
         fm = build_features(X)
         values = row_major_features(X)
-        mask = ModelMask.from_active(d, active)
-        coef = SparseCoef(mask=mask, values=rng.standard_normal(mask.size * 13))
+        model = active(d, listed)
+        coef = SparseCoef(model, values=rng.standard_normal(model.size * 13))
         per_block = np.zeros(40)
-        for slot, j in enumerate(mask.active):
+        for slot, j in enumerate(model):
             block = np.ascontiguousarray(values[:, j * 13 : (j + 1) * 13].T)
             per_block += coef.values[slot * 13 : (slot + 1) * 13] @ block
         assert np.array_equal(score(coef, fm), per_block)
-        columns = (mask.active[:, None] * 13 + np.arange(13)).ravel()
+        columns = (model[:, None] * 13 + np.arange(13)).ravel()
         expected = values[:, columns] @ coef.values
         assert np.allclose(score(coef, fm), expected, rtol=0.0, atol=1e-12)
 
@@ -252,75 +249,35 @@ def test_score_dense_matches_row_major_product(d):
     assert np.allclose(score_dense(theta, build_features(X)), expected, rtol=0.0, atol=1e-12)
 
 
-def test_mask_operations():
-    m = ModelMask.from_active(5, [1, 3])
-    assert m.size == 2
-    assert m.d == 5
-    assert np.array_equal(m.active, [1, 3])
-    assert m == ModelMask.from_active(5, [3, 1])
-    assert hash(m) == hash(ModelMask.from_active(5, [1, 3]))
-    assert m != ModelMask.from_active(5, [1, 2])
-
-
-@pytest.mark.parametrize("active, message", [
-    ([-1], "active index -1 outside 0..4 for d=5"),
-    ([2, 5], "active index 5 outside 0..4 for d=5"),
-    ([1, 1, 3], "active index 1 listed twice for d=5"),
-    ([True, False], "active indices must be a list of integers"),
-    ([1.0], "active indices must be a list of integers"),
-], ids=["negative", "too-large", "repeated", "bools", "floats"])
-def test_from_active_refuses_indices_that_name_no_distinct_covariate(active, message):
-    with pytest.raises(ValueError, match=message):
-        ModelMask.from_active(5, active)
-
-
-def test_from_active_accepts_any_order_and_stores_ascending_read_only_indices():
-    for listed in ([3, 0, 4], (4, 3, 0), np.array([0, 4, 3]), range(0)):
-        mask = ModelMask.from_active(5, listed)
-        assert mask.active.dtype == np.intp and not mask.active.flags.writeable
-        assert mask.active.tolist() == sorted(listed)
-        assert mask.bits.tolist() == [j in set(listed) for j in range(5)]
-    assert ModelMask.from_active(5, []) == ModelMask.empty(5)
-    assert ModelMask.from_active(5, [1]) != ModelMask.from_active(6, [1])
-
-
-def test_mask_bits_are_immutable():
-    m = ModelMask.from_active(3, [0])
-    with pytest.raises(ValueError):
-        m.bits[1] = True
-
-
-@pytest.mark.parametrize("active", [[1, 3], []])
-def test_mask_stays_read_only_through_a_pickle_round_trip(active):
-    mask = ModelMask.from_active(5, active)
-    copy = pickle.loads(pickle.dumps(mask))
-    assert not copy.active.flags.writeable
-    assert copy.active.dtype == np.intp
-    assert copy == mask and hash(copy) == hash(mask)
-    assert (copy.d, copy.size, copy.active.tolist()) == (5, len(active), active)
-    if active:
-        with pytest.raises(ValueError):
-            copy.active[0] = 4
-
-
 def test_sparse_coef_length_check():
-    coef = SparseCoef(mask=ModelMask.from_active(3, [0]), values=np.zeros(5))
+    coef = SparseCoef(active(3, [0]), values=np.zeros(5))
     with pytest.raises(ValueError):
-        coef.check(13)
+        coef.check(13, 3)
 
 
 def test_sparse_coef_padding_layout():
-    mask = ModelMask.from_active(3, [0, 2])
     values = np.arange(4, dtype=float)
-    coef = SparseCoef(mask=mask, values=values)
-    full = padded(coef, 2)
+    coef = SparseCoef(active(3, [0, 2]), values=values)
+    full = padded(coef, 3, 2)
     assert np.array_equal(full, [0.0, 1.0, 0.0, 0.0, 2.0, 3.0])
 
 
 def test_score_dimension_mismatch():
     fm = build_features(np.random.default_rng(4).random((3, 2)))
-    coef = SparseCoef(mask=ModelMask.from_active(3, [0]), values=np.zeros(13))
+    # a model over 3 covariates naming the third, scored on 2
+    coef = SparseCoef(active(3, [2]), values=np.zeros(13))
     with pytest.raises(ValueError):
         score(coef, fm)
     with pytest.raises(ValueError):
         score_dense(np.zeros(5), fm)
+
+
+@pytest.mark.parametrize("index", [-1, 7])
+def test_score_refuses_an_active_index_outside_the_features(index):
+    """At d=5, index -1 would wrap to covariate 4 and index 7 would be a bare
+    IndexError; both are a ValueError naming the index and d."""
+    fm = build_features(np.random.default_rng(4).random((6, 5)))
+    model = np.array([index], dtype=np.intp)
+    coef = SparseCoef(model, values=np.ones(13))
+    with pytest.raises(ValueError, match=f"active index {index} outside 0..4 for d=5"):
+        score(coef, fm)

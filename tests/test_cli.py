@@ -32,6 +32,14 @@ def run_cli(*argv):
     assert main(list(argv)) == 0
 
 
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from gibbsrank import *", namespace)
+    for name in gibbsrank.__all__:
+        assert getattr(gibbsrank, name) is namespace[name], name
+    assert len(set(gibbsrank.__all__)) == len(gibbsrank.__all__)
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\ndelta = 0.5\niters=200\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gibbsrank import experiments
-from gibbsrank.basis import ModelMask, SparseCoef, build_features, score, score_dense
+from gibbsrank.basis import SparseCoef, build_features, score, score_dense
 from gibbsrank.data import gen_synthetic, save_csv, load_csv
 from gibbsrank.gibbs import GibbsConfig, tilted_size_log_weights
 from gibbsrank.risk import auc
@@ -22,6 +22,7 @@ from gibbsrank.experiments import (
     run_grid,
     run_grid_cell,
 )
+from oracles import active, bits
 
 FAST = dict(iters=60, burnin=40, n_train=80, n_test=80, reps=1)
 _real_replication = experiments._run_grid_replication
@@ -112,7 +113,7 @@ def test_test_features_cover_exactly_the_estimators_support(monkeypatch, delta, 
     monkeypatch.setattr(experiments, "build_features", spy)
     result = fit_and_evaluate(train, test, cfg, np.random.default_rng(seed))
     est = result.estimators
-    used = est.averaged.reshape(cfg.d, -1).any(axis=1) | est.randomized.mask.bits
+    used = est.averaged.reshape(cfg.d, -1).any(axis=1) | bits(est.randomized.active, cfg.d)
     assert np.flatnonzero(used).tolist() == support
     assert [X is train.X for X, _ in built] == [True, False] and built[1][0] is test.X
     assert built[0][1] is None and list(built[1][1]) == support
@@ -129,13 +130,16 @@ def test_estimators_on_their_support_score_bit_for_bit_alike():
     averaged = np.zeros((d, M))
     averaged[[1, 6]] = rng.standard_normal((2, M))
     averaged[6, :5] = 0.0
-    randomized = SparseCoef(mask=ModelMask.from_active(d, [3, 6]),
+    randomized = SparseCoef(active(d, [3, 6]),
                             values=rng.standard_normal(2 * M))
     full = FinalEstimators(randomized=randomized, averaged=averaged.ravel())
     support, restricted = experiments._on_support(full, d)
     assert support.tolist() == [1, 3, 6]
-    assert restricted.randomized.mask.active.tolist() == [1, 2]
-    assert restricted.randomized.mask.d == 3
+    assert restricted.randomized.active.tolist() == [1, 2]
+    # a read-only model over the 3 support slots
+    assert restricted.randomized.active.dtype == np.intp
+    assert not restricted.randomized.active.flags.writeable
+    restricted.randomized.check(M, 3)
     assert restricted.randomized.values.tobytes() == randomized.values.tobytes()
     assert restricted.averaged.tobytes() == averaged[[1, 3, 6]].tobytes()
     X = rng.random((50, d))

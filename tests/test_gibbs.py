@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from gibbsrank.basis import ModelMask, SparseCoef, build_features
+from gibbsrank.basis import SparseCoef, build_features
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import (
     GibbsConfig,
@@ -19,26 +19,29 @@ from gibbsrank.gibbs import (
     tilted_size_log_weights,
 )
 from gibbsrank.sampler import SamplerConfig, run_chain
+from oracles import active as active_indices
 
 
 def unit_coef(d, active, M, norm=1.0):
     """Coefficient vector of the given norm supported on `active`."""
     values = np.zeros(len(active) * M)
     values[0] = norm
-    return SparseCoef(mask=ModelMask.from_active(d, active), values=values)
+    return SparseCoef(active_indices(d, active), values=values)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GibbsConfig(delta=0.0, d=5)
+        GibbsConfig(delta=0.0, d=5, beta=0.5)
     with pytest.raises(ValueError):
         GibbsConfig(delta=1.0, d=5, beta=1.0)
     with pytest.raises(ValueError):
-        GibbsConfig(delta=1.0, d=5, ball_radius=-1.0)
+        GibbsConfig(delta=1.0, d=5, beta=0.5, ball_radius=-1.0)
     with pytest.raises(ValueError, match="d \\+ 1 = 6 entries"):
-        GibbsConfig(delta=1.0, d=5, size_log_weights=(0.0,) * 5)
+        GibbsConfig(delta=1.0, d=5, beta=0.5, size_log_weights=(0.0,) * 5)
     with pytest.raises(ValueError):
-        GibbsConfig(delta=1.0, d=5, size_log_weights=(0.0,) * 7)
+        GibbsConfig(delta=1.0, d=5, beta=0.5, size_log_weights=(0.0,) * 7)
+    with pytest.raises(TypeError):  # ExperimentConfig.beta is the one default
+        GibbsConfig(delta=1.0, d=5)
 
 
 def test_ball_volume_closed_forms():
@@ -56,20 +59,20 @@ def test_log_binomial_exact_small_values():
 
 
 def test_empty_model_log_prior_is_zero():
-    cfg = GibbsConfig(delta=1.0, d=5)
-    theta = SparseCoef(mask=ModelMask.empty(5), values=np.zeros(0))
+    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    theta = SparseCoef(active_indices(5, []), values=np.zeros(0))
     assert log_prior(theta, cfg) == 0.0
 
 
 def test_outside_ball_is_minus_infinity():
-    cfg = GibbsConfig(delta=1.0, d=5, ball_radius=2.0)
+    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5, ball_radius=2.0)
     theta = unit_coef(5, [0], cfg.M, norm=2.5)
     assert log_prior(theta, cfg) == -math.inf
 
 
 def test_dimension_mismatch_raises():
-    cfg = GibbsConfig(delta=1.0, d=5)
-    theta = unit_coef(4, [0], cfg.M)
+    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    theta = unit_coef(6, [5], cfg.M)  # a model over 6 covariates naming the sixth
     with pytest.raises(ValueError):
         log_prior(theta, cfg)
 
@@ -109,7 +112,7 @@ def test_log_prior_reads_the_closed_form_size_term_bit_for_bit():
     for cfg in (default, tilted, replaced, wider):
         w = cfg.size_log_weights
         for k in range(d + 1):
-            theta = (SparseCoef(mask=ModelMask.empty(d), values=np.zeros(0)) if k == 0
+            theta = (SparseCoef(active_indices(d, []), values=np.zeros(0)) if k == 0
                      else unit_coef(d, list(range(k)), cfg.M))
             expected = (-log_binomial(d, k) + w[k]
                         - log_ball_volume(cfg.ball_dim(k), cfg.ball_radius))
@@ -118,12 +121,12 @@ def test_log_prior_reads_the_closed_form_size_term_bit_for_bit():
         assert log_prior(outside, cfg) == -math.inf
     assert replaced.size_log_weights == tuple(custom)
     for cfg in (default, tilted):
-        assert log_prior(SparseCoef(mask=ModelMask.empty(d), values=np.zeros(0)), cfg) == 0.0
+        assert log_prior(SparseCoef(active_indices(d, []), values=np.zeros(0)), cfg) == 0.0
 
 
 def test_ball_dim():
-    assert GibbsConfig(delta=1.0, d=5).ball_dim(3) == 39
-    assert GibbsConfig(delta=1.0, d=5, M=4).ball_dim(3) == 12
+    assert GibbsConfig(delta=1.0, d=5, beta=0.5).ball_dim(3) == 39
+    assert GibbsConfig(delta=1.0, d=5, beta=0.5, M=4).ball_dim(3) == 12
 
 
 def test_chain_samples_its_size_prior_vector():
@@ -153,20 +156,30 @@ def test_chain_samples_its_size_prior_vector():
     assert tv_geometric > 0.5
 
 
+@pytest.mark.parametrize("index", [-1, 7])
+def test_log_prior_refuses_an_active_index_outside_the_config(index):
+    """At d=5, index -1 was taken as a size-1 model and index 7 was accepted
+    too; both are a ValueError naming the index and d."""
+    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    theta = SparseCoef(np.array([index], dtype=np.intp), values=np.ones(cfg.M))
+    with pytest.raises(ValueError, match=f"active index {index} outside 0..4 for d=5"):
+        log_prior(theta, cfg)
+
+
 def test_log_gibbs_zero_risk_equals_prior():
-    cfg = GibbsConfig(delta=4.0, d=5)
+    cfg = GibbsConfig(delta=4.0, d=5, beta=0.5)
     theta = unit_coef(5, [1], cfg.M)
     assert log_gibbs(theta, 0.0, cfg) == log_prior(theta, cfg)
 
 
 def test_log_gibbs_outside_ball():
-    cfg = GibbsConfig(delta=4.0, d=5)
+    cfg = GibbsConfig(delta=4.0, d=5, beta=0.5)
     theta = unit_coef(5, [1], cfg.M, norm=3.0)
     assert log_gibbs(theta, 0.1, cfg) == -math.inf
 
 
 def test_log_gibbs_risk_difference():
-    cfg = GibbsConfig(delta=10.0, d=5)
+    cfg = GibbsConfig(delta=10.0, d=5, beta=0.5)
     theta = unit_coef(5, [1], cfg.M)
     diff = log_gibbs(theta, 0.2, cfg) - log_gibbs(theta, 0.3, cfg)
     assert diff == pytest.approx(1.0, abs=1e-12)
@@ -184,7 +197,7 @@ def test_prior_size_distribution_matches_direct_sum():
 
 
 def test_large_delta_stays_finite():
-    cfg = GibbsConfig(delta=1e7, d=5)
+    cfg = GibbsConfig(delta=1e7, d=5, beta=0.5)
     theta = unit_coef(5, [0], cfg.M)
     value = log_gibbs(theta, 0.4, cfg)
     assert math.isfinite(value)

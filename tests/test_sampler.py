@@ -10,7 +10,6 @@ import pytest
 
 from gibbsrank.basis import (
     FeatureMatrix,
-    ModelMask,
     SparseCoef,
     build_features,
     score,
@@ -33,7 +32,7 @@ from gibbsrank.sampler import (
     select_index,
     trace_to_csv,
 )
-from oracles import log_proposal_density, padded
+from oracles import active, bits, log_proposal_density, padded
 
 
 # the settings of a single step: mcmc_step reads only sigma2
@@ -42,7 +41,7 @@ STEP_CFG = SamplerConfig(iters=1000, burnin=800, sigma2=0.01)
 
 def tilted_config(delta, d, sigma2=0.01):
     """A GibbsConfig with the experiments' size prior at proposal variance sigma2."""
-    gcfg = GibbsConfig(delta=delta, d=d)
+    gcfg = GibbsConfig(delta=delta, d=d, beta=0.5)
     return replace(gcfg, size_log_weights=tilted_size_log_weights(gcfg, sigma2))
 
 
@@ -77,7 +76,7 @@ def test_benchmark_orthonormal_design():
     Q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
     fm = FeatureMatrix(blocks=Q.T[None])
     y = Q[:, 1]
-    values = BenchmarkCache(fm, y, ridge_lambda=1e-6, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
+    values = BenchmarkCache(fm, y, ridge_lambda=1e-6, ball_radius=2.0).fit(active(1, [0]))
     expected = np.array([0.0, 1.0, 0.0, 0.0])
     assert np.allclose(values, expected, atol=1e-5)
 
@@ -86,9 +85,9 @@ def test_benchmark_cache_returns_identical_result():
     data = gen_synthetic(25, d=5, seed=1)
     fm = build_features(data.X)
     cache = BenchmarkCache(fm, data.y, ridge_lambda=1.0, ball_radius=2.0)
-    mask = ModelMask.from_active(5, [0, 3])
-    first = cache.fit(mask)
-    second = cache.fit(mask)
+    model = active(5, [0, 3])
+    first = cache.fit(model)
+    second = cache.fit(model)
     assert first is second
 
 
@@ -99,7 +98,7 @@ def test_benchmark_matches_independent_solve():
     fm = FeatureMatrix(blocks=build_features(X).blocks[:, [0, 1, 7, 10]])
     y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
     lam = 0.1
-    values = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
+    values = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=2.0).fit(active(1, [0]))
     Phi = fm.blocks[0].T
     direct = np.linalg.inv(Phi.T @ Phi + lam * np.eye(4)) @ (Phi.T @ y)
     assert np.allclose(values, direct, atol=1e-10)
@@ -114,27 +113,27 @@ def test_benchmark_assembles_blocks_of_a_non_adjacent_mask():
     y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
     lam = 0.3
     cache = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=1e6)
-    values = cache.fit(ModelMask.from_active(4, [0, 2, 3]))
+    values = cache.fit(active(4, [0, 2, 3]))
     Phi = np.hstack([fm.blocks[j].T for j in (0, 2, 3)])
     direct = np.linalg.solve(Phi.T @ Phi + lam * np.eye(Phi.shape[1]), Phi.T @ y)
     assert np.allclose(values, direct, rtol=0.0, atol=1e-10)
 
 
-def assembled_fit(features, labels, ridge_lambda, ball_radius, mask):
+def assembled_fit(features, labels, ridge_lambda, ball_radius, model):
     """A ridge fit solved from its Gram assembled block by block: pair (i, j)
-    of the mask is blocks[i] @ blocks[j].T, mirrored below the diagonal."""
-    blocks, M, active = features.blocks, features.M, mask.active.tolist()
-    k = len(active)
+    of the model is blocks[i] @ blocks[j].T, mirrored below the diagonal."""
+    blocks, M, listed = features.blocks, features.M, model.tolist()
+    k = len(listed)
     G = np.empty((k * M, k * M))
-    for a, i in enumerate(active):
+    for a, i in enumerate(listed):
         for b in range(a, k):
-            block = blocks[i] @ blocks[active[b]].T
+            block = blocks[i] @ blocks[listed[b]].T
             G[a * M:(a + 1) * M, b * M:(b + 1) * M] = block
             if b > a:
                 G[b * M:(b + 1) * M, a * M:(a + 1) * M] = block.T
     G.flat[::k * M + 1] += ridge_lambda
     xty = blocks @ np.asarray(labels, dtype=float)
-    values = np.linalg.solve(G, xty[active].ravel())
+    values = np.linalg.solve(G, xty[listed].ravel())
     norm = float(np.linalg.norm(values))
     if norm > ball_radius:
         values *= ball_radius * (1.0 - 1e-9) / norm
@@ -153,10 +152,10 @@ def test_benchmark_fit_equals_the_blockwise_assembled_solve(n):
     actives = [np.sort(rng.choice(d, size=k, replace=False)) for k in range(1, 7) for _ in range(6)]
     # no two covariates adjacent, the last mask spanning both ends
     actives += [[0, 2], [1, 5, 9], [0, 4, 11, 19], [3, 6, 10, 14, 17], [0, 3, 7, 11, 15, 19]]
-    for active in actives:
-        mask = ModelMask.from_active(d, active)
-        want = assembled_fit(fm, y, RIDGE_LAMBDA, 2.0, mask)
-        assert cache.fit(mask).tobytes() == want.tobytes()
+    for listed in actives:
+        model = active(d, listed)
+        want = assembled_fit(fm, y, RIDGE_LAMBDA, 2.0, model)
+        assert cache.fit(model).tobytes() == want.tobytes()
 
 
 def test_benchmark_memory_grows_with_visited_masks_not_d_squared():
@@ -167,7 +166,7 @@ def test_benchmark_memory_grows_with_visited_masks_not_d_squared():
     tracemalloc.start()
     try:
         cache = BenchmarkCache(fm, y, ridge_lambda=1.0, ball_radius=2.0)
-        cache.fit(ModelMask.from_active(300, [7, 150, 299]))
+        cache.fit(active(300, [7, 150, 299]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,12 +181,12 @@ def test_benchmark_cache_retains_only_its_fits():
     d = 300
     fm = build_features(np.random.default_rng(6).random((20, d)))
     y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
-    masks = [ModelMask.from_active(d, [0, j]) for j in range(1, d)]
+    models = [active(d, [0, j]) for j in range(1, d)]
     tracemalloc.start()
     try:
         cache = BenchmarkCache(fm, y, ridge_lambda=1.0, ball_radius=2.0)
         before = tracemalloc.get_traced_memory()[0]
-        fits = [cache.fit(mask) for mask in masks]
+        fits = [cache.fit(model) for model in models]
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -204,111 +203,110 @@ def test_benchmark_shrinks_into_ball():
     Phi = np.column_stack([base, base + 1e-8 * rng.standard_normal(15)])
     fm = FeatureMatrix(blocks=Phi.T[None])
     y = rng.standard_normal(15)
-    values = BenchmarkCache(fm, y, ridge_lambda=1e-12, ball_radius=2.0).fit(ModelMask.from_active(1, [0]))
+    values = BenchmarkCache(fm, y, ridge_lambda=1e-12, ball_radius=2.0).fit(active(1, [0]))
     assert np.linalg.norm(values) <= 2.0
 
 
 def test_add_neighborhood_enumeration():
-    current = ModelMask.from_active(10, [1, 4, 7])
-    move, masks = propose_neighborhood(current, FakeRng([0.1]))
+    current = active(10, [1, 4, 7])
+    move, rows = propose_neighborhood(current, 10, FakeRng([0.1]))
     assert move == "add"
-    assert len(masks) == 7
-    for m in masks:
-        assert m.size == 4
-        assert set(current.active).issubset(set(m.active))
+    assert len(rows) == 7
+    for row in rows:
+        assert row.size == 4
+        assert set(current).issubset(set(row))
 
 
 def test_remove_neighborhood_enumeration():
-    current = ModelMask.from_active(6, [0, 5])
-    move, masks = propose_neighborhood(current, FakeRng([0.5]))
+    current = active(6, [0, 5])
+    move, rows = propose_neighborhood(current, 6, FakeRng([0.5]))
     assert move == "remove"
-    assert {m.active.tolist()[0] for m in masks} == {0, 5}
+    assert {row.tolist()[0] for row in rows} == {0, 5}
 
 
 def test_add_at_full_model_falls_back_to_stay():
-    current = ModelMask.from_active(3, [0, 1, 2])
-    move, masks = propose_neighborhood(current, FakeRng([0.1]))
+    current = active(3, [0, 1, 2])
+    move, rows = propose_neighborhood(current, 3, FakeRng([0.1]))
     assert move == "stay"
-    assert masks == [current]
+    assert rows.tolist() == [current.tolist()]
 
 
 def test_remove_at_empty_model_falls_back_to_stay():
-    current = ModelMask.empty(3)
-    move, masks = propose_neighborhood(current, FakeRng([0.5]))
+    current = active(3, [])
+    move, rows = propose_neighborhood(current, 3, FakeRng([0.5]))
     assert move == "stay"
-    assert masks == [current]
+    assert rows.tolist() == [current.tolist()]
 
 
-def independent_neighborhood(current, move):
-    """The masks of a neighborhood built one by one from their active lists."""
-    d, active = current.d, current.active.tolist()
+def independent_neighborhood(current, d, move):
+    """The models of a neighborhood built one by one from their active lists."""
+    listed = current.tolist()
     if move == "add":
-        return [ModelMask.from_active(d, sorted(active + [j])) for j in range(d) if j not in active]
-    return [ModelMask.from_active(d, [i for i in active if i != j]) for j in active]
+        return [active(d, sorted(listed + [j])) for j in range(d) if j not in listed]
+    return [active(d, [i for i in listed if i != j]) for j in listed]
 
 
 @pytest.mark.parametrize("move,u", [("add", 0.1), ("remove", 0.5)])
 @pytest.mark.parametrize("size", [0, 1, 2, 6, 7])
 def test_neighborhood_masks_match_independently_built_masks(move, u, size):
     d = 7
-    current = ModelMask.from_active(d, np.random.default_rng(size).permutation(d)[:size])
-    got_move, masks = propose_neighborhood(current, FakeRng([u]))
+    listed = np.random.default_rng(size).permutation(d)[:size]
+    current = active(d, listed)
+    got_move, rows = propose_neighborhood(current, d, FakeRng([u]))
     if (move, size) in {("add", d), ("remove", 0)}:  # an empty neighborhood stays
         assert got_move == "stay"
-        assert len(masks) == 1 and masks[0] is current
+        assert len(rows) == 1 and rows.base is current  # the current model itself
         return
-    expected = independent_neighborhood(current, move)
+    expected = independent_neighborhood(current, d, move)
     assert got_move == move
-    assert len(masks) == len(expected) == (d - size if move == "add" else size)
-    for mask, want in zip(masks, expected):  # in the order of the flipped covariate
-        assert mask.bits.dtype == bool and mask.bits.tobytes() == want.bits.tobytes()
-        assert mask.active.dtype == want.active.dtype
-        assert mask.active.tolist() == want.active.tolist()
-        assert mask.size == want.size == size + (1 if move == "add" else -1)
-        assert mask.d == d
-        assert mask.key() == want.key()
-        assert hash(mask) == hash(want)
-        assert mask == want
-        assert not mask.bits.flags.writeable and not mask.active.flags.writeable
+    assert len(rows) == len(expected) == (d - size if move == "add" else size)
+    for row, want in zip(rows, expected):  # in the order of the flipped covariate
+        assert bits(row, d).tobytes() == bits(want, d).tobytes()
+        assert row.dtype == want.dtype
+        assert row.tolist() == want.tolist()
+        assert row.size == want.size == size + (1 if move == "add" else -1)
+        assert np.all((0 <= row) & (row < d))
+        assert row.tobytes() == want.tobytes()  # the ridge cache's key
+        assert not row.flags.writeable
         with pytest.raises(ValueError):
-            mask.bits[0] = not mask.bits[0]
-    assert len({mask.key() for mask in masks}) == len(masks)
-    assert current == ModelMask.from_active(d, current.active)  # the current mask is untouched
+            row[...] = 0
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert current.tolist() == sorted(listed)  # the current model is untouched
 
 
 def test_every_neighborhood_up_to_d6_matches_independently_built_masks():
-    """Every mask over d <= 6 covariates: free covariates below, between
+    """Every model over d <= 6 covariates: free covariates below, between
     and above the active ones, and adjacent active ones."""
     for d in range(1, 7):
-        for active in itertools.chain.from_iterable(
+        for listed in itertools.chain.from_iterable(
                 itertools.combinations(range(d), k) for k in range(d + 1)):
-            current = ModelMask.from_active(d, active)
+            current = active(d, listed)
             for move, u in (("add", 0.1), ("remove", 0.5)):
-                got_move, masks = propose_neighborhood(current, FakeRng([u]))
-                expected = independent_neighborhood(current, move)
+                got_move, rows = propose_neighborhood(current, d, FakeRng([u]))
+                expected = independent_neighborhood(current, d, move)
                 if not expected:
-                    assert got_move == "stay" and masks == [current]
+                    assert got_move == "stay" and rows.tolist() == [current.tolist()]
                     continue
-                assert got_move == move and masks == expected
-                assert all(not m.active.flags.writeable for m in masks)
+                assert got_move == move and rows.tolist() == [e.tolist() for e in expected]
+                assert all(not row.flags.writeable for row in rows)
 
 
 def test_large_add_neighborhood_peaks_at_its_index_array():
     """An add neighborhood at d=4000 and |m|=2 is 3998 rows of one (K, 3)
-    index array, 96 KB, plus one small object per mask: it peaks far below
-    the 16 MB of a (K, d) bool matrix."""
+    index array, 96 KB, and no object per row: it peaks far below the 16 MB
+    of a (K, d) bool matrix."""
     d = 4000
-    current = ModelMask.from_active(d, [17, 2500])
+    current = active(d, [17, 2500])
     tracemalloc.start()
     try:
-        move, masks = propose_neighborhood(current, FakeRng([0.1]))
+        move, rows = propose_neighborhood(current, d, FakeRng([0.1]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert move == "add" and len(masks) == d - 2
+    assert move == "add" and len(rows) == d - 2
     assert peak < 2_000_000
-    for mask, want in zip(masks, independent_neighborhood(current, "add")):
-        assert mask == want
+    for row, want in zip(rows, independent_neighborhood(current, d, "add")):
+        assert row.tolist() == want.tolist()
 
 
 def test_select_index_matches_weights():
@@ -376,7 +374,7 @@ def test_select_index_matches_generator_choice_on_a_twin_stream():
 
 
 def test_log_proposal_density_conventions():
-    gcfg = GibbsConfig(delta=1.0, d=2, M=2)
+    gcfg = GibbsConfig(delta=1.0, d=2, beta=0.5, M=2)
     values = np.array([1.0, 2.0])
     mean = np.array([0.5, 2.5])
     sigma2 = 0.2
@@ -390,12 +388,12 @@ def test_self_proposal_is_always_accepted():
     """A stay candidate identical to the current state has ratio exactly 1."""
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=50.0, d=5)
+    gcfg = GibbsConfig(delta=50.0, d=5, beta=0.5)
     scfg = STEP_CFG
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
-    mask = ModelMask.from_active(5, [2])
-    mean = bench.fit(mask)
-    theta = SparseCoef(mask=mask, values=mean.copy())
+    model = active(5, [2])
+    mean = bench.fit(model)
+    theta = SparseCoef(model, values=mean.copy())
     r = chain_risk(score(theta, fm), data.y)
     state = ChainState(
         theta=theta,
@@ -416,7 +414,7 @@ def test_all_candidates_outside_ball_are_rejected():
     data = gen_synthetic(30, d=5, seed=6)
     fm = build_features(data.X)
     # prior ball so small that every non-empty candidate falls outside
-    gcfg = GibbsConfig(delta=1.0, d=5, ball_radius=1e-9)
+    gcfg = GibbsConfig(delta=1.0, d=5, beta=0.5, ball_radius=1e-9)
     scfg = STEP_CFG
     bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, 2.0)
     state = initial_state(fm, data.y, gcfg)
@@ -427,22 +425,22 @@ def test_all_candidates_outside_ball_are_rejected():
 
 
 def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
-    """The step with its neighborhood built mask by mask, one standard_normal
-    call and one log_proposal_density call per candidate, and raw labels: the
-    reference mcmc_step must match bit for bit."""
+    """The step with its neighborhood built model by model, one
+    standard_normal call and one log_proposal_density call per candidate,
+    and raw labels: the reference mcmc_step must match bit for bit."""
     u = rng.random()
     move = "add" if u < MOVE_PROB else "remove" if u < 2 * MOVE_PROB else "stay"
-    current = state.theta.mask
-    masks = independent_neighborhood(current, move) if move != "stay" else []
-    if not masks:
-        move, masks = "stay", [current]
+    current = state.theta.active
+    models = independent_neighborhood(current, features.d, move) if move != "stay" else []
+    if not models:
+        move, models = "stay", [current]
     sd = math.sqrt(scfg.sigma2)
     cands = []
-    log_w = np.empty(len(masks))
-    for i, mask in enumerate(masks):
-        mean = bench.fit(mask)
-        values = np.zeros(0) if mask.size == 0 else mean + sd * rng.standard_normal(mean.size)
-        theta = SparseCoef(mask=mask, values=values)
+    log_w = np.empty(len(models))
+    for i, model in enumerate(models):
+        mean = bench.fit(model)
+        values = np.zeros(0) if model.size == 0 else mean + sd * rng.standard_normal(mean.size)
+        theta = SparseCoef(model, values=values)
         lp = log_prior(theta, gcfg)
         if lp == -math.inf:
             cands.append((theta, math.nan, -math.inf, math.nan))
@@ -482,11 +480,11 @@ def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
         oracle, oracle_rec = per_candidate_step(oracle, fm, data.y, gcfg, scfg, oracle_bench,
                                                 oracle_rng)
         assert (rec.move, rec.accepted) == (oracle_rec.move, oracle_rec.accepted)
-        assert state.theta.mask == oracle.theta.mask
+        assert state.theta.active.tobytes() == oracle.theta.active.tobytes()
         assert state.theta.values.tobytes() == oracle.theta.values.tobytes()
         assert (state.risk, state.log_post, state.log_prop) == (
             oracle.risk, oracle.log_post, oracle.log_prop)
-        seen.add((rec.move, rec.accepted, state.theta.mask.size))
+        seen.add((rec.move, rec.accepted, state.theta.active.size))
     assert rng.random() == oracle_rng.random()  # the streams end in step
     for move in ("add", "remove", "stay"):
         assert (move, True) in {(m, a) for m, a, _ in seen}
@@ -515,9 +513,9 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
     thetas = np.zeros((scfg.iters - scfg.burnin, fm.d * fm.M))
     for t in range(1, scfg.iters):
         state, _ = per_candidate_step(state, fm, data.y, gcfg, scfg, bench, rng)
-        masks[t], risks[t] = state.theta.mask.bits, state.risk
+        masks[t], risks[t] = bits(state.theta.active, fm.d), state.risk
         if t >= scfg.burnin:
-            thetas[t - scfg.burnin] = padded(state.theta, fm.M)
+            thetas[t - scfg.burnin] = padded(state.theta, fm.d, fm.M)
 
     assert trace.masks.tobytes() == masks.tobytes()
     assert trace.risks.tobytes() == risks.tobytes()
@@ -531,9 +529,9 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
 def test_initial_state_is_empty_model():
     data = gen_synthetic(20, d=5, seed=7)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=1.0, d=5)
+    gcfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
     state = initial_state(fm, data.y, gcfg)
-    assert state.theta.mask.size == 0
+    assert state.theta.active.size == 0
     # with half-credit ties the all-zero scorer sits at chance level
     assert state.risk > 0.0
 
@@ -569,7 +567,7 @@ def test_run_chain_keeps_post_burnin_thetas(burnin):
     for t in range(1, 80):
         state, _ = per_candidate_step(state, fm, data.y, gcfg, scfg, bench, rng)
         if t >= burnin:
-            dense[t - burnin] = padded(state.theta, fm.M)
+            dense[t - burnin] = padded(state.theta, fm.d, fm.M)
 
     n_states = 1 + trace.accepted[burnin + 1:].sum()
     assert trace.thetas.shape == (n_states, 5 * 13)
@@ -606,7 +604,7 @@ def test_run_chain_heap_does_not_grow_with_the_horizon():
 
 def test_run_chain_smoke_two_iterations(tmp_path):
     data = gen_synthetic(20, d=5, seed=9)
-    gcfg = GibbsConfig(delta=1.0, d=5)
+    gcfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
     scfg = SamplerConfig(iters=2, burnin=0, sigma2=0.01)
     trace, estimators = run_chain(build_features(data.X), data.y, gcfg, scfg,
                                   np.random.default_rng(0))
