@@ -8,7 +8,6 @@ from .basis import (
     FeatureMatrix,
     SparseCoef,
     build_features,
-    eval_basis,
     rescale,
     score,
     score_dense,
@@ -30,7 +29,6 @@ __all__ = [
     "FeatureMatrix",
     "SparseCoef",
     "build_features",
-    "eval_basis",
     "rescale",
     "score",
     "score_dense",

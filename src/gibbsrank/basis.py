@@ -35,44 +35,6 @@ def rescale(x):
     return 2.0 * x - 1.0
 
 
-def _write_dictionary(t: np.ndarray, out: np.ndarray) -> None:
-    """Write dictionary function k at t into out[k], for k = 0..DICTIONARY_SIZE-1.
-
-    Each out[k] has t's shape; Legendre polynomials follow the three-term
-    recurrence.
-    """
-    L, H = N_LEGENDRE, N_HARMONICS
-    out[0] = 1.0
-    out[1] = t
-    for deg in range(2, L):
-        out[deg] = ((2 * deg - 1) * t * out[deg - 1] - (deg - 1) * out[deg - 2]) / deg
-    for h in range(1, H + 1):
-        angle = np.pi * t * h
-        np.sin(angle, out=out[L + h - 1, ...])  # "..." keeps a 0-d slot an array
-        np.cos(angle, out=out[L + H + h - 1, ...])
-
-
-def eval_dictionary(t) -> np.ndarray:
-    """Evaluate all dictionary functions at t in [-1, 1].
-
-    Returns a C-contiguous array of shape t.shape + (DICTIONARY_SIZE,), each
-    function written in place into its slot of the last axis.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape + (DICTIONARY_SIZE,))
-    _write_dictionary(t, np.moveaxis(out, -1, 0))
-    return out
-
-
-def eval_basis(k: int, t):
-    """Evaluate the k-th dictionary function (1-based index) at t."""
-    if not 1 <= k <= DICTIONARY_SIZE:
-        raise ValueError(f"basis index {k} out of range 1..{DICTIONARY_SIZE}")
-    scalar = np.isscalar(t)
-    value = eval_dictionary(np.asarray(t, dtype=float))[..., k - 1]
-    return float(value) if scalar else value
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Cached basis evaluations, stored covariate-major and function-major.
@@ -107,7 +69,10 @@ class FeatureMatrix:
 def build_features(X: np.ndarray, covariates=None) -> FeatureMatrix:
     """Evaluate the dictionary on the listed columns of X (shape (n, d)).
 
-    covariates lists ascending column indices, and blocks[i] then holds
+    This is the dictionary's one evaluator: blocks[i, k, r] is function k
+    (Legendre degrees 0..6, then sin and cos of pi*h*t for h = 1..3) at
+    t = rescale(X[r, c]), c the i-th listed column.  covariates lists
+    ascending column indices, and blocks[i] then holds
     column covariates[i]; None lists every column.  All of X is checked for
     non-finite values and counted for clamping, whichever columns are
     listed, so errors and warnings speak of X itself.
@@ -130,7 +95,16 @@ def build_features(X: np.ndarray, covariates=None) -> FeatureMatrix:
     blocks = np.empty((t.shape[0], DICTIONARY_SIZE, t.shape[1]))
     # each function fills its (d, n) slab in place: no (d, n, M) array is
     # built and transposed, so the features peak near their own size
-    _write_dictionary(t, blocks.transpose(1, 0, 2))
+    out = blocks.transpose(1, 0, 2)
+    L, H = N_LEGENDRE, N_HARMONICS
+    out[0] = 1.0
+    out[1] = t
+    for deg in range(2, L):  # the Legendre three-term recurrence
+        out[deg] = ((2 * deg - 1) * t * out[deg - 1] - (deg - 1) * out[deg - 2]) / deg
+    for h in range(1, H + 1):
+        angle = np.pi * t * h
+        np.sin(angle, out=out[L + h - 1])
+        np.cos(angle, out=out[L + H + h - 1])
     return FeatureMatrix(blocks=blocks)
 
 
@@ -157,9 +131,11 @@ class SparseCoef:
             raise ValueError(
                 f"coefficient length {self.values.size} != |m|_0 * M = {active.size * M}"
             )
-        # ascending, so the first and the last index bound all of them
+        # every index, not just the ends: a public SparseCoef need not be
+        # ascending.  min and max of a short list beat numpy's reductions
         if active.size:
-            lo, hi = active.item(0), active.item(-1)
+            listed = active.tolist()
+            lo, hi = min(listed), max(listed)
             if lo < 0 or hi >= d:
                 raise ValueError(f"active index {lo if lo < 0 else hi} outside 0..{d - 1} for d={d}")
 

@@ -19,8 +19,6 @@ import numpy as np
 from .data import (DataError, derive_seed, gen_synthetic, header_names, load_csv, map_to_unit,
                    save_csv)
 from .experiments import (
-    TABLE_DELTAS,
-    TABLE_SIGMA2S,
     ExperimentConfig,
     fit_and_evaluate,
     grid_to_csv,
@@ -165,10 +163,16 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parse_grid_list(raw: str | None, default, cfg: ExperimentConfig, name: str) -> tuple:
-    """The grid's values of cfg's setting name; ValueError names a bad one."""
+# the published (delta, sigma2) grid, which `gibbsrank grid` runs by default
+DEFAULT_GRID = {"delta": (100.0, 10.0, 1.0, 0.1, 0.01), "sigma2": (1.0, 0.1, 0.01, 0.001)}
+
+
+def _parse_grid_list(raw: str | None, cfg: ExperimentConfig, name: str) -> tuple:
+    """The grid's values of cfg's setting name, DEFAULT_GRID's when raw is
+    None; ValueError names a bad one."""
     try:
-        values = tuple(default) if raw is None else tuple(float(v) for v in raw.split(",") if v.strip())
+        values = (DEFAULT_GRID[name] if raw is None
+                  else tuple(float(v) for v in raw.split(",") if v.strip()))
     except ValueError as exc:
         raise ValueError(f"--{name}s: {exc}") from None
     if not values:
@@ -302,8 +306,8 @@ def main(argv=None) -> int:
         try:
             args.cfg = build_config(args)
             if args.command == "grid":
-                args.deltas = _parse_grid_list(args.deltas, TABLE_DELTAS, args.cfg, "delta")
-                args.sigma2s = _parse_grid_list(args.sigma2s, TABLE_SIGMA2S, args.cfg, "sigma2")
+                args.deltas = _parse_grid_list(args.deltas, args.cfg, "delta")
+                args.sigma2s = _parse_grid_list(args.sigma2s, args.cfg, "sigma2")
             _check_outdir(args.out)
         except ValueError as exc:
             command.exit(2, f"{command.prog}: error: {exc}\n")

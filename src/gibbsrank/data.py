@@ -122,7 +122,7 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     """Load a delimited numeric table with a header row.
 
     Features keep the file's values; a caller maps them into [0, 1] with
-    minmax_normalize, by the ranges it chooses.  Labels are mapped to +-1 by
+    map_to_unit, by the ranges it chooses.  Labels are mapped to +-1 by
     comparison with positive_label_value; rows with missing values are
     dropped with a count report.  An infinite cell (inf, -inf, 1e999) is
     refused with a DataError naming its data row and column: no [0, 1] map
@@ -193,34 +193,24 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
                    columns=tuple(header[i] for i in feat_idx))
 
 
-def minmax_normalize(X: np.ndarray, ranges=None) -> np.ndarray:
-    """Per-column min-max map into [0, 1]; constant columns go to 0.5.
-
-    ranges=(lo, hi) maps with those per-column minima and maxima instead of
-    X's own.
-    """
-    lo, hi = (X.min(axis=0), X.max(axis=0)) if ranges is None else ranges
-    span = hi - lo
-    constant = span == 0
-    if np.any(constant):
-        logger.warning("constant feature columns %s mapped to 0.5",
-                       np.flatnonzero(constant).tolist())
-    span = np.where(constant, 1.0, span)
-    out = (X - lo) / span
-    out[:, constant] = 0.5
-    return out
-
-
 def map_to_unit(data: Dataset, source: str, ranges=None) -> Dataset:
-    """data with X min-max mapped by ranges (X's own when None).
+    """data with X min-max mapped into [0, 1] by ranges=(lo, hi), the
+    per-column minima and maxima (X's own when None).
 
-    A cell the map sends to a non-finite value, as when a column spans more
-    than the float range or lies that far outside the given range, is
-    refused with a DataError naming source, the cell's data row and column.
+    A constant column (hi == lo) goes to 0.5, with a warning.  A cell the
+    map sends to a non-finite value, as when a column spans more than the
+    float range or lies that far outside the given range, is refused with a
+    DataError naming source, the cell's data row and column.
     """
     lo, hi = (data.X.min(axis=0), data.X.max(axis=0)) if ranges is None else ranges
     with np.errstate(over="ignore", invalid="ignore"):
-        X = minmax_normalize(data.X, (lo, hi))
+        span = hi - lo
+        constant = span == 0
+        X = (data.X - lo) / np.where(constant, 1.0, span)
+    if np.any(constant):
+        logger.warning("constant feature columns %s mapped to 0.5",
+                       np.flatnonzero(constant).tolist())
+    X[:, constant] = 0.5
     bad = ~np.isfinite(X)
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -42,8 +42,6 @@ from .sampler import ChainTrace, FinalEstimators, SamplerConfig, run_chain
 
 logger = logging.getLogger(__name__)
 
-TABLE_DELTAS = (100.0, 10.0, 1.0, 0.1, 0.01)
-TABLE_SIGMA2S = (1.0, 0.1, 0.01, 0.001)
 # Calibration of the grid-scale delta to the internal inverse temperature.
 DELTA_COEFF = 1.5
 DELTA_POWER = 0.70
@@ -280,7 +278,7 @@ def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float,
     return run_grid(cfg, (delta,), (sigma2,), on_error)[0]
 
 
-def run_grid(cfg: ExperimentConfig, deltas=TABLE_DELTAS, sigma2s=TABLE_SIGMA2S,
+def run_grid(cfg: ExperimentConfig, deltas, sigma2s,
              on_error: str = "record") -> list[GridResultRow]:
     """Sweep the (delta, sigma2) grid, one batch of cfg.reps replications per cell.
 

@@ -70,12 +70,8 @@ class GibbsConfig:
         # dataclasses.replace recomputes it from the replaced settings
         object.__setattr__(self, "_log_prior_by_size", tuple(
             -log_binomial(self.d, k) + weights[k]
-            - log_ball_volume(self.ball_dim(k), self.ball_radius)
+            - log_ball_volume(k * self.M, self.ball_radius)
             for k in range(self.d + 1)))
-
-    def ball_dim(self, n_active: int) -> int:
-        """Dimension used for normalization constants of a size-n_active model."""
-        return n_active * self.M
 
 
 # Both constants depend only on the model size; each GibbsConfig tabulates
@@ -122,8 +118,8 @@ def tilted_size_log_weights(cfg: GibbsConfig, sigma2: float) -> tuple[float, ...
     log_beta = math.log(cfg.beta)
     log_gauss = math.log(2.0 * math.pi * sigma2)
     return tuple(
-        k * cfg.M * log_beta + log_ball_volume(cfg.ball_dim(k), cfg.ball_radius)
-        - 0.5 * cfg.ball_dim(k) * log_gauss
+        k * cfg.M * log_beta + log_ball_volume(k * cfg.M, cfg.ball_radius)
+        - 0.5 * (k * cfg.M) * log_gauss
         for k in range(cfg.d + 1)
     )
 

@@ -201,21 +201,19 @@ def initial_state(features: FeatureMatrix, labels, gcfg: GibbsConfig) -> ChainSt
     return ChainState(theta=theta, risk=r, log_post=log_gibbs(theta, r, gcfg), log_prop=0.0)
 
 
-def _log_proposal_rows(values: np.ndarray, means: np.ndarray, cfg: GibbsConfig,
-                       sigma2: float) -> np.ndarray:
+def _log_proposal_rows(values: np.ndarray, means: np.ndarray, sigma2: float) -> np.ndarray:
     """Normalised log density of each row of values under the Gaussian
     proposal centred on the same row of means.
 
-    The rows share one model size, whose cfg.ball_dim is the density's
-    dimension, so one subtraction, one square, one row reduction and one
+    The rows share one model size, so their width is the density's
+    dimension, and one subtraction, one square, one row reduction and one
     constant give every row's density.  Rows of width 0, the empty model's
     point proposal, have log density 0.
     """
     resid = values - means
     np.square(resid, out=resid)
     quad = -np.add.reduce(resid, axis=1) / (2.0 * sigma2)
-    dim = cfg.ball_dim(values.shape[1] // cfg.M)
-    return quad - 0.5 * dim * math.log(2.0 * math.pi * sigma2)
+    return quad - 0.5 * values.shape[1] * math.log(2.0 * math.pi * sigma2)
 
 
 def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
@@ -232,7 +230,7 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
     move, rows = propose_neighborhood(state.theta.active, features.d, rng)
     means = np.array([bench.fit(active) for active in rows])  # (K, k * M)
     values = means + math.sqrt(scfg.sigma2) * rng.standard_normal(means.shape)
-    log_q = _log_proposal_rows(values, means, gcfg, scfg.sigma2).tolist()
+    log_q = _log_proposal_rows(values, means, scfg.sigma2).tolist()
 
     thetas = [SparseCoef(active, row) for active, row in zip(rows, values)]
     risks = [math.nan] * len(thetas)
@@ -287,10 +285,6 @@ class ChainTrace:
     @property
     def acceptance_rate(self) -> float:
         return float(self.accepted[1:].mean())
-
-    @property
-    def model_sizes(self) -> np.ndarray:
-        return self.masks.sum(axis=1)
 
     def selection_frequency(self) -> np.ndarray:
         """Fraction of post-burn-in iterations in which each covariate is active."""

@@ -12,20 +12,18 @@ import math
 import numpy as np
 
 
-def log_proposal_density(values: np.ndarray, mean: np.ndarray, cfg, sigma2: float) -> float:
+def log_proposal_density(values: np.ndarray, mean: np.ndarray, sigma2: float) -> float:
     """Normalised log density of the benchmark-centered Gaussian proposal.
 
-    Its dimension is cfg.ball_dim of the model size, that of the full
-    coefficient vector.  The empty model's point proposal has log density 0
-    by convention.
+    Its dimension is that of the coefficient vector.  The empty model's
+    point proposal has log density 0 by convention.
     """
     if values.size == 0:
         return 0.0
     resid = values - mean
     np.square(resid, out=resid)
     quad = -float(np.add.reduce(resid)) / (2.0 * sigma2)
-    dim = cfg.ball_dim(values.size // cfg.M)
-    return quad - 0.5 * dim * math.log(2.0 * math.pi * sigma2)
+    return quad - 0.5 * values.size * math.log(2.0 * math.pi * sigma2)
 
 
 def padded(coef, d: int, M: int) -> np.ndarray:

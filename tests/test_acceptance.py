@@ -46,8 +46,9 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def grid_cells():
-    """The three replicated grid cells shared by criteria 3-5 (R=20 each)."""
-    cfg = ExperimentConfig(reps=20)
+    """The three replicated grid cells shared by criteria 3-5 (R=20 each),
+    each on a two-worker pool: rows do not depend on the worker count."""
+    cfg = ExperimentConfig(reps=20, workers=2)
     cells = {}
     for delta, sigma2 in [(0.1, 0.001), (1.0, 0.01), (0.01, 1.0)]:
         cells[(delta, sigma2)] = run_grid_cell(cfg, delta, sigma2)
@@ -117,8 +118,8 @@ def test_criterion_6_prior_log_ratio_identity():
         lhs = log_prior(coef(k + 1), cfg) - log_prior(coef(k), cfg)
         rhs = (M * math.log(cfg.beta)
                + log_binomial(d, k) - log_binomial(d, k + 1)
-               - log_ball_volume(cfg.ball_dim(k + 1), cfg.ball_radius)
-               + log_ball_volume(cfg.ball_dim(k), cfg.ball_radius))
+               - log_ball_volume((k + 1) * cfg.M, cfg.ball_radius)
+               + log_ball_volume(k * cfg.M, cfg.ball_radius))
         worst = max(worst, abs(lhs - rhs))
     report(6, worst < 1e-10,
            f"size-ratio identity over all k < {d} (M={M}): max abs error {worst:.2e} (< 1e-10)")
@@ -150,7 +151,7 @@ def test_criterion_7b_self_proposal_acceptance():
     r = chain_risk(score(theta, fm), data.y)
     state = ChainState(theta=theta, risk=r,
                        log_post=log_gibbs(theta, r, gcfg),
-                       log_prop=log_proposal_density(mean, mean, gcfg, scfg.sigma2))
+                       log_prop=log_proposal_density(mean, mean, scfg.sigma2))
     # stay move with zero proposal noise: the candidate equals the state, so
     # the ratio is exactly 1 and even a uniform draw of 1 - 1e-12 accepts
     _, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench,
@@ -167,7 +168,7 @@ def test_criterion_7c_prior_recovery_at_zero_temperature():
         scfg = SamplerConfig(iters=3000, burnin=500, sigma2=0.5)
         trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg,
                              np.random.default_rng(seed))
-        counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)
+        counts += np.bincount(trace.masks.sum(axis=1)[scfg.burnin:], minlength=gcfg.d + 1)
     empirical = counts / counts.sum()
     tv = 0.5 * float(np.abs(empirical - target).sum())
     report(7, tv < 0.1,

@@ -13,8 +13,6 @@ from gibbsrank.basis import (
     FeatureMatrix,
     SparseCoef,
     build_features,
-    eval_basis,
-    eval_dictionary,
     rescale,
     score,
     score_dense,
@@ -49,28 +47,30 @@ def test_rescale_warns_on_every_clamping_call(caplog):
     ]
 
 
+def dictionary_at(t):
+    """The (M, len(t)) dictionary values at t in [-1, 1], from build_features
+    on the column x = (t + 1) / 2."""
+    x = (np.atleast_1d(np.asarray(t, dtype=float)) + 1.0) / 2.0
+    return build_features(x[:, None]).blocks[0]
+
+
 def test_first_two_legendre_functions():
-    assert eval_basis(1, 0.3) == 1.0
-    assert eval_basis(2, 0.3) == pytest.approx(0.3, abs=1e-15)
+    values = dictionary_at(0.3)
+    assert values[0, 0] == 1.0
+    assert values[1, 0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_quadratic_legendre_matches_closed_form():
     t = np.linspace(-1.0, 1.0, 101)
-    assert np.allclose(eval_basis(3, t), (3.0 * t**2 - 1.0) / 2.0, atol=1e-14)
+    assert np.allclose(dictionary_at(t)[2], (3.0 * t**2 - 1.0) / 2.0, atol=1e-14)
 
 
 def test_harmonics_at_known_angles():
-    # indices 8..10 are sin(k pi t), 11..13 are cos(k pi t)
-    assert eval_basis(8, 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert eval_basis(11, 1.0) == pytest.approx(-1.0, abs=1e-15)
-    assert eval_basis(12, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_basis_index_out_of_range():
-    with pytest.raises(ValueError):
-        eval_basis(0, 0.0)
-    with pytest.raises(ValueError):
-        eval_basis(14, 0.0)
+    # rows 7..9 are sin(k pi t), 10..12 are cos(k pi t)
+    half, one = dictionary_at([0.5, 1.0]).T
+    assert half[7] == pytest.approx(1.0, abs=1e-15)
+    assert one[10] == pytest.approx(-1.0, abs=1e-15)
+    assert one[11] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_feature_row_at_center():
@@ -126,8 +126,7 @@ def test_build_features_is_covariate_major_and_exact(d):
     fm = build_features(X)
     assert fm.blocks.shape == (d, 13, 57) and fm.blocks.flags.c_contiguous
     assert (fm.d, fm.M, fm.n) == (d, 13, 57)
-    reference = eval_dictionary(rescale(X))  # (n, d, M)
-    assert np.array_equal(reference, concatenated_dictionary(rescale(X)))
+    reference = concatenated_dictionary(rescale(X))  # (n, d, M)
     assert np.array_equal(fm.blocks, reference.transpose(1, 2, 0))
 
 
@@ -194,8 +193,9 @@ def naive_score(theta_full, X):
     for i in range(n):
         for j in range(d):
             t = 2.0 * X[i, j] - 1.0
+            phi = concatenated_dictionary(np.array(t))
             for k in range(M):
-                out[i] += theta_full[j * M + k] * eval_basis(k + 1, t)
+                out[i] += theta_full[j * M + k] * phi[k]
     return out
 
 
@@ -212,7 +212,7 @@ def test_score_matches_naive_evaluation():
 
 def row_major_features(X):
     """The (n, d * M) feature matrix, columns grouped by covariate."""
-    return eval_dictionary(rescale(X)).reshape(X.shape[0], -1)
+    return concatenated_dictionary(rescale(X)).reshape(X.shape[0], -1)
 
 
 def test_score_matches_column_gather():

@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 import gibbsrank
 from gibbsrank import cli, experiments
 from gibbsrank.cli import build_config, main, read_config_file
-from gibbsrank.data import derive_seed, gen_synthetic, load_csv, minmax_normalize, save_csv
+from gibbsrank.data import derive_seed, gen_synthetic, load_csv, save_csv
 from gibbsrank.experiments import ExperimentConfig, chain_configs, write_metadata
 from gibbsrank.gibbs import prior_size_distribution
 
@@ -186,7 +186,9 @@ def test_fit_csv_test_uses_training_ranges(tmp_path, monkeypatch, caplog):
         run_cli("fit", "--out", str(tmp_path / "out"), "--train", str(train),
                 "--test", str(test), "--iters", "4", "--burnin", "2")
     (tr, te), = seen
-    assert np.array_equal(tr.X, minmax_normalize(load_csv(train).X))
+    raw = load_csv(train).X
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    assert np.array_equal(tr.X, (raw - lo) / (hi - lo))
     assert np.array_equal(te.X[:, 0], [0.25, 0.75])
     assert np.array_equal(te.X[:, 1], [-0.5, 1.5])  # outside the training range
     assert np.array_equal(te.y, [-1.0, 1.0])
@@ -206,9 +208,9 @@ def test_fit_synthetic_test_uses_training_ranges(tmp_path, monkeypatch):
     (tr, te), = seen
     raw = load_csv(tmp_path / "train.csv").X
     drawn = gen_synthetic(50, 10, seed=np.random.default_rng(derive_seed(3, "fit", "test")))
-    ranges = (raw.min(axis=0), raw.max(axis=0))
-    assert np.array_equal(tr.X, minmax_normalize(raw, ranges))
-    assert np.array_equal(te.X, minmax_normalize(drawn.X, ranges))
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    assert np.array_equal(tr.X, (raw - lo) / (hi - lo))
+    assert np.array_equal(te.X, (drawn.X - lo) / (hi - lo))
     assert te.X.min() < 0.0 and te.X.max() > 1.0
 
 

@@ -1,6 +1,7 @@
 """Synthetic generator, CSV round-trips, splits, and seed derivation."""
 
 import csv
+import logging
 import re
 
 import numpy as np
@@ -15,7 +16,6 @@ from gibbsrank.data import (
     load_csv,
     make_splits,
     map_to_unit,
-    minmax_normalize,
     save_csv,
 )
 
@@ -119,7 +119,7 @@ def test_minmax_normalization(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x1,label\n0,0\n5,1\n10,0\n")
     loaded = load_csv(path)
-    assert np.array_equal(minmax_normalize(loaded.X)[:, 0], [0.0, 0.5, 1.0])
+    assert np.array_equal(map_to_unit(loaded, "t.csv").X[:, 0], [0.0, 0.5, 1.0])
     assert np.array_equal(loaded.y, [-1.0, 1.0, -1.0])
 
 
@@ -134,10 +134,10 @@ def test_map_to_unit_names_the_file_row_and_column_of_an_unplaceable_cell(tmp_pa
     assert str(err.value) == ("wide.csv: data row 4, column 'x2' holds 1.7e+308, which the "
                               "range [-1.7e+308, 1.7e+308] maps to nan; "
                               "mapped values must be finite")
-    # a range that places every cell maps like minmax_normalize
-    ranges = (np.array([0.0, -1.7e308]), np.array([1.0, 0.0]))
-    mapped = map_to_unit(loaded.subset([0, 1]), "wide.csv", ranges)
-    assert np.array_equal(mapped.X, minmax_normalize(loaded.X[:2], ranges))
+    # a range that places every cell maps each to (x - lo) / (hi - lo)
+    lo, hi = np.array([0.0, -1.7e308]), np.array([1.0, 0.0])
+    mapped = map_to_unit(loaded.subset([0, 1]), "wide.csv", (lo, hi))
+    assert np.array_equal(mapped.X, (loaded.X[:2] - lo) / (hi - lo))
     assert mapped.rows.tolist() == [1, 3]
     # a value far outside a narrow given range overflows too; synthetic rows
     # and columns are named as save_csv writes them
@@ -167,9 +167,12 @@ def test_load_csv_arrays_do_not_pin_the_parsed_table(tmp_path, with_eta):
 
 def test_constant_column_maps_to_half(caplog):
     X = np.array([[1.0, 2.0], [1.0, 4.0]])
-    out = minmax_normalize(X)
+    with caplog.at_level(logging.WARNING, logger="gibbsrank.data"):
+        out = map_to_unit(Dataset(X=X, y=np.array([1.0, -1.0])), "two rows").X
     assert np.array_equal(out[:, 0], [0.5, 0.5])
     assert np.array_equal(out[:, 1], [0.0, 1.0])
+    assert [r.getMessage() for r in caplog.records] == [
+        "constant feature columns [0] mapped to 0.5"]
 
 
 def test_missing_rows_are_dropped(tmp_path):

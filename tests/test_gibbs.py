@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from gibbsrank.basis import SparseCoef, build_features
+from gibbsrank.basis import SparseCoef, build_features, score
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import (
     GibbsConfig,
@@ -93,8 +93,8 @@ def test_log_prior_size_ratio_identity(prior):
             w[k + 1] - w[k]
             + log_binomial(d, k)
             - log_binomial(d, k + 1)
-            - log_ball_volume(cfg.ball_dim(k + 1), cfg.ball_radius)
-            + log_ball_volume(cfg.ball_dim(k), cfg.ball_radius)
+            - log_ball_volume((k + 1) * cfg.M, cfg.ball_radius)
+            + log_ball_volume(k * cfg.M, cfg.ball_radius)
         )
         assert hi - lo == pytest.approx(expected, abs=1e-10)
 
@@ -115,18 +115,13 @@ def test_log_prior_reads_the_closed_form_size_term_bit_for_bit():
             theta = (SparseCoef(active_indices(d, []), values=np.zeros(0)) if k == 0
                      else unit_coef(d, list(range(k)), cfg.M))
             expected = (-log_binomial(d, k) + w[k]
-                        - log_ball_volume(cfg.ball_dim(k), cfg.ball_radius))
+                        - log_ball_volume(k * cfg.M, cfg.ball_radius))
             assert log_prior(theta, cfg) == expected
         outside = unit_coef(d, [0, 4], cfg.M, norm=cfg.ball_radius * 1.01)
         assert log_prior(outside, cfg) == -math.inf
     assert replaced.size_log_weights == tuple(custom)
     for cfg in (default, tilted):
         assert log_prior(SparseCoef(active_indices(d, []), values=np.zeros(0)), cfg) == 0.0
-
-
-def test_ball_dim():
-    assert GibbsConfig(delta=1.0, d=5, beta=0.5).ball_dim(3) == 39
-    assert GibbsConfig(delta=1.0, d=5, beta=0.5, M=4).ball_dim(3) == 12
 
 
 def test_chain_samples_its_size_prior_vector():
@@ -148,7 +143,7 @@ def test_chain_samples_its_size_prior_vector():
         scfg = SamplerConfig(iters=3000, burnin=500, sigma2=sigma2)
         trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg,
                              np.random.default_rng(seed))
-        counts += np.bincount(trace.model_sizes[scfg.burnin:], minlength=gcfg.d + 1)
+        counts += np.bincount(trace.masks.sum(axis=1)[scfg.burnin:], minlength=gcfg.d + 1)
     empirical = counts / counts.sum()
     tv_vector = 0.5 * float(np.abs(empirical - prior_size_distribution(gcfg)).sum())
     tv_geometric = 0.5 * float(np.abs(empirical - prior_size_distribution(geometric)).sum())
@@ -163,6 +158,20 @@ def test_log_prior_refuses_an_active_index_outside_the_config(index):
     cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
     theta = SparseCoef(np.array([index], dtype=np.intp), values=np.ones(cfg.M))
     with pytest.raises(ValueError, match=f"active index {index} outside 0..4 for d=5"):
+        log_prior(theta, cfg)
+
+
+@pytest.mark.parametrize("listed, index", [([3, -1], -1), ([7, 1], 7)])
+def test_score_and_log_prior_bound_every_index_of_an_unsorted_model(listed, index):
+    """A public SparseCoef need not be ascending: at d=5, [3, -1] once scored
+    as [3, 4] because only the first and last index were bounded."""
+    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    theta = SparseCoef(np.array(listed, dtype=np.intp), values=np.ones(2 * cfg.M))
+    features = build_features(np.random.default_rng(4).random((6, 5)))
+    message = f"active index {index} outside 0..4 for d=5"
+    with pytest.raises(ValueError, match=message):
+        score(theta, features)
+    with pytest.raises(ValueError, match=message):
         log_prior(theta, cfg)
 
 

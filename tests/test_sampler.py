@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gibbsrank import sampler
 from gibbsrank.basis import (
     FeatureMatrix,
     SparseCoef,
@@ -21,6 +22,7 @@ from gibbsrank.sampler import (
     MOVE_PROB,
     RIDGE_LAMBDA,
     BenchmarkCache,
+    ChainError,
     ChainState,
     SamplerConfig,
     StepRecord,
@@ -207,6 +209,14 @@ def test_benchmark_shrinks_into_ball():
     assert np.linalg.norm(values) <= 2.0
 
 
+def test_benchmark_names_the_model_of_a_singular_ridge_system():
+    fm = FeatureMatrix(blocks=np.zeros((3, 13, 10)))  # all-zero features, no ridge
+    cache = BenchmarkCache(fm, np.ones(10), ridge_lambda=0.0, ball_radius=2.0)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^singular ridge system for active covariates \[0, 2\]$"):
+        cache.fit(active(3, [0, 2]))
+
+
 def test_add_neighborhood_enumeration():
     current = active(10, [1, 4, 7])
     move, rows = propose_neighborhood(current, 10, FakeRng([0.1]))
@@ -374,14 +384,13 @@ def test_select_index_matches_generator_choice_on_a_twin_stream():
 
 
 def test_log_proposal_density_conventions():
-    gcfg = GibbsConfig(delta=1.0, d=2, beta=0.5, M=2)
     values = np.array([1.0, 2.0])
     mean = np.array([0.5, 2.5])
     sigma2 = 0.2
     quad = -0.5 / sigma2 * 0.5
     norm = -0.5 * 2 * math.log(2 * math.pi * sigma2)
-    assert log_proposal_density(values, mean, gcfg, sigma2) == pytest.approx(quad + norm)
-    assert log_proposal_density(np.zeros(0), np.zeros(0), gcfg, sigma2) == 0.0
+    assert log_proposal_density(values, mean, sigma2) == pytest.approx(quad + norm)
+    assert log_proposal_density(np.zeros(0), np.zeros(0), sigma2) == 0.0
 
 
 def test_self_proposal_is_always_accepted():
@@ -399,7 +408,7 @@ def test_self_proposal_is_always_accepted():
         theta=theta,
         risk=r,
         log_post=log_gibbs(theta, r, gcfg),
-        log_prop=log_proposal_density(mean, mean, gcfg, scfg.sigma2),
+        log_prop=log_proposal_density(mean, mean, scfg.sigma2),
     )
     # scripted rng: stay move, zero proposal noise, selection uniform,
     # acceptance uniform ~ 1
@@ -422,6 +431,37 @@ def test_all_candidates_outside_ball_are_rejected():
     new_state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
     assert not rec.accepted
     assert new_state is state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_state_of_zero_posterior_density_is_a_chain_error(seed):
+    """From a state whose log posterior is -inf any finite candidate's
+    acceptance ratio is +inf, which the step refuses rather than accepts."""
+    data = gen_synthetic(30, d=5, seed=seed)
+    fm = build_features(data.X)
+    gcfg = tilted_config(delta=10.0, d=5)
+    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    state = replace(initial_state(fm, data.y, gcfg), log_post=-math.inf)
+    with pytest.raises(ChainError, match=r"^non-finite acceptance ratio for move (add|stay)$"):
+        mcmc_step(state, fm, data.y, gcfg, STEP_CFG, bench, np.random.default_rng(seed))
+
+
+def test_run_chain_names_the_iteration_of_a_chain_error(monkeypatch):
+    data = gen_synthetic(30, d=5, seed=9)
+    steps = []
+
+    def failing_step(*args):
+        steps.append(len(steps) + 1)
+        if len(steps) == 3:
+            raise ChainError("non-finite acceptance ratio for move add")
+        return mcmc_step(*args)
+
+    monkeypatch.setattr(sampler, "mcmc_step", failing_step)
+    with pytest.raises(ChainError) as err:
+        run_chain(build_features(data.X), data.y, tilted_config(delta=10.0, d=5), STEP_CFG,
+                  np.random.default_rng(0))
+    assert str(err.value) == "iteration 3: non-finite acceptance ratio for move add"
+    assert str(err.value.__cause__) == "non-finite acceptance ratio for move add"
 
 
 def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
@@ -448,7 +488,7 @@ def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
             continue
         r = chain_risk(score(theta, features), labels)
         lg = -gcfg.delta * r + lp
-        lq = log_proposal_density(values, mean, gcfg, scfg.sigma2)
+        lq = log_proposal_density(values, mean, scfg.sigma2)
         cands.append((theta, r, lg, lq))
         log_w[i] = lg - lq
     if not np.any(np.isfinite(log_w)):
@@ -626,4 +666,3 @@ def test_trace_summaries():
     assert freq.shape == (5,)
     assert np.all((0.0 <= freq) & (freq <= 1.0))
     assert 0.0 <= trace.acceptance_rate <= 1.0
-    assert np.array_equal(trace.model_sizes, trace.masks.sum(axis=1))
