@@ -208,8 +208,6 @@ def _run_batches(fn, batches: list, workers: int, on_error: str) -> list[list]:
     the jobs run in this process, in order.  With on_error="raise" the first
     failure, in job order, is raised instead of returned.
     """
-    if on_error not in ("record", "raise"):
-        raise ValueError("on_error must be 'record' or 'raise'")
     if workers <= 1:
         return [[_outcome(fn, job, on_error=on_error) for job in batch] for batch in batches]
     outcomes = []
@@ -246,9 +244,9 @@ class GridResultRow:
     selection_frequency: np.ndarray  # per covariate, averaged over replications
     failures: int = 0
 
-    def junk_frequency_sum(self, signal_covariates=SIGNAL_COVARIATES) -> float:
-        """Summed selection frequency of the covariates outside signal_covariates (1-based)."""
-        signal = {j - 1 for j in signal_covariates}
+    def junk_frequency_sum(self) -> float:
+        """Summed selection frequency of the covariates outside SIGNAL_COVARIATES (1-based)."""
+        signal = {j - 1 for j in SIGNAL_COVARIATES}
         return float(sum(f for j, f in enumerate(self.selection_frequency) if j not in signal))
 
 
@@ -272,25 +270,22 @@ def _grid_row(cfg: ExperimentConfig, delta: float, sigma2: float, outcomes: list
     )
 
 
-def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float,
-                  on_error: str = "record") -> GridResultRow:
+def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float) -> GridResultRow:
     """Run all replications of one (delta, sigma2) cell and aggregate: a one-cell run_grid."""
-    return run_grid(cfg, (delta,), (sigma2,), on_error)[0]
+    return run_grid(cfg, (delta,), (sigma2,))[0]
 
 
-def run_grid(cfg: ExperimentConfig, deltas, sigma2s,
-             on_error: str = "record") -> list[GridResultRow]:
+def run_grid(cfg: ExperimentConfig, deltas, sigma2s) -> list[GridResultRow]:
     """Sweep the (delta, sigma2) grid, one batch of cfg.reps replications per cell.
 
-    With on_error="record" a failed replication is logged and counted in
-    `failures`, and its row aggregates the replications that succeeded; the
-    row is NaN only when every replication failed.  on_error="raise"
-    re-raises the first failure.
+    A failed replication is logged and counted in `failures`, and its row
+    aggregates the replications that succeeded; the row is NaN only when
+    every replication failed.
     """
     cells = [(delta, sigma2) for delta in deltas for sigma2 in sigma2s]
     batches = [[(asdict(cfg), delta, sigma2, rep) for rep in range(cfg.reps)]
                for delta, sigma2 in cells]
-    outcomes = _run_batches(_run_grid_replication, batches, cfg.workers, on_error)
+    outcomes = _run_batches(_run_grid_replication, batches, cfg.workers, "record")
     return [_grid_row(cfg, delta, sigma2, cell) for (delta, sigma2), cell in zip(cells, outcomes)]
 
 

@@ -18,11 +18,11 @@ Tie-free scores (in practice every scorer with an active covariate) take a
 rank-sum path: the sorted positions of the positives, ranks @ weights[order],
 add up to the number of instances below each positive, and subtracting the
 n_pos(n_pos-1)/2 positive/positive pairs leaves the negatives ranked below a
-positive.  That dot runs in float64, which is exact: every partial sum is an
-integer below n^2/2, far below 2^53.  With ties, runs of equal sorted scores
-form groups whose positive counts come from one reduction over the sorted
-labels, and pairs are counted group by group.  NaN scores have no rank and
-are rejected.
+positive.  With ties, runs of equal sorted scores form groups whose positive
+counts come from one reduction over the sorted weights, and pairs are
+counted group by group.  Both paths count in float64, which is exact: every
+partial sum and product is an integer below n^2, far below 2^53.  NaN
+scores have no rank and are rejected.
 """
 
 from __future__ import annotations
@@ -43,25 +43,22 @@ class PreparedLabels:
     """The label-derived arrays of the risk kernels, built once for labels
     that many score vectors are ranked against.
 
-    weights holds 1 at the positives (label > 0) and 0 elsewhere, as intp,
-    for the tie path's group counts; float_weights holds the same as
-    float64, and ranks is arange(n) as float64, for the tie-free rank-sum
-    dot.  All three are read-only.
+    weights holds 1.0 at the positives (label > 0) and 0.0 elsewhere, and
+    ranks is arange(n), both float64 and read-only: the tie-free rank-sum
+    dot and the tie path's group counts both read weights.
     """
 
-    __slots__ = ("weights", "float_weights", "ranks", "n_pos", "n_neg")
+    __slots__ = ("weights", "ranks", "n_pos", "n_neg")
 
     def __init__(self, labels):
         labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValueError("scores and labels must be 1-d arrays of equal length")
-        weights = (labels > 0).astype(np.intp)
-        float_weights = weights.astype(float)
+        weights = (labels > 0).astype(float)
         ranks = np.arange(labels.size, dtype=float)
-        for array in (weights, float_weights, ranks):
+        for array in (weights, ranks):
             array.setflags(write=False)
         self.weights = weights
-        self.float_weights = float_weights
         self.ranks = ranks
         self.n_pos = int(np.count_nonzero(weights))
         self.n_neg = labels.size - self.n_pos
@@ -89,7 +86,7 @@ def _pair_counts(scores, labels):
         raise ValueError(f"NaN score at index {first}")
     tied_next = s[1:] == s[:-1]
     if not np.count_nonzero(tied_next):
-        rank_sum = int(labels.ranks @ labels.float_weights[order])
+        rank_sum = int(labels.ranks @ labels.weights[order])
         neg_below_pos = rank_sum - n_pos * (n_pos - 1) // 2
         return n_pos * n_neg - neg_below_pos, neg_below_pos, 0, n_pos, n_neg
     p = labels.weights[order]

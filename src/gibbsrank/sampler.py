@@ -310,6 +310,9 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     mean over axis 0 of the (T - burnin, d * M) per-iteration rows, which
     numpy also sums row by row from zero.
     """
+    if (gcfg.d, gcfg.M) != (features.d, features.M):
+        raise ValueError(f"prior has (d, M) = ({gcfg.d}, {gcfg.M}) but the features "
+                         f"have (d, M) = ({features.d}, {features.M})")
     bench = BenchmarkCache(features, labels, RIDGE_LAMBDA, gcfg.ball_radius)
     prepared = PreparedLabels(labels)
 
@@ -318,33 +321,26 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     risks = np.zeros(T)
     accepted = np.zeros(T, dtype=bool)
     moves = ["init"]
+    rows = []  # one zero-padded row per post-burn-in state
+    total = np.zeros(d * M)
 
     state = initial_state(features, prepared, gcfg)
-    risks[0] = state.risk
-    # (iteration entered, owned values) of each post-burn-in state; a state's
-    # values are a row of its step's (K, k * M) draw, so they are copied
-    kept = [(0, state.theta.values)] if burnin == 0 else []
-    for t in range(1, T):
-        try:
-            state, rec = mcmc_step(state, features, prepared, gcfg, scfg, bench, rng)
-        except ChainError as exc:
-            raise ChainError(f"iteration {t}: {exc}") from exc
-        if rec.accepted:
-            masks[t, state.theta.active] = True
-        else:  # the state stays, and so does its model
-            masks[t] = masks[t - 1]
-        if t == burnin or (t > burnin and rec.accepted):
-            kept.append((t, state.theta.values.copy()))
+    for t in range(T):
+        if t:
+            try:
+                state, rec = mcmc_step(state, features, prepared, gcfg, scfg, bench, rng)
+            except ChainError as exc:
+                raise ChainError(f"iteration {t}: {exc}") from exc
+            accepted[t] = rec.accepted
+            moves.append(rec.move)
+        masks[t, state.theta.active] = True
         risks[t] = state.risk
-        accepted[t] = rec.accepted
-        moves.append(rec.move)
-
-    thetas = np.zeros((len(kept), d * M))
-    for row, (t, values) in zip(thetas, kept):
-        row.reshape(d, M)[masks[t]] = values.reshape(-1, M)
-    total = np.zeros(d * M)
-    for i in np.concatenate(([0], np.cumsum(accepted[burnin + 1:]))).tolist():
-        total += thetas[i]
+        if t == burnin or (t > burnin and accepted[t]):
+            rows.append(np.zeros(d * M))
+            rows[-1].reshape(d, M)[state.theta.active] = state.theta.values.reshape(-1, M)
+        if t >= burnin:
+            total += rows[-1]
+    thetas = np.array(rows)
 
     trace = ChainTrace(masks=masks, thetas=thetas, risks=risks, accepted=accepted,
                        moves=moves, burnin=burnin)

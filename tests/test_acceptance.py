@@ -90,7 +90,7 @@ def test_criterion_4_variable_selection(grid_cells):
     row = grid_cells[(1.0, 0.01)]
     f3 = row.selection_frequency[2]
     f5 = row.selection_frequency[4]
-    junk = row.junk_frequency_sum((3, 5))
+    junk = row.junk_frequency_sum()
     ok = f3 >= 0.99 and f5 >= 0.99 and junk <= 0.15
     report(4, ok,
            f"cell delta=1 sigma2=0.01: freq(x3)={f3:.4f}, freq(x5)={f5:.4f} (>= 0.99), "

@@ -464,6 +464,17 @@ def test_run_chain_names_the_iteration_of_a_chain_error(monkeypatch):
     assert str(err.value.__cause__) == "non-finite acceptance ratio for move add"
 
 
+@pytest.mark.parametrize("d, M", [(20, 13), (8, 13), (10, 5)])
+def test_run_chain_refuses_a_prior_for_another_shape(d, M):
+    # a larger d would run the chain on the wrong C(d, k) size prior, a
+    # smaller one would stop mid-run on an index outside 0..d-1
+    data = gen_synthetic(30, d=10, seed=3)
+    gcfg = replace(tilted_config(delta=10.0, d=10), d=d, M=M, size_log_weights=None)
+    message = rf"^prior has \(d, M\) = \({d}, {M}\) but the features have \(d, M\) = \(10, 13\)$"
+    with pytest.raises(ValueError, match=message):
+        run_chain(build_features(data.X), data.y, gcfg, STEP_CFG, np.random.default_rng(0))
+
+
 def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
     """The step with its neighborhood built model by model, one
     standard_normal call and one log_proposal_density call per candidate,
