@@ -1,7 +1,9 @@
 """Command-line harness.
 
-Subcommands: synth, fit, grid, cv, auc.  Options can come from a flat
-KEY=VALUE config file (--config); explicit flags win over the file.
+Subcommands: synth, fit, grid, cv, auc.  Each of the first four takes as
+flags only the ExperimentConfig settings it reads (COMMAND_SETTINGS); a flat
+KEY=VALUE config file (--config) may set any of them, and explicit flags win
+over the file.  No parser accepts an abbreviated flag.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (DataError, derive_seed, gen_synthetic, header_names, load_csv, map_to_unit,
-                   save_csv)
+                   ragged_row_error, refuse_one_class, save_csv)
 from .experiments import (
     ExperimentConfig,
     fit_and_evaluate,
@@ -32,6 +34,14 @@ from .sampler import trace_to_csv
 
 # each config field parses with the type of its default
 _CONFIG_FIELDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+
+# the settings each command reads, and so takes as flags
+COMMAND_SETTINGS = {
+    "synth": ("seed", "d", "n_train", "n_test"),
+    "fit": ("delta", "sigma2", "beta", "iters", "burnin", "seed", "d", "n_train", "n_test"),
+    "grid": ("beta", "iters", "burnin", "reps", "seed", "d", "n_train", "n_test", "workers"),
+    "cv": ("delta", "sigma2", "beta", "iters", "burnin", "folds", "seed", "workers"),
+}
 
 
 def read_config_file(path) -> dict:
@@ -66,11 +76,18 @@ def build_config(args) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat KEY=VALUE config file")
-    for name, kind in _CONFIG_FIELDS.items():
-        parser.add_argument("--" + name.replace("_", "-"), type=kind)
-    parser.add_argument("--out", default=".", help="output directory")
+def _add_command(sub, name: str, func, help: str):
+    """name's parser.  It takes no abbreviated flag, or grid would read
+    --delta as its --deltas.  A command with settings takes --config, a flag
+    per setting it reads and --out."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.set_defaults(func=func)
+    if name in COMMAND_SETTINGS:
+        parser.add_argument("--config", help="flat KEY=VALUE config file; may set any setting")
+        for setting in COMMAND_SETTINGS[name]:
+            parser.add_argument("--" + setting.replace("_", "-"), type=_CONFIG_FIELDS[setting])
+        parser.add_argument("--out", default=".", help="output directory")
+    return parser
 
 
 def _check_outdir(out: str) -> None:
@@ -88,12 +105,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _refuse_one_class(data, source: str, role: str) -> None:
-    """DataError when a synthetic draw's labels are all one class."""
-    if np.all(data.y == data.y[0]):
-        raise DataError(f"{source}: all {data.n} drawn labels are one class; raise --n-{role}")
-
-
 def cmd_synth(args) -> int:
     cfg = args.cfg
     ss = derive_seed(cfg.seed, "synth")
@@ -101,8 +112,8 @@ def cmd_synth(args) -> int:
     train = gen_synthetic(cfg.n_train, cfg.d, seed=rng)
     test = gen_synthetic(cfg.n_test, cfg.d, seed=rng)
     # refused before --out exists: a one-class test draw has no oracle AUC
-    _refuse_one_class(train, "train draw", "train")
-    _refuse_one_class(test, "test draw", "test")
+    refuse_one_class(train, "train draw", "train")
+    refuse_one_class(test, "test draw", "test")
     out = _outdir(args)
     save_csv(train, out / "train.csv")
     save_csv(test, out / "test.csv")
@@ -119,7 +130,7 @@ def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
         return load_csv(path_or_synth)  # refuses a single-class file itself
     n = cfg.n_train if role == "train" else cfg.n_test
     data = gen_synthetic(n, cfg.d, seed=np.random.default_rng(derive_seed(cfg.seed, "fit", role)))
-    _refuse_one_class(data, f"--{role} synthetic", role)
+    refuse_one_class(data, f"--{role} synthetic", role)
     return data
 
 
@@ -131,6 +142,11 @@ def cmd_fit(args) -> int:
     if test.d != train.d:
         raise DataError(f"--test {test_source} has {test.d} feature columns, "
                         f"--train {args.train} has {train.d}")
+    # the model reads features by position, so two CSVs must name them alike, in order
+    if train.columns is not None and test.columns is not None and test.columns != train.columns:
+        j = next(j for j, (a, b) in enumerate(zip(test.columns, train.columns)) if a != b)
+        raise DataError(f"--test {test_source} names feature column {j + 1} "
+                        f"{test.columns[j]!r}, --train {args.train} names it {train.columns[j]!r}")
     # The training source sets the scale of both sides: synthetic draws are
     # already on [0, 1]; a training CSV maps both sides with its column ranges,
     # and basis.rescale clamps and counts the test values that land outside.
@@ -225,21 +241,26 @@ def cmd_cv(args) -> int:
 
 
 def cmd_auc(args) -> int:
-    with open(args.data, newline="", encoding="utf-8-sig") as fh:  # as load_csv opens it
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{args.data}: empty file")
-        reader.fieldnames = header_names(args.data, reader.fieldnames)  # as load_csv reads it
+    # the file is opened, its header read and its rows checked as load_csv does
+    with open(args.data, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = header_names(args.data, next(reader))
+        except StopIteration:
+            raise DataError(f"{args.data}: empty file") from None
         for flag, column in (("--score-column", args.score_column),
                              ("--label-column", args.label_column)):
-            if column not in reader.fieldnames:
+            if column not in header:
                 raise DataError(f"{args.data}: no column named {column!r} ({flag}) "
-                                f"in header {reader.fieldnames}")
+                                f"in header {header}")
         scores, labels = [], []
-        for i, row in enumerate(reader, 1):
-            for what, column, values in (("score", args.score_column, scores),
-                                         ("label", args.label_column, labels)):
-                cell = (row[column] or "").strip()
+        read = (("score", header.index(args.score_column), scores),
+                ("label", header.index(args.label_column), labels))
+        for i, row in enumerate(filter(None, reader), 1):  # csv yields [] for a blank line
+            if len(row) != len(header):
+                raise ragged_row_error(args.data, i, reader.line_num, len(row), len(header))
+            for what, j, values in read:
+                cell = row[j].strip()
                 try:
                     value = float(cell)
                 except ValueError:
@@ -247,9 +268,8 @@ def cmd_auc(args) -> int:
                 else:
                     problem = f"a NaN {what}" if math.isnan(value) else None
                 if problem:
-                    print(f"gibbsrank auc: {args.data}: data row {i} (line {reader.line_num}) "
-                          f"has {problem}", file=sys.stderr)
-                    return 1
+                    raise DataError(f"{args.data}: data row {i} (line {reader.line_num}) "
+                                    f"has {problem}")
                 values.append(value)
     if not scores:
         raise DataError(f"{args.data}: no data rows")
@@ -263,43 +283,45 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gibbsrank",
         description="Sparse additive bipartite ranking via Gibbs-posterior MCMC",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic train/test CSVs")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    _add_command(sub, "synth", cmd_synth, "generate synthetic train/test CSVs")
 
-    p = sub.add_parser("fit", help="run one chain and report metrics")
-    _add_common(p)
+    p = _add_command(sub, "fit", cmd_fit, "run one chain and report metrics")
     p.add_argument("--train", default="synthetic", help="training CSV, or 'synthetic'")
     p.add_argument("--test", help="test CSV, or 'synthetic'; required when --train is a CSV, "
                                   "a fresh synthetic draw by default when --train is synthetic")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("grid", help="replicated (delta, sigma2) grid on synthetic data")
-    _add_common(p)
+    p = _add_command(sub, "grid", cmd_grid, "replicated (delta, sigma2) grid on synthetic data")
     p.add_argument("--deltas", help="comma-separated delta grid")
     p.add_argument("--sigma2s", help="comma-separated sigma2 grid")
-    p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("cv", help="stratified k-fold cross-validation on a CSV")
-    _add_common(p)
+    p = _add_command(sub, "cv", cmd_cv, "stratified k-fold cross-validation on a CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--label-column", default="label")
     p.add_argument("--positive-label", type=float, default=1.0)
-    p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("auc", help="AUC of a CSV of (score, label) pairs")
+    p = _add_command(sub, "auc", cmd_auc, "AUC of a CSV of (score, label) pairs")
     p.add_argument("--data", required=True)
     p.add_argument("--score-column", default="score")
     p.add_argument("--label-column", default="label")
-    p.set_defaults(func=cmd_auc)
 
     args = parser.parse_args(argv)
     command = sub.choices[args.command]
-    if args.command == "fit" and args.train != "synthetic" and args.test is None:
-        command.error("--test is required when --train is a CSV")
+    if args.command == "fit":
+        csv_train = args.train != "synthetic"
+        csv_test = args.test not in (None, "synthetic")
+        if csv_train and args.test is None:
+            command.error("--test is required when --train is a CSV")
+        # a size or width flag that no synthetic side reads is refused, not ignored
+        for flag, value, unread, sides in (
+                ("--n-train", args.n_train, csv_train, "--train is a CSV"),
+                ("--n-test", args.n_test, csv_test, "--test is a CSV"),
+                ("--d", args.d, csv_train and csv_test, "--train and --test are CSVs")):
+            if value is not None and unread:
+                command.error(f"{flag} applies only to synthetic data, and {sides}")
     # a bad setting or --out stops the run here, before any data is read or
     # any output directory exists
     if args.command != "auc":

@@ -109,6 +109,19 @@ def _parse_cell(cell: str) -> float:
         return np.nan
 
 
+def ragged_row_error(path, row: int, line: int, cells: int, width: int) -> DataError:
+    """DataError for a data row (1-based, on a 1-based file line) whose cell
+    count is not the header's width."""
+    return DataError(f"{path}: ragged rows: data row {row} (line {line}) has {cells} cells, "
+                     f"the header has {width}")
+
+
+def refuse_one_class(data: Dataset, source: str, role: str) -> None:
+    """DataError when a synthetic draw's labels are all one class: it has no AUC."""
+    if np.all(data.y == data.y[0]):
+        raise DataError(f"{source}: all {data.n} drawn labels are one class; raise --n-{role}")
+
+
 def header_names(path, cells) -> list[str]:
     """A header row's column names, stripped; a name listed twice is a DataError."""
     names = [cell.strip() for cell in cells]
@@ -149,9 +162,7 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
             if not row:
                 continue  # csv yields [] for a blank line
             if len(row) != len(header):
-                raise DataError(f"{path}: ragged rows: data row {n_rows + 1} (line "
-                                f"{reader.line_num}) has {len(row)} cells, the header has "
-                                f"{len(header)}")
+                raise ragged_row_error(path, n_rows + 1, reader.line_num, len(row), len(header))
             try:
                 values.extend(list(map(float, row)))  # all of the row or none of it
             except ValueError:

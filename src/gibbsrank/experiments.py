@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .basis import SparseCoef, build_features, score, score_dense
-from .data import SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits
+from .data import (SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits,
+                   refuse_one_class)
 from .gibbs import GibbsConfig, prior_size_distribution, tilted_size_log_weights
 from .risk import auc
 from .sampler import ChainTrace, FinalEstimators, SamplerConfig, run_chain
@@ -175,6 +176,9 @@ def _run_grid_replication(args) -> dict:
     data_rng, chain_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
     train = gen_synthetic(cfg.n_train, cfg.d, seed=data_rng)
     test = gen_synthetic(cfg.n_test, cfg.d, seed=data_rng)
+    # a one-class draw has no AUC, so it fails before its chain
+    refuse_one_class(train, "train draw", "train")
+    refuse_one_class(test, "test draw", "test")
     result = fit_and_evaluate(train, test, cfg, chain_rng)
     return result.metrics()
 

@@ -179,9 +179,9 @@ def test_criterion_8_bitwise_determinism(tmp_path):
     from gibbsrank.cli import main
 
     def run_all(out):
-        base = ["--seed", "5", "--n-train", "200", "--n-test", "200",
-                "--iters", "150", "--burnin", "100"]
-        assert main(["synth", "--out", str(out / "synth"), *base]) == 0
+        data = ["--seed", "5", "--n-train", "200", "--n-test", "200"]
+        base = [*data, "--iters", "150", "--burnin", "100"]
+        assert main(["synth", "--out", str(out / "synth"), *data]) == 0
         assert main(["fit", "--out", str(out / "fit"), *base]) == 0
         assert main(["grid", "--out", str(out / "grid"), "--reps", "2",
                      "--deltas", "1", "--sigma2s", "0.01", *base]) == 0

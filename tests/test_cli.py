@@ -21,6 +21,40 @@ from gibbsrank.gibbs import prior_size_distribution
 
 FAST = ["--iters", "60", "--burnin", "40", "--n-train", "80", "--n-test", "80"]
 
+# the ExperimentConfig settings each command reads, and so takes as flags
+SETTINGS_READ = {
+    "synth": {"seed", "d", "n_train", "n_test"},
+    "fit": {"delta", "sigma2", "beta", "iters", "burnin", "seed", "d", "n_train", "n_test"},
+    "grid": {"beta", "iters", "burnin", "reps", "seed", "d", "n_train", "n_test", "workers"},
+    "cv": {"delta", "sigma2", "beta", "iters", "burnin", "folds", "seed", "workers"},
+}
+# a valid value of each setting, away from its default; beta must stay in (0, 1)
+VALUES = {**{f.name: f.default + 1 for f in fields(ExperimentConfig)}, "beta": 0.5}
+# what each command needs besides its settings
+REQUIRED = {"synth": [], "fit": [], "grid": ["--deltas", "1", "--sigma2s", "0.01"],
+            "cv": ["--data", "unread.csv"]}
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def settings_argv(command, flags, config_path):
+    """flags, "--name value" pairs, as command's argv: the pair of a setting
+    the command does not read goes as name=value into a --config file at
+    config_path instead, since a config file may set any setting."""
+    argv, lines = [], []
+    for name, value in zip(flags[::2], flags[1::2]):
+        setting = name[2:].replace("-", "_")
+        if setting in SETTINGS_READ[command]:
+            argv += [name, value]
+        else:
+            lines.append(f"{setting}={value}\n")
+    if lines:
+        config_path.write_text("".join(lines))
+        argv += ["--config", str(config_path)]
+    return argv
+
 
 def chain_size_prior(d, **settings):
     """prior_size_distribution of the chains a run with these settings samples."""
@@ -98,15 +132,52 @@ def test_flags_override_config_file(tmp_path, monkeypatch):
 
 
 def test_every_config_field_parses_from_its_flag(monkeypatch):
-    values = {f.name: f.default + 1 for f in fields(ExperimentConfig)}
-    values["beta"] = 0.5  # beta must stay in (0, 1)
-    argv = []
-    for name, value in values.items():
-        argv += ["--" + name.replace("_", "-"), str(value)]
+    """Each command parses the flag of every setting it reads, and some
+    command reads each setting."""
+    for command, names in SETTINGS_READ.items():
+        argv = [arg for name in names for arg in (flag(name), str(VALUES[name]))]
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda args: seen.append(build_config(args)) or 0)
+        run_cli(command, *REQUIRED[command], *argv)
+        assert seen == [ExperimentConfig(**{name: VALUES[name] for name in names})], command
+    assert set().union(*SETTINGS_READ.values()) == set(VALUES)
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS_READ))
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_each_command_takes_only_the_settings_it_reads(tmp_path, capsys, monkeypatch,
+                                                       command, name):
+    """The flag of a setting the command does not read exits 2 at parsing,
+    before any output; it is not accepted and then ignored."""
     seen = []
-    monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(build_config(args)) or 0)
-    run_cli("synth", *argv)
-    assert seen == [ExperimentConfig(**values)]
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args.cfg) or 0)
+    value = str(VALUES[name])
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), *REQUIRED[command], flag(name), value]
+    if name in SETTINGS_READ[command]:
+        run_cli(*argv)
+        assert seen == [ExperimentConfig(**{name: VALUES[name]})]
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {flag(name)} {value}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["grid", "--delta", "0.5"], ["grid", "--sigma2", "0.1"],
+                                  ["fit", "--n-tr", "40"], ["fit", "--tra", "synthetic"],
+                                  ["cv", "--data", "unread.csv", "--label", "y"],
+                                  ["auc", "--data", "unread.csv", "--score", "s"]],
+                         ids=" ".join)
+def test_no_flag_is_abbreviated(capsys, monkeypatch, argv):
+    """grid would otherwise read --delta as its --deltas, and --sigma2 as --sigma2s."""
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 0)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
 
 
 def test_synth_writes_expected_files(tmp_path):
@@ -239,12 +310,63 @@ def test_fit_rejects_mismatched_widths(tmp_path, capsys, train, test):
     paths = {name: str(tmp_path / name) for name in ("wide", "narrow")}
     paths["synthetic"] = "synthetic"
     out = tmp_path / "out"
-    assert main(["fit", "--out", str(out), "--train", paths[train], "--test", paths[test],
-                 "--iters", "4", "--burnin", "2", "--n-train", "40", "--n-test", "40"]) == 1
+    sizes = {"train": ["--n-train", "40"], "test": ["--n-test", "40"]}
+    argv = ["fit", "--out", str(out), "--train", paths[train], "--test", paths[test],
+            "--iters", "4", "--burnin", "2"]
+    for role, source in (("train", train), ("test", test)):
+        if source == "synthetic":  # a size flag is refused beside a CSV side
+            argv += sizes[role]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     widths = {"wide": 12, "narrow": 10, "synthetic": 10}
     assert err == (f"gibbsrank fit: --test {paths[test]} has {widths[test]} feature columns, "
                    f"--train {paths[train]} has {widths[train]}\n")
+    assert not out.exists()
+
+
+def test_fit_refuses_test_columns_named_apart_from_the_training_columns(tmp_path, capsys,
+                                                                        monkeypatch):
+    """The model reads features by position: a test CSV whose feature
+    columns stand in another order is refused, not read as if in order."""
+    chains = []
+    monkeypatch.setattr(experiments, "run_chain", lambda *args: chains.append(args))
+    save_csv(gen_synthetic(80, seed=0), tmp_path / "train.csv")
+    order = [0, 1, 4, 3, 2, 5, 6, 7, 8, 9]
+    test = gen_synthetic(80, seed=1)
+    path = tmp_path / "test.csv"
+    save_csv(replace(test, X=test.X[:, order]), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = ",".join([f"x{j + 1}" for j in order] + ["label", "eta"]) + "\r\n"
+    path.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert main(["fit", "--out", str(out), "--train", str(tmp_path / "train.csv"),
+                 "--test", str(path), "--iters", "4", "--burnin", "2"]) == 1
+    assert capsys.readouterr().err == (f"gibbsrank fit: --test {path} names feature column 3 "
+                                       f"'x5', --train {tmp_path / 'train.csv'} names it 'x3'\n")
+    assert chains == []
+    assert not out.exists()
+
+
+UNREAD_SIZES = [("a.csv", "b.csv", ["--n-train", "40"]),
+                ("a.csv", "synthetic", ["--n-train", "40"]),
+                ("a.csv", "b.csv", ["--n-test", "40"]),
+                ("synthetic", "b.csv", ["--n-test", "40"]),
+                ("a.csv", "b.csv", ["--d", "12"])]
+
+
+@pytest.mark.parametrize("train, test, flags", UNREAD_SIZES,
+                         ids=[f"{train} {test} {flags[0]}" for train, test, flags in UNREAD_SIZES])
+def test_fit_refuses_a_size_flag_no_synthetic_side_reads(tmp_path, capsys, train, test, flags):
+    """Refused at parsing, before any data is read: the CSVs do not exist."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--out", str(out), "--train", str(tmp_path / train),
+              "--test", str(tmp_path / test) if test != "synthetic" else test, *flags])
+    assert exc.value.code == 2
+    sides = {"--n-train": "--train is a CSV", "--n-test": "--test is a CSV",
+             "--d": "--train and --test are CSVs"}[flags[0]]
+    assert capsys.readouterr().err.endswith(
+        f"gibbsrank fit: error: {flags[0]} applies only to synthetic data, and {sides}\n")
     assert not out.exists()
 
 
@@ -271,12 +393,16 @@ BAD_SETTINGS = [("delta", ["--delta", "-1"]), ("delta", ["--delta", "inf"]),
 @pytest.mark.parametrize("command", ["fit", "grid", "cv"])
 @pytest.mark.parametrize("name, flags", BAD_SETTINGS, ids=[" ".join(f) for _, f in BAD_SETTINGS])
 def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, name, flags):
+    """A bad setting is refused as a flag of a command that reads it, and
+    from a --config file on any command."""
     path = tmp_path / "data.csv"
     save_csv(gen_synthetic(40, seed=0), path)
     extra = {"fit": [], "grid": ["--deltas", "1", "--sigma2s", "0.01"], "cv": ["--data", str(path)]}
     out = tmp_path / "out"
-    argv = [command, "--out", str(out), "--iters", "20", "--burnin", "10", "--reps", "1",
-            "--n-train", "40", "--n-test", "40", *extra[command], *flags]
+    settings = ["--iters", "20", "--burnin", "10", "--reps", "1", "--n-train", "40",
+                "--n-test", "40", *flags]
+    argv = [command, "--out", str(out), *extra[command],
+            *settings_argv(command, settings, tmp_path / "run.cfg")]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -296,9 +422,11 @@ def test_out_naming_a_file_exits_2_before_any_chain(tmp_path, capsys, monkeypatc
     extra = {"fit": [], "grid": ["--deltas", "1", "--sigma2s", "0.01"], "cv": ["--data", str(path)]}
     for where, message in ((out, f"--out {out} is not a directory"),
                            (out / "sub", f"--out {out / 'sub'}: {out} is not a directory")):
+        settings = ["--iters", "20", "--burnin", "10", "--reps", "1", "--n-train", "40",
+                    "--n-test", "40"]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--out", str(where), "--iters", "20", "--burnin", "10", "--reps", "1",
-                  "--n-train", "40", "--n-test", "40", *extra[command]])
+            main([command, "--out", str(where), *extra[command],
+                  *settings_argv(command, settings, tmp_path / "run.cfg")])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"gibbsrank {command}: error: {message}\n"
     assert out.read_text() == "keep me\n"
@@ -332,6 +460,37 @@ def test_grid_refuses_a_repeated_grid_value(tmp_path, capsys, flag, raw, shown):
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"gibbsrank grid: error: {flag} lists {shown} twice\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_replication_with_a_one_class_draw_fails_before_its_chain(tmp_path, capsys,
+                                                                       monkeypatch, caplog):
+    """At --n-train 2 and seed 0, replication 0 draws one class: it fails
+    before its chain and the row aggregates the other two."""
+    labels = []
+    real = experiments.run_chain
+
+    def spy(features, y, *args):
+        labels.append(y)
+        return real(features, y, *args)
+
+    monkeypatch.setattr(experiments, "run_chain", spy)
+    out = tmp_path / "grid"
+    run_cli("grid", "--reps", "3", "--n-train", "2", "--n-test", "4", "--deltas", "1",
+            "--sigma2s", "0.01", "--iters", "30", "--burnin", "10", "--seed", "0",
+            "--out", str(out))
+    assert len(labels) == 2 and all(np.unique(y).size == 2 for y in labels)
+    assert (out / "grid.csv").read_bytes() == (
+        b"delta,sigma2,auc_averaged_mean,auc_averaged_var,auc_randomized_mean,"
+        b"auc_randomized_var,freq_1,freq_2,freq_3,freq_4,freq_5,freq_6,freq_7,freq_8,freq_9,"
+        b"freq_10,junk_frequency_sum,failures\r\n"
+        b"1.0,0.01,0.666667,0.000000,0.750000,0.125000,0.075000,0.000000,0.175000,0.000000,"
+        b"0.000000,0.050000,0.250000,0.000000,0.000000,0.000000,0.375000,1\r\n")
+    failed, = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert failed.getMessage() == "grid cell delta=1.0 sigma2=0.01: replication 0 failed"
+    assert str(failed.exc_info[1]) == ("train draw: all 2 drawn labels are one class; "
+                                       "raise --n-train")
+    assert not any("single-class" in r.getMessage() for r in caplog.records)
+    assert "single-class" not in capsys.readouterr().err
 
 
 def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
@@ -567,7 +726,7 @@ def test_auc_subcommand_rejects_nan_score(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row, problem", [("0.2,nan", "a NaN label"), ("0.2,", "an empty label"),
-                                          ("0.2,  ", "an empty label"), ("0.2", "an empty label"),
+                                          ("0.2,  ", "an empty label"),
                                           ("0.2,yes", "a non-numeric label 'yes'"),
                                           (",1", "an empty score")])
 def test_auc_subcommand_rejects_bad_cells(tmp_path, capsys, row, problem):
@@ -577,6 +736,19 @@ def test_auc_subcommand_rejects_bad_cells(tmp_path, capsys, row, problem):
     captured = capsys.readouterr()
     assert "auc_half" not in captured.out
     assert f"data row 2 (line 3) has {problem}" in captured.err
+
+
+@pytest.mark.parametrize("row, cells", [("0.2,0.5,1", 3), ("0.2", 1)], ids=["long", "short"])
+def test_auc_subcommand_refuses_a_ragged_row(tmp_path, capsys, row, cells):
+    """As load_csv does: a long row's extra cell is not read as its label,
+    and a short row is not one with an empty label."""
+    path = tmp_path / "scores.csv"
+    path.write_text(f"score,label\n0.1,1\n{row}\n0.3,0\n0.4,1\n")
+    assert main(["auc", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"gibbsrank auc: {path}: ragged rows: data row 2 (line 3) has "
+                            f"{cells} cells, the header has 2\n")
 
 
 @pytest.mark.parametrize("flags, message", [
