@@ -9,7 +9,6 @@ over the file.  No parser accepts an abbreviated flag.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -18,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, derive_seed, gen_synthetic, header_names, load_csv, map_to_unit,
-                   ragged_row_error, refuse_one_class, save_csv)
+from .data import (DataError, derive_seed, gen_synthetic, load_csv, map_to_unit, read_table,
+                   refuse_one_class, save_csv)
 from .experiments import (
     ExperimentConfig,
     fit_and_evaluate,
@@ -118,7 +117,8 @@ def cmd_synth(args) -> int:
     save_csv(train, out / "train.csv")
     save_csv(test, out / "test.csv")
     oracle = auc(test.eta, test.y)
-    write_metadata(out / "synth_metadata.json", cfg, {"oracle_auc_test": oracle})
+    write_metadata(out / "synth_metadata.json", cfg, COMMAND_SETTINGS["synth"],
+                   {"oracle_auc_test": oracle})
     print(f"wrote {out / 'train.csv'} ({train.n} rows) and {out / 'test.csv'} ({test.n} rows)")
     print(f"oracle AUC of the true regression function on the test set: {oracle:.4f}")
     return 0
@@ -172,7 +172,8 @@ def cmd_fit(args) -> int:
     with open(out / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_metadata(out / "fit_metadata.json", cfg, {"size_prior": size_prior(cfg, train.d)})
+    write_metadata(out / "fit_metadata.json", cfg, COMMAND_SETTINGS["fit"],
+                   {"size_prior": size_prior(cfg, train.d)})
     print(f"test AUC: averaged {metrics['test_auc_averaged']:.4f}, "
           f"randomized {metrics['test_auc_randomized']:.4f} "
           f"(acceptance {metrics['acceptance_rate']:.3f})")
@@ -205,7 +206,7 @@ def cmd_grid(args) -> int:
     out = _outdir(args)
     rows = run_grid(cfg, deltas, sigma2s)
     grid_to_csv(rows, out / "grid.csv")
-    write_metadata(out / "grid_metadata.json", cfg, {
+    write_metadata(out / "grid_metadata.json", cfg, COMMAND_SETTINGS["grid"], {
         "deltas": list(deltas),
         "sigma2s": list(sigma2s),
         "size_prior": {repr(s): size_prior(replace(cfg, sigma2=s), cfg.d) for s in sigma2s},
@@ -231,7 +232,7 @@ def cmd_cv(args) -> int:
         fh.write("fold,auc_averaged,auc_randomized\n")
         for i, (a, r) in enumerate(zip(result.fold_auc_averaged, result.fold_auc_randomized)):
             fh.write(f"{i},{a:.6f},{r:.6f}\n")
-    write_metadata(out / "cv_metadata.json", cfg,
+    write_metadata(out / "cv_metadata.json", cfg, COMMAND_SETTINGS["cv"],
                    {**summary, "size_prior": size_prior(cfg, dataset.d)})
     print(f"CV AUC: averaged {summary['cv_auc_averaged_mean']:.3f} "
           f"({summary['cv_auc_averaged_var']:.3f}), "
@@ -241,13 +242,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_auc(args) -> int:
-    # the file is opened, its header read and its rows checked as load_csv does
-    with open(args.data, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = header_names(args.data, next(reader))
-        except StopIteration:
-            raise DataError(f"{args.data}: empty file") from None
+    with read_table(args.data) as (header, rows):
         for flag, column in (("--score-column", args.score_column),
                              ("--label-column", args.label_column)):
             if column not in header:
@@ -256,9 +251,7 @@ def cmd_auc(args) -> int:
         scores, labels = [], []
         read = (("score", header.index(args.score_column), scores),
                 ("label", header.index(args.label_column), labels))
-        for i, row in enumerate(filter(None, reader), 1):  # csv yields [] for a blank line
-            if len(row) != len(header):
-                raise ragged_row_error(args.data, i, reader.line_num, len(row), len(header))
+        for i, line, row in rows:
             for what, j, values in read:
                 cell = row[j].strip()
                 try:
@@ -268,11 +261,8 @@ def cmd_auc(args) -> int:
                 else:
                     problem = f"a NaN {what}" if math.isnan(value) else None
                 if problem:
-                    raise DataError(f"{args.data}: data row {i} (line {reader.line_num}) "
-                                    f"has {problem}")
+                    raise DataError(f"{args.data}: data row {i} (line {line}) has {problem}")
                 values.append(value)
-    if not scores:
-        raise DataError(f"{args.data}: no data rows")
     labels = np.where(np.array(labels) > 0, 1.0, -1.0)
     print(f"auc_half {auc(scores, labels, 'half'):.6f}")
     print(f"auc_strict {auc(scores, labels, 'strict'):.6f}")
@@ -308,8 +298,11 @@ def main(argv=None) -> int:
     p.add_argument("--score-column", default="score")
     p.add_argument("--label-column", default="label")
 
-    args = parser.parse_args(argv)
+    # a flag the command does not take is reported under the command's own usage
+    args, unrecognized = parser.parse_known_args(argv)
     command = sub.choices[args.command]
+    if unrecognized:
+        command.error(f"unrecognized arguments: {' '.join(unrecognized)}")
     if args.command == "fit":
         csv_train = args.train != "synthetic"
         csv_test = args.test not in (None, "synthetic")

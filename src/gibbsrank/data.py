@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,26 +110,41 @@ def _parse_cell(cell: str) -> float:
         return np.nan
 
 
-def ragged_row_error(path, row: int, line: int, cells: int, width: int) -> DataError:
-    """DataError for a data row (1-based, on a 1-based file line) whose cell
-    count is not the header's width."""
-    return DataError(f"{path}: ragged rows: data row {row} (line {line}) has {cells} cells, "
-                     f"the header has {width}")
-
-
 def refuse_one_class(data: Dataset, source: str, role: str) -> None:
     """DataError when a synthetic draw's labels are all one class: it has no AUC."""
     if np.all(data.y == data.y[0]):
         raise DataError(f"{source}: all {data.n} drawn labels are one class; raise --n-{role}")
 
 
-def header_names(path, cells) -> list[str]:
-    """A header row's column names, stripped; a name listed twice is a DataError."""
-    names = [cell.strip() for cell in cells]
-    if len(set(names)) < len(names):
-        repeated = next(name for i, name in enumerate(names) if name in names[:i])
-        raise DataError(f"{path}: column {repeated!r} is named twice in header {names}")
-    return names
+@contextmanager
+def read_table(path):
+    """(header, rows) of a CSV with a header row: the stripped column names,
+    and a generator of (data-row number, file line, cells) per data row, both
+    1-based.  Every CSV input is read here, under one policy: utf-8-sig drops
+    a spreadsheet's byte-order mark, blank lines are skipped, and an empty
+    file, a column named twice, a ragged row and no data rows are DataErrors.
+    The file closes when the with block exits, also on a raise mid-file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(set(header)) < len(header):
+            repeated = next(name for i, name in enumerate(header) if name in header[:i])
+            raise DataError(f"{path}: column {repeated!r} is named twice in header {header}")
+
+        def rows():
+            i = 0
+            for i, cells in enumerate(filter(None, reader), 1):  # csv yields [] for a blank line
+                if len(cells) != len(header):
+                    raise DataError(f"{path}: ragged rows: data row {i} (line {reader.line_num}) "
+                                    f"has {len(cells)} cells, the header has {len(header)}")
+                yield i, reader.line_num, cells
+            if not i:
+                raise DataError(f"{path}: no data rows")
+
+        yield header, rows()
 
 
 def load_csv(path, label_column: str = "label", positive_label_value: float = 1.0) -> Dataset:
@@ -143,33 +159,18 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     untouched.  Every returned array owns its data or views a buffer of its
     own size, so none keeps the parsed table alive.
     """
-    # utf-8-sig drops the byte-order mark that spreadsheet exports put
-    # before the first header cell
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = header_names(path, next(reader))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with read_table(path) as (header, rows):
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r} in header {header}")
         # Each row becomes floats as it is read, so no table of strings is
         # ever held: one float() pass, and a per-cell parse only for a row
         # with an empty or non-numeric cell.
         values = array("d")
-        n_rows = 0
-        for row in reader:
-            if not row:
-                continue  # csv yields [] for a blank line
-            if len(row) != len(header):
-                raise ragged_row_error(path, n_rows + 1, reader.line_num, len(row), len(header))
+        for n_rows, _, row in rows:  # rows refuses a table without any
             try:
                 values.extend(list(map(float, row)))  # all of the row or none of it
             except ValueError:
                 values.extend(map(_parse_cell, row))
-            n_rows += 1
-    if not n_rows:
-        raise DataError(f"{path}: no data rows")
 
     table = np.frombuffer(values, dtype=float).reshape(n_rows, len(header))
     infinite = np.isinf(table)

@@ -336,9 +336,9 @@ def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> CvResult:
                     fold_auc_randomized=[m["test_auc_randomized"] for m in metrics])
 
 
-def write_metadata(path, cfg: ExperimentConfig, extra: dict | None = None) -> None:
-    """Config, seed, and version: everything needed to reproduce a run."""
-    record = {"version": __version__, "config": asdict(cfg)}
+def write_metadata(path, cfg: ExperimentConfig, settings, extra: dict | None = None) -> None:
+    """The version and cfg's values of settings, those the run read: all it needs to rerun."""
+    record = {"version": __version__, "config": {name: getattr(cfg, name) for name in settings}}
     if extra:
         record.update(extra)
     with open(path, "w") as fh:

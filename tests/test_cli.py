@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 import gibbsrank
 from gibbsrank import cli, experiments
 from gibbsrank.cli import build_config, main, read_config_file
-from gibbsrank.data import derive_seed, gen_synthetic, load_csv, save_csv
+from gibbsrank.data import DataError, derive_seed, gen_synthetic, load_csv, save_csv
 from gibbsrank.experiments import ExperimentConfig, chain_configs, write_metadata
 from gibbsrank.gibbs import prior_size_distribution
 
@@ -105,9 +105,37 @@ def test_config_round_trips_through_file_and_metadata(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)))
     assert ExperimentConfig(**read_config_file(path)) == cfg
-    write_metadata(tmp_path / "meta.json", cfg)
-    recorded = json.loads((tmp_path / "meta.json").read_text())["config"]
+    # each command records the settings it reads; together they are all of cfg
+    recorded = {}
+    for command, settings in cli.COMMAND_SETTINGS.items():
+        write_metadata(tmp_path / "meta.json", cfg, settings)
+        config = json.loads((tmp_path / "meta.json").read_text())["config"]
+        assert set(config) == SETTINGS_READ[command]
+        recorded.update(config)
     assert ExperimentConfig(**recorded) == cfg
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("synth", ["--n-train", "40", "--n-test", "40"]),
+    ("fit", ["--iters", "4", "--burnin", "2", "--n-train", "40", "--n-test", "40"]),
+    ("grid", ["--deltas", "1", "--sigma2s", "0.01", "--reps", "1", "--iters", "4",
+              "--burnin", "2", "--n-train", "40", "--n-test", "40"]),
+    ("cv", ["--data", "train.csv", "--folds", "2", "--iters", "4", "--burnin", "2"]),
+])
+def test_metadata_records_only_the_settings_its_command_reads(tmp_path, monkeypatch,
+                                                             command, argv):
+    """A setting the command does not read is not recorded, even when the
+    --config file sets it."""
+    monkeypatch.chdir(tmp_path)
+    save_csv(gen_synthetic(60, seed=0), "train.csv")
+    unread = [name for name in VALUES if name not in SETTINGS_READ[command]]
+    config = tmp_path / "unread.cfg"
+    config.write_text("".join(f"{name}={VALUES[name]}\n" for name in unread))
+    out = tmp_path / "out"
+    run_cli(command, "--out", str(out), "--config", str(config), "--seed", "9", *argv)
+    recorded = json.loads((out / f"{command}_metadata.json").read_text())["config"]
+    assert set(recorded) == SETTINGS_READ[command]
+    assert recorded["seed"] == 9
 
 
 def test_config_file_rejects_malformed_line(tmp_path):
@@ -178,6 +206,22 @@ def test_no_flag_is_abbreviated(capsys, monkeypatch, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["synth", "--iters", "5"], ["fit", "--workers", "2"],
+                                  ["grid", "--delta", "1"],
+                                  ["cv", "--data", "unread.csv", "--d", "50"],
+                                  ["auc", "--data", "unread.csv", "--seed", "5"]], ids=" ".join)
+def test_an_unrecognized_flag_is_reported_by_its_command(capsys, monkeypatch, argv):
+    """Under the command's usage, which lists the flags it does take."""
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 0)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gibbsrank {argv[0]} [-h]")
+    assert err.endswith(f"\ngibbsrank {argv[0]}: error: unrecognized arguments: "
+                        f"{' '.join(argv[-2:])}\n")
 
 
 def test_synth_writes_expected_files(tmp_path):
@@ -798,3 +842,42 @@ def test_auc_subcommand_reads_a_header_behind_a_byte_order_mark(tmp_path, capsys
     path.write_bytes(b"\xef\xbb\xbfscore,label\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n")
     assert main(["auc", "--data", str(path)]) == 0
     assert "auc_half 1.000000" in capsys.readouterr().out
+
+
+PLAIN_SCORES = "score,label\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("score,label\n", "no data rows"),
+    ("score,label,score\n0.9,1,0.1\n0.1,0,0.9\n",
+     "column 'score' is named twice in header ['score', 'label', 'score']"),
+    ("\ufeff" + PLAIN_SCORES, None),  # write_text encodes \ufeff as the byte-order mark
+    ("score,label\n\n0.9,1\n0.1,0\n\n0.8,1\n0.2,0\n\n", None),
+    ("score,label\n0.9,1\n0.1\n", "ragged rows: data row 2 (line 3) has 1 cells, the header has 2"),
+    ("score,label\n0.9,1\n\n0.1,0,1\n",
+     "ragged rows: data row 2 (line 4) has 3 cells, the header has 2"),
+], ids=["empty", "header-only", "named-twice", "byte-order-mark", "blank-lines", "short-row",
+        "long-row"])
+def test_load_csv_and_auc_read_a_table_by_one_policy(tmp_path, capsys, text, message):
+    """Both refuse a file with the same words after its path, and both read a
+    marked or spaced file as the plain one."""
+    path = tmp_path / "scores.csv"
+    path.write_text(text, encoding="utf-8")
+    if message is None:
+        plain = tmp_path / "plain.csv"
+        plain.write_text(PLAIN_SCORES)
+        got, want = load_csv(path), load_csv(plain)
+        assert (got.columns, got.X.tolist(), got.y.tolist()) == (want.columns, want.X.tolist(),
+                                                                  want.y.tolist())
+        run_cli("auc", "--data", str(path))
+        marked_out = capsys.readouterr().out
+        run_cli("auc", "--data", str(plain))
+        assert marked_out == capsys.readouterr().out
+        return
+    with pytest.raises(DataError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+    assert main(["auc", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"gibbsrank auc: {path}: {message}\n")

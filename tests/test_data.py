@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from gibbsrank import data
 from gibbsrank.data import (
     DataError,
     Dataset,
@@ -16,6 +17,7 @@ from gibbsrank.data import (
     load_csv,
     make_splits,
     map_to_unit,
+    read_table,
     save_csv,
 )
 
@@ -266,6 +268,19 @@ def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "b.csv"
     path.write_text("x1,label\n0.1,1\n\n0.2,0\n\n")
     assert load_csv(path).n == 2
+
+
+def test_read_table_closes_its_file_when_the_caller_raises_mid_file(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(data, "open", lambda *args, **kw: opened.append(open(*args, **kw))
+                        or opened[-1], raising=False)
+    path = tmp_path / "t.csv"
+    path.write_text("x1,label\n0.1,1\n0.2,0\n")
+    with pytest.raises(KeyError), read_table(path) as (header, rows):
+        for _ in rows:
+            assert not opened[0].closed
+            raise KeyError
+    assert opened[0].closed
 
 
 def test_kfold_partition():
