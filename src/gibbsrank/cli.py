@@ -243,11 +243,9 @@ def cmd_cv(args) -> int:
 
 def cmd_auc(args) -> int:
     with read_table(args.data) as (header, rows):
-        for flag, column in (("--score-column", args.score_column),
-                             ("--label-column", args.label_column)):
+        for what, column in (("score", args.score_column), ("label", args.label_column)):
             if column not in header:
-                raise DataError(f"{args.data}: no column named {column!r} ({flag}) "
-                                f"in header {header}")
+                raise DataError(f"{args.data}: no {what} column {column!r} in header {header}")
         scores, labels = [], []
         read = (("score", header.index(args.score_column), scores),
                 ("label", header.index(args.label_column), labels))

@@ -161,7 +161,7 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     """
     with read_table(path) as (header, rows):
         if label_column not in header:
-            raise DataError(f"{path}: no column named {label_column!r} in header {header}")
+            raise DataError(f"{path}: no label column {label_column!r} in header {header}")
         # Each row becomes floats as it is read, so no table of strings is
         # ever held: one float() pass, and a per-cell parse only for a row
         # with an empty or non-numeric cell.

@@ -12,13 +12,14 @@ grid; before entering the Gibbs exponent they are mapped to an internal
 inverse temperature by the calibrated power map
 DELTA_COEFF * n_train * delta**DELTA_POWER.  Every chain targets the one
 normalised Gibbs density of GibbsConfig with the size prior
-gibbs.tilted_size_log_weights at the run's sigma2,
+gibbs.tilted_size_log_weights at the run's beta and sigma2,
 
     beta^(kM) * Vol_kM(2) * (2 pi sigma2)^(-kM/2)   for model size k,
 
-rather than the default beta^(kM), with move probability sampler.MOVE_PROB,
-the prior-ball radius that GibbsConfig defaults to and the ridge penalty
-sampler.RIDGE_LAMBDA.  Run metadata records this prior as "size_prior".
+rather than the stated gibbs.geometric_size_log_weights beta^(kM), with
+move probability sampler.MOVE_PROB, prior-ball radius gibbs.BALL_RADIUS and
+ridge penalty sampler.RIDGE_LAMBDA.  Run metadata records this prior as
+"size_prior".
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class ExperimentConfig:
         # the power map of a delta <= 0 is complex or zero
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        chain_configs(self, 1, self.d)  # SamplerConfig's and GibbsConfig's checks
+        chain_configs(self, 1, self.d)  # SamplerConfig's, beta's and GibbsConfig's checks
 
 
 def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
@@ -85,8 +86,8 @@ def effective_delta(cfg: ExperimentConfig, n_train: int) -> float:
 def chain_configs(cfg: ExperimentConfig, n_train: int, d: int):
     # SamplerConfig first: its checks name sigma2 before the tilted weights take its log
     scfg = SamplerConfig(iters=cfg.iters, burnin=cfg.burnin, sigma2=cfg.sigma2)
-    gcfg = GibbsConfig(delta=effective_delta(cfg, n_train), d=d, beta=cfg.beta)
-    gcfg = replace(gcfg, size_log_weights=tilted_size_log_weights(gcfg, cfg.sigma2))
+    gcfg = GibbsConfig(delta=effective_delta(cfg, n_train),
+                       size_log_weights=tilted_size_log_weights(d, cfg.beta, cfg.sigma2))
     return gcfg, scfg
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FeatureMatrix, SparseCoef, score
-from .gibbs import GibbsConfig, log_gibbs, log_prior
+from .gibbs import BALL_RADIUS, GibbsConfig, log_gibbs, log_prior
 from .risk import PreparedLabels, empirical_rank_risk
 
 MOVE_ADD = "add"
@@ -71,16 +71,15 @@ class BenchmarkCache:
     A miss forms the model's kM x kM Gram in one batched matmul over its k
     feature blocks, one BLAS product blocks[i] @ blocks[j].T per covariate
     pair, and keeps only the k * M fitted values, so memory grows with the
-    models the chain visits, never with (d * M)^2.  Fits with norm above the
-    prior ball radius are radially shrunk just inside it so proposals
-    centered on them can land in the support.
+    models the chain visits, never with (d * M)^2.  The ridge penalty is
+    RIDGE_LAMBDA, and fits with norm above gibbs.BALL_RADIUS are radially
+    shrunk just inside the prior ball so proposals centered on them can land
+    in the support.
     """
 
-    def __init__(self, features: FeatureMatrix, labels, ridge_lambda: float, ball_radius: float):
+    def __init__(self, features: FeatureMatrix, labels):
         y = np.asarray(labels, dtype=float)
         self.features = features
-        self.ridge_lambda = ridge_lambda
-        self.ball_radius = ball_radius
         self.xty = features.blocks @ y  # X^T y as (d, M): row j is blocks[j] @ y
         self._cache: dict[bytes, np.ndarray] = {}
 
@@ -95,16 +94,11 @@ class BenchmarkCache:
         kM = A.shape[0] * A.shape[1]
         # (k, k, M, M) pair products, laid out as the (kM, kM) Gram
         G = np.matmul(A[:, None], A[None].swapaxes(2, 3)).transpose(0, 2, 1, 3).reshape(kM, kM)
-        G.flat[::kM + 1] += self.ridge_lambda
-        try:
-            values = np.linalg.solve(G, self.xty[active].ravel())
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"singular ridge system for active covariates {active.tolist()}"
-            ) from exc
+        G.flat[::kM + 1] += RIDGE_LAMBDA  # G + I is positive definite: the solve cannot raise
+        values = np.linalg.solve(G, self.xty[active].ravel())
         norm = float(np.linalg.norm(values))
-        if norm > self.ball_radius:
-            values *= self.ball_radius * (1.0 - 1e-9) / norm
+        if norm > BALL_RADIUS:
+            values *= BALL_RADIUS * (1.0 - 1e-9) / norm
         values.setflags(write=False)
         self._cache[key] = values
         return values
@@ -313,7 +307,7 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     if (gcfg.d, gcfg.M) != (features.d, features.M):
         raise ValueError(f"prior has (d, M) = ({gcfg.d}, {gcfg.M}) but the features "
                          f"have (d, M) = ({features.d}, {features.M})")
-    bench = BenchmarkCache(features, labels, RIDGE_LAMBDA, gcfg.ball_radius)
+    bench = BenchmarkCache(features, labels)
     prepared = PreparedLabels(labels)
 
     T, d, M, burnin = scfg.iters, features.d, features.M, scfg.burnin

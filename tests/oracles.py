@@ -5,11 +5,15 @@ the sampler computes a whole neighborhood at a time; padded is the dense
 d*M embedding of a sparse coefficient vector.  A model is its ascending,
 read-only intp array of active indices: active builds one from indices in
 any order and checks them, and bits is its (d,) bool inclusion vector.
+geometric_config is a GibbsConfig on the stated geometric size prior.
 """
 
 import math
 
 import numpy as np
+
+from gibbsrank.basis import DICTIONARY_SIZE
+from gibbsrank.gibbs import GibbsConfig, geometric_size_log_weights
 
 
 def log_proposal_density(values: np.ndarray, mean: np.ndarray, sigma2: float) -> float:
@@ -62,3 +66,8 @@ def bits(active: np.ndarray, d: int) -> np.ndarray:
     out[active] = True
     out.setflags(write=False)
     return out
+
+
+def geometric_config(delta: float, d: int, beta: float, M: int = DICTIONARY_SIZE) -> GibbsConfig:
+    """A GibbsConfig over d covariates with the size prior beta^(kM)."""
+    return GibbsConfig(delta=delta, size_log_weights=geometric_size_log_weights(d, beta, M), M=M)

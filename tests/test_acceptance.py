@@ -15,7 +15,9 @@ from scipy.stats import chisquare
 from gibbsrank.basis import SparseCoef, build_features, score
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import (
+    BALL_RADIUS,
     GibbsConfig,
+    geometric_size_log_weights,
     log_ball_volume,
     log_binomial,
     log_gibbs,
@@ -25,7 +27,6 @@ from gibbsrank.gibbs import (
 from gibbsrank.experiments import ExperimentConfig, run_grid_cell
 from gibbsrank.risk import auc, empirical_rank_risk
 from gibbsrank.sampler import (
-    RIDGE_LAMBDA,
     BenchmarkCache,
     ChainState,
     SamplerConfig,
@@ -106,8 +107,8 @@ def test_criterion_5_ordering_property(grid_cells):
 
 
 def test_criterion_6_prior_log_ratio_identity():
-    d, M = 20, 13
-    cfg = GibbsConfig(delta=1.0, d=d, beta=0.5, M=M)
+    d, M, beta = 20, 13, 0.5
+    cfg = GibbsConfig(delta=1.0, size_log_weights=geometric_size_log_weights(d, beta, M), M=M)
     worst = 0.0
     for k in range(1, d):
         def coef(size):
@@ -116,10 +117,10 @@ def test_criterion_6_prior_log_ratio_identity():
             return SparseCoef(active(d, range(size)), values=values)
 
         lhs = log_prior(coef(k + 1), cfg) - log_prior(coef(k), cfg)
-        rhs = (M * math.log(cfg.beta)
+        rhs = (M * math.log(beta)
                + log_binomial(d, k) - log_binomial(d, k + 1)
-               - log_ball_volume((k + 1) * cfg.M, cfg.ball_radius)
-               + log_ball_volume(k * cfg.M, cfg.ball_radius))
+               - log_ball_volume((k + 1) * cfg.M, BALL_RADIUS)
+               + log_ball_volume(k * cfg.M, BALL_RADIUS))
         worst = max(worst, abs(lhs - rhs))
     report(6, worst < 1e-10,
            f"size-ratio identity over all k < {d} (M={M}): max abs error {worst:.2e} (< 1e-10)")
@@ -142,9 +143,9 @@ def test_criterion_7a_selection_frequencies():
 def test_criterion_7b_self_proposal_acceptance():
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=50.0, d=5, beta=0.5)
+    gcfg = GibbsConfig(delta=50.0, size_log_weights=geometric_size_log_weights(5, 0.5))
     scfg = SamplerConfig(iters=1000, burnin=800, sigma2=0.01)
-    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y)
     model = active(5, [2])
     mean = bench.fit(model)
     theta = SparseCoef(model, values=mean.copy())
@@ -160,7 +161,7 @@ def test_criterion_7b_self_proposal_acceptance():
 
 
 def test_criterion_7c_prior_recovery_at_zero_temperature():
-    gcfg = GibbsConfig(delta=1e-8, d=5, beta=0.85)
+    gcfg = GibbsConfig(delta=1e-8, size_log_weights=geometric_size_log_weights(5, 0.85))
     target = prior_size_distribution(gcfg)
     counts = np.zeros(gcfg.d + 1)
     for seed in range(10):

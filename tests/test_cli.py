@@ -426,7 +426,8 @@ def test_fit_csv_train_requires_test(tmp_path, capsys):
 
 BAD_SETTINGS = [("delta", ["--delta", "-1"]), ("delta", ["--delta", "inf"]),
                 ("sigma2", ["--sigma2", "0"]), ("sigma2", ["--sigma2", "nan"]),
-                ("beta", ["--beta", "1.5"]), ("iters", ["--iters", "1"]),
+                ("beta", ["--beta", "1.5"]), ("beta", ["--beta", "0"]),
+                ("beta", ["--beta", "nan"]), ("iters", ["--iters", "1"]),
                 ("burnin", ["--iters", "10", "--burnin", "20"]),
                 ("folds", ["--folds", "1"]), ("workers", ["--workers", "0"]),
                 ("seed", ["--seed", "-1"]), ("seed", ["--seed", "4294967296"]),
@@ -796,9 +797,8 @@ def test_auc_subcommand_refuses_a_ragged_row(tmp_path, capsys, row, cells):
 
 
 @pytest.mark.parametrize("flags, message", [
-    ([], "no column named 'score' (--score-column) in header ['x', 'label']"),
-    (["--score-column", "x", "--label-column", "y"],
-     "no column named 'y' (--label-column) in header ['x', 'label']"),
+    ([], "no score column 'score' in header ['x', 'label']"),
+    (["--score-column", "x", "--label-column", "y"], "no label column 'y' in header ['x', 'label']"),
 ], ids=["score", "label"])
 def test_auc_subcommand_names_a_missing_column(tmp_path, capsys, flags, message):
     path = tmp_path / "scores.csv"
@@ -807,6 +807,20 @@ def test_auc_subcommand_names_a_missing_column(tmp_path, capsys, flags, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"gibbsrank auc: {path}: {message}\n"
+
+
+def test_cv_and_auc_word_a_missing_label_column_alike(tmp_path, capsys):
+    """Both take --label-column; cv used to say "no column named 'y'" and auc
+    "no column named 'y' (--label-column)"."""
+    path = tmp_path / "data.csv"
+    path.write_text("x,label\n0.1,1\n0.3,0\n0.2,1\n0.4,0\n")
+    message = f"{path}: no label column 'y' in header ['x', 'label']\n"
+    assert main(["cv", "--data", str(path), "--label-column", "y",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"gibbsrank cv: {message}"
+    assert main(["auc", "--data", str(path), "--score-column", "x", "--label-column", "y"]) == 1
+    assert capsys.readouterr().err == f"gibbsrank auc: {message}"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", [("score,label\n", "no data rows"),

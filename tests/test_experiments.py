@@ -9,7 +9,7 @@ import pytest
 from gibbsrank import experiments
 from gibbsrank.basis import SparseCoef, build_features, score, score_dense
 from gibbsrank.data import gen_synthetic, save_csv, load_csv
-from gibbsrank.gibbs import GibbsConfig, tilted_size_log_weights
+from gibbsrank.gibbs import tilted_size_log_weights
 from gibbsrank.risk import auc
 from gibbsrank.sampler import FinalEstimators
 from gibbsrank.experiments import (
@@ -74,13 +74,12 @@ def test_chain_configs_carry_settings():
     cfg = ExperimentConfig(sigma2=0.5, iters=123, burnin=45, beta=0.4)
     gcfg, scfg = chain_configs(cfg, n_train=200, d=7)
     assert gcfg.d == 7
-    assert gcfg.beta == 0.4
     assert gcfg.delta == pytest.approx(effective_delta(cfg, 200))
     assert scfg.iters == 123
     assert scfg.burnin == 45
     assert scfg.sigma2 == 0.5
-    base = GibbsConfig(delta=gcfg.delta, d=7, beta=0.4)
-    assert gcfg.size_log_weights == tilted_size_log_weights(base, cfg.sigma2)
+    # beta reaches the chain only through the size prior it builds
+    assert gcfg.size_log_weights == tilted_size_log_weights(7, 0.4, cfg.sigma2)
 
 
 def test_fit_and_evaluate_metrics_shape():

@@ -1,7 +1,6 @@
 """Prior and pseudo-posterior log-densities, checked against log-gamma identities."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,9 @@ from scipy.special import gammaln
 from gibbsrank.basis import SparseCoef, build_features, score
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import (
+    BALL_RADIUS,
     GibbsConfig,
+    geometric_size_log_weights,
     log_ball_volume,
     log_binomial,
     log_gibbs,
@@ -19,7 +20,7 @@ from gibbsrank.gibbs import (
     tilted_size_log_weights,
 )
 from gibbsrank.sampler import SamplerConfig, run_chain
-from oracles import active as active_indices
+from oracles import active as active_indices, geometric_config
 
 
 def unit_coef(d, active, M, norm=1.0):
@@ -30,18 +31,38 @@ def unit_coef(d, active, M, norm=1.0):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GibbsConfig(delta=0.0, d=5, beta=0.5)
-    with pytest.raises(ValueError):
-        GibbsConfig(delta=1.0, d=5, beta=1.0)
-    with pytest.raises(ValueError):
-        GibbsConfig(delta=1.0, d=5, beta=0.5, ball_radius=-1.0)
-    with pytest.raises(ValueError, match="d \\+ 1 = 6 entries"):
-        GibbsConfig(delta=1.0, d=5, beta=0.5, size_log_weights=(0.0,) * 5)
-    with pytest.raises(ValueError):
-        GibbsConfig(delta=1.0, d=5, beta=0.5, size_log_weights=(0.0,) * 7)
-    with pytest.raises(TypeError):  # ExperimentConfig.beta is the one default
-        GibbsConfig(delta=1.0, d=5)
+    with pytest.raises(ValueError, match="^delta must be positive$"):
+        geometric_config(delta=0.0, d=5, beta=0.5)
+    with pytest.raises(ValueError, match="^size_log_weights needs an entry for size 0$"):
+        GibbsConfig(delta=1.0, size_log_weights=())
+    with pytest.raises(TypeError):  # the size vector states the prior; it has no default
+        GibbsConfig(delta=1.0)
+    # d is the vector's length minus one, and M only scales the ball's dimension
+    cfg = GibbsConfig(delta=1.0, size_log_weights=(0.0,) * 6, M=3)
+    assert (cfg.d, cfg.M) == (5, 3)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_both_size_prior_builders_refuse_a_beta_outside_the_unit_interval(beta):
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
+        geometric_size_log_weights(5, beta)
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
+        tilted_size_log_weights(5, beta, 0.01)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_refuses_a_nan_or_plus_inf_size_weight_naming_its_size(k, bad):
+    """A NaN or +inf log mass used to pass: at d = 5 with entry 1 set so, a
+    50-iteration chain stayed at the empty model throughout, with no error
+    or warning.  -inf (size k has no mass) stays allowed."""
+    weights = list(geometric_size_log_weights(5, 0.5))
+    weights[k] = bad
+    with pytest.raises(ValueError, match=rf"^size_log_weights\[{k}\] is {bad}; "
+                                         r"a log mass is finite or -inf$"):
+        GibbsConfig(delta=1.0, size_log_weights=tuple(weights))
+    weights[k] = -math.inf
+    assert GibbsConfig(delta=1.0, size_log_weights=tuple(weights)).size_log_weights[k] == -math.inf
 
 
 def test_ball_volume_closed_forms():
@@ -59,32 +80,32 @@ def test_log_binomial_exact_small_values():
 
 
 def test_empty_model_log_prior_is_zero():
-    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
     theta = SparseCoef(active_indices(5, []), values=np.zeros(0))
     assert log_prior(theta, cfg) == 0.0
 
 
 def test_outside_ball_is_minus_infinity():
-    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5, ball_radius=2.0)
-    theta = unit_coef(5, [0], cfg.M, norm=2.5)
+    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
+    theta = unit_coef(5, [0], cfg.M, norm=BALL_RADIUS * 1.25)
     assert log_prior(theta, cfg) == -math.inf
 
 
 def test_dimension_mismatch_raises():
-    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
     theta = unit_coef(6, [5], cfg.M)  # a model over 6 covariates naming the sixth
     with pytest.raises(ValueError):
         log_prior(theta, cfg)
 
 
-@pytest.mark.parametrize("prior", ["default", "tilted"])
+@pytest.mark.parametrize("prior", ["geometric", "tilted"])
 def test_log_prior_size_ratio_identity(prior):
     """Moving from model size k to k+1 changes the log prior by
     w[k+1] - w[k] + log C(d,k) - log C(d,k+1) minus the ball-volume increment."""
     d, M = 20, 13
-    cfg = GibbsConfig(delta=1.0, d=d, beta=0.37, M=M)
-    if prior == "tilted":
-        cfg = replace(cfg, size_log_weights=tilted_size_log_weights(cfg, 0.01))
+    weights = (geometric_size_log_weights(d, 0.37, M) if prior == "geometric"
+               else tilted_size_log_weights(d, 0.37, 0.01, M))
+    cfg = GibbsConfig(delta=1.0, size_log_weights=weights, M=M)
     w = cfg.size_log_weights
     for k in range(1, d):
         lo = log_prior(unit_coef(d, list(range(k)), M), cfg)
@@ -93,34 +114,33 @@ def test_log_prior_size_ratio_identity(prior):
             w[k + 1] - w[k]
             + log_binomial(d, k)
             - log_binomial(d, k + 1)
-            - log_ball_volume((k + 1) * cfg.M, cfg.ball_radius)
-            + log_ball_volume(k * cfg.M, cfg.ball_radius)
+            - log_ball_volume((k + 1) * cfg.M, BALL_RADIUS)
+            + log_ball_volume(k * cfg.M, BALL_RADIUS)
         )
         assert hi - lo == pytest.approx(expected, abs=1e-10)
 
 
 def test_log_prior_reads_the_closed_form_size_term_bit_for_bit():
     """log_prior's size term is -log C(d, k) + w[k] - log Vol_kM(R), the same
-    double for every k, whether w is the default, the tilted vector or one
-    put in by dataclasses.replace; the ball test and the empty model stay."""
+    double for every k, whether w is the geometric, the tilted or an
+    arbitrary vector; the ball test and the empty model stay."""
     d = 12
-    default = GibbsConfig(delta=1.0, d=d, beta=0.37)
-    tilted = replace(default, size_log_weights=tilted_size_log_weights(default, 0.01))
+    geometric = geometric_config(delta=1.0, d=d, beta=0.37)
+    tilted = GibbsConfig(delta=1.0, size_log_weights=tilted_size_log_weights(d, 0.37, 0.01))
     custom = np.random.default_rng(3).standard_normal(d + 1) * 40.0
-    replaced = replace(tilted, size_log_weights=tuple(custom))
-    wider = replace(replaced, ball_radius=3.5)
-    for cfg in (default, tilted, replaced, wider):
+    arbitrary = GibbsConfig(delta=1.0, size_log_weights=custom)
+    for cfg in (geometric, tilted, arbitrary):
         w = cfg.size_log_weights
         for k in range(d + 1):
             theta = (SparseCoef(active_indices(d, []), values=np.zeros(0)) if k == 0
                      else unit_coef(d, list(range(k)), cfg.M))
             expected = (-log_binomial(d, k) + w[k]
-                        - log_ball_volume(k * cfg.M, cfg.ball_radius))
+                        - log_ball_volume(k * cfg.M, BALL_RADIUS))
             assert log_prior(theta, cfg) == expected
-        outside = unit_coef(d, [0, 4], cfg.M, norm=cfg.ball_radius * 1.01)
+        outside = unit_coef(d, [0, 4], cfg.M, norm=BALL_RADIUS * 1.01)
         assert log_prior(outside, cfg) == -math.inf
-    assert replaced.size_log_weights == tuple(custom)
-    for cfg in (default, tilted):
+    assert arbitrary.size_log_weights == tuple(custom)
+    for cfg in (geometric, tilted):
         assert log_prior(SparseCoef(active_indices(d, []), values=np.zeros(0)), cfg) == 0.0
 
 
@@ -129,11 +149,11 @@ def test_chain_samples_its_size_prior_vector():
     prior vector states: here the experiments' tilted vector
     beta^(kM) Vol_kM(2) (2 pi sigma2)^(-kM/2), far from the geometric
     beta^(kM), in the setup of acceptance criterion 7c."""
-    sigma2 = 0.3
-    geometric = GibbsConfig(delta=1e-8, d=5, beta=0.8)
-    gcfg = replace(geometric, size_log_weights=tilted_size_log_weights(geometric, sigma2))
+    sigma2, beta = 0.3, 0.8
+    geometric = geometric_config(delta=1e-8, d=5, beta=beta)
+    gcfg = GibbsConfig(delta=1e-8, size_log_weights=tilted_size_log_weights(5, beta, sigma2))
     dims = np.arange(gcfg.d + 1) * gcfg.M
-    closed_form = (dims * (math.log(gcfg.beta) + 0.5 * math.log(math.pi) + math.log(2.0)
+    closed_form = (dims * (math.log(beta) + 0.5 * math.log(math.pi) + math.log(2.0)
                            - 0.5 * math.log(2 * math.pi * sigma2))
                    - gammaln(0.5 * dims + 1.0))
     assert np.allclose(gcfg.size_log_weights, closed_form, rtol=0.0, atol=1e-10)
@@ -155,7 +175,7 @@ def test_chain_samples_its_size_prior_vector():
 def test_log_prior_refuses_an_active_index_outside_the_config(index):
     """At d=5, index -1 was taken as a size-1 model and index 7 was accepted
     too; both are a ValueError naming the index and d."""
-    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
     theta = SparseCoef(np.array([index], dtype=np.intp), values=np.ones(cfg.M))
     with pytest.raises(ValueError, match=f"active index {index} outside 0..4 for d=5"):
         log_prior(theta, cfg)
@@ -165,7 +185,7 @@ def test_log_prior_refuses_an_active_index_outside_the_config(index):
 def test_score_and_log_prior_bound_every_index_of_an_unsorted_model(listed, index):
     """A public SparseCoef need not be ascending: at d=5, [3, -1] once scored
     as [3, 4] because only the first and last index were bounded."""
-    cfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
     theta = SparseCoef(np.array(listed, dtype=np.intp), values=np.ones(2 * cfg.M))
     features = build_features(np.random.default_rng(4).random((6, 5)))
     message = f"active index {index} outside 0..4 for d=5"
@@ -176,37 +196,38 @@ def test_score_and_log_prior_bound_every_index_of_an_unsorted_model(listed, inde
 
 
 def test_log_gibbs_zero_risk_equals_prior():
-    cfg = GibbsConfig(delta=4.0, d=5, beta=0.5)
+    cfg = geometric_config(delta=4.0, d=5, beta=0.5)
     theta = unit_coef(5, [1], cfg.M)
     assert log_gibbs(theta, 0.0, cfg) == log_prior(theta, cfg)
 
 
 def test_log_gibbs_outside_ball():
-    cfg = GibbsConfig(delta=4.0, d=5, beta=0.5)
+    cfg = geometric_config(delta=4.0, d=5, beta=0.5)
     theta = unit_coef(5, [1], cfg.M, norm=3.0)
     assert log_gibbs(theta, 0.1, cfg) == -math.inf
 
 
 def test_log_gibbs_risk_difference():
-    cfg = GibbsConfig(delta=10.0, d=5, beta=0.5)
+    cfg = geometric_config(delta=10.0, d=5, beta=0.5)
     theta = unit_coef(5, [1], cfg.M)
     diff = log_gibbs(theta, 0.2, cfg) - log_gibbs(theta, 0.3, cfg)
     assert diff == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prior_size_distribution_matches_direct_sum():
-    cfg = GibbsConfig(delta=1.0, d=6, beta=0.8, M=3)
+    beta = 0.8
+    cfg = geometric_config(delta=1.0, d=6, beta=beta, M=3)
     dist = prior_size_distribution(cfg)
     # direct computation: the C(d,k) masks of size k each carry
     # C(d,k)^(-1) beta^(kM), so size k has unnormalized mass beta^(kM)
-    raw = np.array([cfg.beta ** (k * cfg.M) for k in range(cfg.d + 1)])
+    raw = np.array([beta ** (k * cfg.M) for k in range(cfg.d + 1)])
     assert np.allclose(dist, raw / raw.sum(), atol=1e-14)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(dist) < 0)
 
 
 def test_large_delta_stays_finite():
-    cfg = GibbsConfig(delta=1e7, d=5, beta=0.5)
+    cfg = geometric_config(delta=1e7, d=5, beta=0.5)
     theta = unit_coef(5, [0], cfg.M)
     value = log_gibbs(theta, 0.4, cfg)
     assert math.isfinite(value)

@@ -16,7 +16,7 @@ from gibbsrank.basis import (
     score,
 )
 from gibbsrank.data import gen_synthetic
-from gibbsrank.gibbs import GibbsConfig, log_gibbs, log_prior, tilted_size_log_weights
+from gibbsrank.gibbs import BALL_RADIUS, GibbsConfig, log_gibbs, log_prior, tilted_size_log_weights
 from gibbsrank.risk import PreparedLabels
 from gibbsrank.sampler import (
     MOVE_PROB,
@@ -34,7 +34,7 @@ from gibbsrank.sampler import (
     select_index,
     trace_to_csv,
 )
-from oracles import active, bits, log_proposal_density, padded
+from oracles import active, bits, geometric_config, log_proposal_density, padded
 
 
 # the settings of a single step: mcmc_step reads only sigma2
@@ -43,8 +43,7 @@ STEP_CFG = SamplerConfig(iters=1000, burnin=800, sigma2=0.01)
 
 def tilted_config(delta, d, sigma2=0.01):
     """A GibbsConfig with the experiments' size prior at proposal variance sigma2."""
-    gcfg = GibbsConfig(delta=delta, d=d, beta=0.5)
-    return replace(gcfg, size_log_weights=tilted_size_log_weights(gcfg, sigma2))
+    return GibbsConfig(delta=delta, size_log_weights=tilted_size_log_weights(d, 0.5, sigma2))
 
 
 class FakeRng:
@@ -72,21 +71,21 @@ def test_sampler_config_validation():
 
 
 def test_benchmark_orthonormal_design():
-    # orthonormal columns and y equal to one of them: least squares puts
-    # weight 1 there and ~0 elsewhere, up to the ridge perturbation
+    # orthonormal columns and y equal to one of them: the ridge solve
+    # (Q^T Q + lambda I)^-1 Q^T y puts weight 1 / (1 + lambda) there and 0 elsewhere
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
     fm = FeatureMatrix(blocks=Q.T[None])
     y = Q[:, 1]
-    values = BenchmarkCache(fm, y, ridge_lambda=1e-6, ball_radius=2.0).fit(active(1, [0]))
-    expected = np.array([0.0, 1.0, 0.0, 0.0])
+    values = BenchmarkCache(fm, y).fit(active(1, [0]))
+    expected = np.array([0.0, 1.0 / (1.0 + RIDGE_LAMBDA), 0.0, 0.0])
     assert np.allclose(values, expected, atol=1e-5)
 
 
 def test_benchmark_cache_returns_identical_result():
     data = gen_synthetic(25, d=5, seed=1)
     fm = build_features(data.X)
-    cache = BenchmarkCache(fm, data.y, ridge_lambda=1.0, ball_radius=2.0)
+    cache = BenchmarkCache(fm, data.y)
     model = active(5, [0, 3])
     first = cache.fit(model)
     second = cache.fit(model)
@@ -99,10 +98,10 @@ def test_benchmark_matches_independent_solve():
     # four of the dictionary's functions: P0, P1, sin(pi t) and cos(pi t)
     fm = FeatureMatrix(blocks=build_features(X).blocks[:, [0, 1, 7, 10]])
     y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
-    lam = 0.1
-    values = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=2.0).fit(active(1, [0]))
+    values = BenchmarkCache(fm, y).fit(active(1, [0]))
     Phi = fm.blocks[0].T
-    direct = np.linalg.inv(Phi.T @ Phi + lam * np.eye(4)) @ (Phi.T @ y)
+    direct = np.linalg.inv(Phi.T @ Phi + RIDGE_LAMBDA * np.eye(4)) @ (Phi.T @ y)
+    assert np.linalg.norm(direct) < BALL_RADIUS  # no shrink
     assert np.allclose(values, direct, atol=1e-10)
 
 
@@ -113,15 +112,15 @@ def test_benchmark_assembles_blocks_of_a_non_adjacent_mask():
     X = rng.random((30, 4))
     fm = build_features(X)
     y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
-    lam = 0.3
-    cache = BenchmarkCache(fm, y, ridge_lambda=lam, ball_radius=1e6)
+    cache = BenchmarkCache(fm, y)
     values = cache.fit(active(4, [0, 2, 3]))
     Phi = np.hstack([fm.blocks[j].T for j in (0, 2, 3)])
-    direct = np.linalg.solve(Phi.T @ Phi + lam * np.eye(Phi.shape[1]), Phi.T @ y)
+    direct = np.linalg.solve(Phi.T @ Phi + RIDGE_LAMBDA * np.eye(Phi.shape[1]), Phi.T @ y)
+    assert np.linalg.norm(direct) < BALL_RADIUS  # no shrink
     assert np.allclose(values, direct, rtol=0.0, atol=1e-10)
 
 
-def assembled_fit(features, labels, ridge_lambda, ball_radius, model):
+def assembled_fit(features, labels, model):
     """A ridge fit solved from its Gram assembled block by block: pair (i, j)
     of the model is blocks[i] @ blocks[j].T, mirrored below the diagonal."""
     blocks, M, listed = features.blocks, features.M, model.tolist()
@@ -133,12 +132,12 @@ def assembled_fit(features, labels, ridge_lambda, ball_radius, model):
             G[a * M:(a + 1) * M, b * M:(b + 1) * M] = block
             if b > a:
                 G[b * M:(b + 1) * M, a * M:(a + 1) * M] = block.T
-    G.flat[::k * M + 1] += ridge_lambda
+    G.flat[::k * M + 1] += RIDGE_LAMBDA
     xty = blocks @ np.asarray(labels, dtype=float)
     values = np.linalg.solve(G, xty[listed].ravel())
     norm = float(np.linalg.norm(values))
-    if norm > ball_radius:
-        values *= ball_radius * (1.0 - 1e-9) / norm
+    if norm > BALL_RADIUS:
+        values *= BALL_RADIUS * (1.0 - 1e-9) / norm
     return values
 
 
@@ -150,13 +149,13 @@ def test_benchmark_fit_equals_the_blockwise_assembled_solve(n):
     d = 20
     fm = build_features(rng.random((n, d)))
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    cache = BenchmarkCache(fm, y, RIDGE_LAMBDA, 2.0)
+    cache = BenchmarkCache(fm, y)
     actives = [np.sort(rng.choice(d, size=k, replace=False)) for k in range(1, 7) for _ in range(6)]
     # no two covariates adjacent, the last mask spanning both ends
     actives += [[0, 2], [1, 5, 9], [0, 4, 11, 19], [3, 6, 10, 14, 17], [0, 3, 7, 11, 15, 19]]
     for listed in actives:
         model = active(d, listed)
-        want = assembled_fit(fm, y, RIDGE_LAMBDA, 2.0, model)
+        want = assembled_fit(fm, y, model)
         assert cache.fit(model).tobytes() == want.tobytes()
 
 
@@ -167,7 +166,7 @@ def test_benchmark_memory_grows_with_visited_masks_not_d_squared():
     y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
     tracemalloc.start()
     try:
-        cache = BenchmarkCache(fm, y, ridge_lambda=1.0, ball_radius=2.0)
+        cache = BenchmarkCache(fm, y)
         cache.fit(active(300, [7, 150, 299]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -186,7 +185,7 @@ def test_benchmark_cache_retains_only_its_fits():
     models = [active(d, [0, j]) for j in range(1, d)]
     tracemalloc.start()
     try:
-        cache = BenchmarkCache(fm, y, ridge_lambda=1.0, ball_radius=2.0)
+        cache = BenchmarkCache(fm, y)
         before = tracemalloc.get_traced_memory()[0]
         fits = [cache.fit(model) for model in models]
         grown = tracemalloc.get_traced_memory()[0] - before
@@ -198,23 +197,19 @@ def test_benchmark_cache_retains_only_its_fits():
 
 
 def test_benchmark_shrinks_into_ball():
-    # a nearly collinear design with a tiny ridge produces a huge fit,
-    # which must be pulled back inside the prior ball
+    # labels scaled up so far that the ridge fit lands far outside the prior
+    # ball, which must pull it back inside along the same direction
     rng = np.random.default_rng(3)
     base = rng.standard_normal(15)
     Phi = np.column_stack([base, base + 1e-8 * rng.standard_normal(15)])
     fm = FeatureMatrix(blocks=Phi.T[None])
-    y = rng.standard_normal(15)
-    values = BenchmarkCache(fm, y, ridge_lambda=1e-12, ball_radius=2.0).fit(active(1, [0]))
-    assert np.linalg.norm(values) <= 2.0
-
-
-def test_benchmark_names_the_model_of_a_singular_ridge_system():
-    fm = FeatureMatrix(blocks=np.zeros((3, 13, 10)))  # all-zero features, no ridge
-    cache = BenchmarkCache(fm, np.ones(10), ridge_lambda=0.0, ball_radius=2.0)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"^singular ridge system for active covariates \[0, 2\]$"):
-        cache.fit(active(3, [0, 2]))
+    y = 1e4 * rng.standard_normal(15)
+    values = BenchmarkCache(fm, y).fit(active(1, [0]))
+    direct = np.linalg.solve(Phi.T @ Phi + RIDGE_LAMBDA * np.eye(2), Phi.T @ y)
+    assert np.linalg.norm(direct) > 10 * BALL_RADIUS
+    assert np.linalg.norm(values) <= BALL_RADIUS
+    assert np.allclose(values, direct * (BALL_RADIUS * (1.0 - 1e-9) / np.linalg.norm(direct)),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_add_neighborhood_enumeration():
@@ -397,9 +392,9 @@ def test_self_proposal_is_always_accepted():
     """A stay candidate identical to the current state has ratio exactly 1."""
     data = gen_synthetic(30, d=5, seed=5)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=50.0, d=5, beta=0.5)
+    gcfg = geometric_config(delta=50.0, d=5, beta=0.5)
     scfg = STEP_CFG
-    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y)
     model = active(5, [2])
     mean = bench.fit(model)
     theta = SparseCoef(model, values=mean.copy())
@@ -419,15 +414,23 @@ def test_self_proposal_is_always_accepted():
     assert np.array_equal(new_state.theta.values, mean)
 
 
+class FarRng(FakeRng):
+    """A FakeRng whose proposal noise is 1000 standard deviations per coordinate."""
+
+    def standard_normal(self, size):
+        return np.full(size, 1e3)
+
+
 def test_all_candidates_outside_ball_are_rejected():
     data = gen_synthetic(30, d=5, seed=6)
     fm = build_features(data.X)
-    # prior ball so small that every non-empty candidate falls outside
-    gcfg = GibbsConfig(delta=1.0, d=5, beta=0.5, ball_radius=1e-9)
+    gcfg = geometric_config(delta=1.0, d=5, beta=0.5)
     scfg = STEP_CFG
-    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, 2.0)
+    bench = BenchmarkCache(fm, data.y)
     state = initial_state(fm, data.y, gcfg)
-    rng = FakeRng([0.1])  # add move; no acceptance draw is reached
+    # add move, and noise so large (norm 100 * sqrt(13)) that every candidate
+    # falls outside the prior ball; no selection or acceptance draw is reached
+    rng = FarRng([0.1])
     new_state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
     assert not rec.accepted
     assert new_state is state
@@ -440,7 +443,7 @@ def test_a_state_of_zero_posterior_density_is_a_chain_error(seed):
     data = gen_synthetic(30, d=5, seed=seed)
     fm = build_features(data.X)
     gcfg = tilted_config(delta=10.0, d=5)
-    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y)
     state = replace(initial_state(fm, data.y, gcfg), log_post=-math.inf)
     with pytest.raises(ChainError, match=r"^non-finite acceptance ratio for move (add|stay)$"):
         mcmc_step(state, fm, data.y, gcfg, STEP_CFG, bench, np.random.default_rng(seed))
@@ -469,7 +472,7 @@ def test_run_chain_refuses_a_prior_for_another_shape(d, M):
     # a larger d would run the chain on the wrong C(d, k) size prior, a
     # smaller one would stop mid-run on an index outside 0..d-1
     data = gen_synthetic(30, d=10, seed=3)
-    gcfg = replace(tilted_config(delta=10.0, d=10), d=d, M=M, size_log_weights=None)
+    gcfg = geometric_config(delta=10.0, d=d, beta=0.5, M=M)
     message = rf"^prior has \(d, M\) = \({d}, {M}\) but the features have \(d, M\) = \(10, 13\)$"
     with pytest.raises(ValueError, match=message):
         run_chain(build_features(data.X), data.y, gcfg, STEP_CFG, np.random.default_rng(0))
@@ -520,8 +523,8 @@ def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
     # accept every move kind within 300 steps
     gcfg = tilted_config(delta=50.0, d=12)
     scfg = STEP_CFG
-    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
-    oracle_bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y)
+    oracle_bench = BenchmarkCache(fm, data.y)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     prepared = PreparedLabels(data.y)
     state = oracle = initial_state(fm, data.y, gcfg)
@@ -556,7 +559,7 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
     trace, est = run_chain(fm, data.y, gcfg, scfg, np.random.default_rng(seed))
 
     rng = np.random.default_rng(seed)
-    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y)
     state = initial_state(fm, data.y, gcfg)
     masks = np.zeros((scfg.iters, fm.d), dtype=bool)
     risks = np.zeros(scfg.iters)
@@ -580,7 +583,7 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
 def test_initial_state_is_empty_model():
     data = gen_synthetic(20, d=5, seed=7)
     fm = build_features(data.X)
-    gcfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    gcfg = geometric_config(delta=1.0, d=5, beta=0.5)
     state = initial_state(fm, data.y, gcfg)
     assert state.theta.active.size == 0
     # with half-credit ties the all-zero scorer sits at chance level
@@ -612,7 +615,7 @@ def test_run_chain_keeps_post_burnin_thetas(burnin):
 
     # the dense per-iteration rows, from the per-candidate chain on the same stream
     rng = np.random.default_rng(11)
-    bench = BenchmarkCache(fm, data.y, RIDGE_LAMBDA, gcfg.ball_radius)
+    bench = BenchmarkCache(fm, data.y)
     state = initial_state(fm, data.y, gcfg)
     dense = np.zeros((80 - burnin, 5 * 13))  # row 0 is the initial state at burnin 0
     for t in range(1, 80):
@@ -655,7 +658,7 @@ def test_run_chain_heap_does_not_grow_with_the_horizon():
 
 def test_run_chain_smoke_two_iterations(tmp_path):
     data = gen_synthetic(20, d=5, seed=9)
-    gcfg = GibbsConfig(delta=1.0, d=5, beta=0.5)
+    gcfg = geometric_config(delta=1.0, d=5, beta=0.5)
     scfg = SamplerConfig(iters=2, burnin=0, sigma2=0.01)
     trace, estimators = run_chain(build_features(data.X), data.y, gcfg, scfg,
                                   np.random.default_rng(0))
