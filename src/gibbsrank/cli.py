@@ -261,7 +261,6 @@ def cmd_auc(args) -> int:
                 if problem:
                     raise DataError(f"{args.data}: data row {i} (line {line}) has {problem}")
                 values.append(value)
-    labels = np.where(np.array(labels) > 0, 1.0, -1.0)
     print(f"auc_half {auc(scores, labels, 'half'):.6f}")
     print(f"auc_strict {auc(scores, labels, 'strict'):.6f}")
     return 0

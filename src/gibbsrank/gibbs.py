@@ -36,8 +36,9 @@ class GibbsConfig:
     chain samples model size k with mass proportional to
     exp(size_log_weights[k]) (prior_size_distribution).  size_log_weights
     holds d + 1 unnormalised log masses, one per size k = 0..d, each finite
-    or -inf (size k has no mass); d is its length minus one.  Build it with
-    geometric_size_log_weights or tilted_size_log_weights;
+    or -inf (size k has no mass) except at k = 0, where every chain starts;
+    d is its length minus one.  Build it with geometric_size_log_weights or
+    tilted_size_log_weights;
     tests/test_gibbs.py::test_chain_samples_its_size_prior_vector checks
     that a chain recovers it.
     """
@@ -55,6 +56,8 @@ class GibbsConfig:
         for k, w in enumerate(weights):
             if math.isnan(w) or w == math.inf:
                 raise ValueError(f"size_log_weights[{k}] is {w}; a log mass is finite or -inf")
+        if weights[0] == -math.inf:
+            raise ValueError("size_log_weights[0] is -inf; every chain starts at size k = 0")
         object.__setattr__(self, "size_log_weights", weights)
         # log_prior's size term, one entry per k = 0..d; not a field, so
         # dataclasses.replace recomputes it from the replaced settings

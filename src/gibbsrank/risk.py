@@ -1,18 +1,21 @@
 """Pairwise ranking risk and AUC.
 
 The empirical ranking risk of a score vector s over labels y in {-1, +1} is
+the U-statistic
 
     L_n(s) = 1/(n(n-1)) * sum_{i != j} 1{(y_i - y_j)(s_i - s_j) < 0},
 
-i.e. twice the number of strictly discordant positive/negative pairs over
-the number of ordered pairs.  The kernel sorts once and counts in O(n log n);
-the O(n^2) double loop lives in the test suite as an oracle.
+twice the discordant positive/negative pairs over the ordered pairs, with
+each opposite-label tie counted as half a discordance.  The kernel sorts
+once and counts in O(n log n); the O(n^2) double loop lives in the test
+suite as an oracle.
 
 Everything the kernel derives from the labels alone (the positives as 0/1
 weights, the rank vector 0..n-1 and the class counts) lives in a
-PreparedLabels value.  The kernels accept it wherever they accept labels, and
-convert raw labels to one at entry; a chain builds it once, since its labels
-never change across the many score vectors it ranks.
+PreparedLabels value, which refuses labels without both classes.  The
+kernels accept it wherever they accept labels, and convert raw labels to one
+at entry; a chain builds it once, since its labels never change across the
+many score vectors it ranks.
 
 Tie-free scores (in practice every scorer with an active covariate) take a
 rank-sum path: the sorted positions of the positives, ranks @ weights[order],
@@ -27,16 +30,13 @@ scores have no rank and are rejected.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 
 class DegenerateDataError(ValueError):
-    """Raised when a quantity is undefined (single-class labels, n < 2)."""
+    """Raised for labels without both classes, on which no ranking is defined."""
 
 
 class PreparedLabels:
@@ -45,7 +45,8 @@ class PreparedLabels:
 
     weights holds 1.0 at the positives (label > 0) and 0.0 elsewhere, and
     ranks is arange(n), both float64 and read-only: the tie-free rank-sum
-    dot and the tie path's group counts both read weights.
+    dot and the tie path's group counts both read weights.  Labels without
+    both classes, n < 2 included, raise DegenerateDataError.
     """
 
     __slots__ = ("weights", "ranks", "n_pos", "n_neg")
@@ -62,6 +63,9 @@ class PreparedLabels:
         self.ranks = ranks
         self.n_pos = int(np.count_nonzero(weights))
         self.n_neg = labels.size - self.n_pos
+        if not (self.n_pos and self.n_neg):
+            raise DegenerateDataError(f"labels contain a single class: {self.n_pos} positive, "
+                                      f"{self.n_neg} negative")
 
 
 def _pair_counts(scores, labels):
@@ -81,7 +85,7 @@ def _pair_counts(scores, labels):
         raise ValueError("scores and labels must be 1-d arrays of equal length")
     order = scores.argsort()
     s = scores[order]
-    if n and math.isnan(s[-1]):  # argsort puts NaNs last
+    if math.isnan(s[-1]):  # argsort puts NaNs last
         first = int(np.flatnonzero(np.isnan(scores))[0])
         raise ValueError(f"NaN score at index {first}")
     tied_next = s[1:] == s[:-1]
@@ -101,21 +105,16 @@ def _pair_counts(scores, labels):
     return pos_below_neg, neg_below_pos, tied, n_pos, n_neg
 
 
-def empirical_rank_risk(scores, labels, tie_value: float = 0.0) -> float:
-    """Empirical pairwise ranking risk with strict discordance by default.
+def empirical_rank_risk(scores, labels) -> float:
+    """Empirical pairwise ranking risk L_n, each opposite-label tie costing 1/2.
 
-    tie_value sets the cost of an opposite-label tie (0 reproduces the
-    strict indicator; 0.5 gives half credit, the variant used inside the
-    sampler where the all-zero scorer must not look perfect).
+    The half cost gives the all-zero scorer of the empty model, whose pairs
+    all tie, the chance-level risk n_pos n_neg / (n(n-1)) instead of a
+    spuriously perfect 0.  For tie-free scores the value is the strict L_n.
     """
-    n = len(scores)
-    if n < 2:
-        raise DegenerateDataError("ranking risk needs at least two instances")
     pos_below_neg, _, tied, n_pos, n_neg = _pair_counts(scores, labels)
-    if n_pos == 0 or n_neg == 0:
-        logger.warning("single-class labels: ranking risk reported as 0")
-        return 0.0
-    return 2.0 * (pos_below_neg + tie_value * tied) / (n * (n - 1))
+    n = n_pos + n_neg
+    return 2.0 * (pos_below_neg + 0.5 * tied) / (n * (n - 1))
 
 
 def auc(scores, labels, tie_policy: str = "half") -> float:
@@ -127,7 +126,5 @@ def auc(scores, labels, tie_policy: str = "half") -> float:
     if tie_policy not in ("strict", "half"):
         raise ValueError(f"unknown tie policy {tie_policy!r}")
     _, neg_below_pos, tied, n_pos, n_neg = _pair_counts(scores, labels)
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateDataError("AUC undefined: labels contain a single class")
     credit = neg_below_pos + (0.5 * tied if tie_policy == "half" else 0.0)
     return credit / (n_pos * n_neg)

@@ -27,11 +27,6 @@ MOVE_ADD = "add"
 MOVE_REMOVE = "remove"
 MOVE_STAY = "stay"
 
-# Opposite-label ties cost 1/2 inside the sampler, so the all-zero scorer of
-# the empty model carries the chance-level risk instead of a spuriously
-# perfect one.
-SAMPLER_TIE_VALUE = 0.5
-
 
 class ChainError(RuntimeError):
     """Numerical fault inside the chain, annotated with the iteration index."""
@@ -178,20 +173,12 @@ class StepRecord:
     accepted: bool
 
 
-def chain_risk(scores, labels) -> float:
-    """Empirical ranking risk as used by the chain (ties at half credit).
-
-    labels are raw labels or, within a chain, their PreparedLabels.
-    """
-    return empirical_rank_risk(scores, labels, tie_value=SAMPLER_TIE_VALUE)
-
-
 def initial_state(features: FeatureMatrix, labels, gcfg: GibbsConfig) -> ChainState:
     """Chain start: the empty model with theta = 0."""
     empty = np.zeros(0, dtype=np.intp)
     empty.setflags(write=False)
     theta = SparseCoef(empty, np.zeros(0))
-    r = chain_risk(np.zeros(features.n), labels)
+    r = empirical_rank_risk(np.zeros(features.n), labels)
     return ChainState(theta=theta, risk=r, log_post=log_gibbs(theta, r, gcfg), log_prop=0.0)
 
 
@@ -235,7 +222,7 @@ def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
         if lp == -math.inf:
             log_w[i] = -math.inf
             continue
-        risks[i] = r = chain_risk(score(theta, features), labels)
+        risks[i] = r = empirical_rank_risk(score(theta, features), labels)
         log_posts[i] = lg = -gcfg.delta * r + lp
         log_w[i] = lg - log_q[i]
 
@@ -296,8 +283,8 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     """Run one chain on a feature matrix and return its trace and final estimators.
 
     labels are the +-1 labels of the feature rows; the chain is deterministic
-    given the state of rng.  The risk kernel's label arrays are prepared once
-    here and shared by every candidate of every step.
+    given the state of rng.  The risk kernel's label arrays are prepared once,
+    refusing one-class labels before any step, and shared by every candidate.
 
     The averaged estimator adds each post-burn-in iteration's row to a zero
     vector in iteration order and divides by T - burnin: bit for bit the
@@ -307,8 +294,8 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     if (gcfg.d, gcfg.M) != (features.d, features.M):
         raise ValueError(f"prior has (d, M) = ({gcfg.d}, {gcfg.M}) but the features "
                          f"have (d, M) = ({features.d}, {features.M})")
-    bench = BenchmarkCache(features, labels)
     prepared = PreparedLabels(labels)
+    bench = BenchmarkCache(features, labels)
 
     T, d, M, burnin = scfg.iters, features.d, features.M, scfg.burnin
     masks = np.zeros((T, d), dtype=bool)

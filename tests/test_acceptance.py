@@ -30,7 +30,6 @@ from gibbsrank.sampler import (
     BenchmarkCache,
     ChainState,
     SamplerConfig,
-    chain_risk,
     mcmc_step,
     run_chain,
     select_index,
@@ -61,7 +60,7 @@ def test_criterion_1_exact_risk_kernels():
     start = time.time()
     for _ in range(200):
         scores, labels = random_instance(rng)
-        assert empirical_rank_risk(scores, labels) == brute_risk(scores, labels)
+        assert empirical_rank_risk(scores, labels) == brute_risk(scores, labels, 0.5)
         for policy in ("strict", "half"):
             assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
     elapsed = time.time() - start
@@ -149,7 +148,7 @@ def test_criterion_7b_self_proposal_acceptance():
     model = active(5, [2])
     mean = bench.fit(model)
     theta = SparseCoef(model, values=mean.copy())
-    r = chain_risk(score(theta, fm), data.y)
+    r = empirical_rank_risk(score(theta, fm), data.y)
     state = ChainState(theta=theta, risk=r,
                        log_post=log_gibbs(theta, r, gcfg),
                        log_prop=log_proposal_density(mean, mean, scfg.sigma2))

@@ -675,7 +675,7 @@ def test_auc_on_single_class_labels_exits_1(tmp_path, capsys):
     assert main(["auc", "--data", str(path)]) == 1
     captured = capsys.readouterr()
     assert "auc_half" not in captured.out
-    assert captured.err == "gibbsrank auc: AUC undefined: labels contain a single class\n"
+    assert captured.err == "gibbsrank auc: labels contain a single class: 2 positive, 0 negative\n"
 
 
 def test_import_does_not_load_scipy():
@@ -759,6 +759,13 @@ def test_auc_subcommand(tmp_path):
     )
     assert "auc_half 1.000000" in proc.stdout
     assert "auc_strict 1.000000" in proc.stdout
+    # tied scores, and labels other than +-1: a label above 0 is a positive
+    path.write_text("score,label\n0.9,2\n0.1,0\n0.5,-3\n0.5,1\n0.2,0\n0.9,0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gibbsrank.cli", "auc", "--data", str(path)],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "auc_half 0.750000\nauc_strict 0.625000\n"
 
 
 def test_auc_subcommand_rejects_nan_score(tmp_path, capsys):

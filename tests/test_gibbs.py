@@ -55,14 +55,30 @@ def test_both_size_prior_builders_refuse_a_beta_outside_the_unit_interval(beta):
 def test_config_refuses_a_nan_or_plus_inf_size_weight_naming_its_size(k, bad):
     """A NaN or +inf log mass used to pass: at d = 5 with entry 1 set so, a
     50-iteration chain stayed at the empty model throughout, with no error
-    or warning.  -inf (size k has no mass) stays allowed."""
+    or warning.  -inf (size k has no mass) stays allowed for k > 0."""
     weights = list(geometric_size_log_weights(5, 0.5))
     weights[k] = bad
     with pytest.raises(ValueError, match=rf"^size_log_weights\[{k}\] is {bad}; "
                                          r"a log mass is finite or -inf$"):
         GibbsConfig(delta=1.0, size_log_weights=tuple(weights))
-    weights[k] = -math.inf
-    assert GibbsConfig(delta=1.0, size_log_weights=tuple(weights)).size_log_weights[k] == -math.inf
+    if k:  # size 0 must keep its mass
+        weights[k] = -math.inf
+        assert GibbsConfig(delta=1.0, size_log_weights=tuple(weights)).size_log_weights[k] == -math.inf
+
+
+@pytest.mark.parametrize("weights", [
+    (-math.inf,) + geometric_size_log_weights(5, 0.5)[1:],
+    (-math.inf,) * 6,
+], ids=["entry-0", "all"])
+def test_config_refuses_a_size_prior_without_mass_at_size_0(weights):
+    """Every chain starts at the empty model.  With entry 0 at -inf, at d = 5,
+    beta = 0.5, delta = 10 and chain seed 0, the chain stopped at iteration 2
+    on a non-finite acceptance ratio; with every entry -inf it stayed at size
+    0 for 50 iterations without an error, and prior_size_distribution was
+    NaN."""
+    with pytest.raises(ValueError, match=r"^size_log_weights\[0\] is -inf; "
+                                         r"every chain starts at size k = 0$"):
+        GibbsConfig(delta=10.0, size_log_weights=weights)
 
 
 def test_ball_volume_closed_forms():

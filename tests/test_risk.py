@@ -79,29 +79,28 @@ def test_risk_matches_brute_force():
     rng = np.random.default_rng(42)
     for _ in range(200):
         scores, labels = random_instance(rng)
-        for tie_value in (0.0, 0.5):
-            assert empirical_rank_risk(scores, labels, tie_value) == pytest.approx(
-                brute_risk(scores, labels, tie_value), abs=1e-15
-            )
+        assert empirical_rank_risk(scores, labels) == pytest.approx(
+            brute_risk(scores, labels, 0.5), abs=1e-15
+        )
 
 
 def test_risk_matches_brute_force_without_ties():
     rng = np.random.default_rng(43)
     for scores, labels in tie_free_instances(rng):
         assert np.unique(scores).size == scores.size
-        for tie_value in (0.0, 0.5):
-            assert empirical_rank_risk(scores, labels, tie_value) == pytest.approx(
-                brute_risk(scores, labels, tie_value), abs=1e-15
-            )
+        # without ties the half-cost risk is the strict L_n
+        assert brute_risk(scores, labels, 0.5) == brute_risk(scores, labels, 0.0)
+        assert empirical_rank_risk(scores, labels) == pytest.approx(
+            brute_risk(scores, labels, 0.5), abs=1e-15
+        )
 
 
 def test_all_tied_scores():
     labels = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
     scores = np.full(5, 0.25)
-    for tie_value in (0.0, 0.5):
-        assert empirical_rank_risk(scores, labels, tie_value) == pytest.approx(
-            brute_risk(scores, labels, tie_value), abs=1e-15
-        )
+    assert empirical_rank_risk(scores, labels) == pytest.approx(
+        brute_risk(scores, labels, 0.5), abs=1e-15
+    )
     for policy in ("strict", "half"):
         assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
 
@@ -118,8 +117,7 @@ def test_infinite_scores_are_ranked():
     for policy in ("strict", "half"):
         assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
     # the two +inf scores, one per class, are a tie, not a NaN pair
-    for tie_value in (0.0, 0.5):
-        assert empirical_rank_risk(scores, labels, tie_value) == brute_risk(scores, labels, tie_value)
+    assert empirical_rank_risk(scores, labels) == brute_risk(scores, labels, 0.5)
     assert brute_risk(scores, labels, 0.5) == (2 * 1 + 2 * 0.5) / 12
 
 
@@ -128,8 +126,10 @@ def test_risk_needs_two_instances():
         empirical_rank_risk([1.0], [1.0])
 
 
-def test_risk_single_class_is_zero():
-    assert empirical_rank_risk([3.0, 1.0, 2.0], [1.0, 1.0, 1.0]) == 0.0
+def test_risk_single_class_raises():
+    for labels in ([1.0, 1.0, 1.0], [-1.0, 0.0, -2.0]):
+        with pytest.raises(DegenerateDataError, match="labels contain a single class"):
+            empirical_rank_risk([3.0, 1.0, 2.0], labels)
 
 
 def test_auc_perfect_separation():
@@ -195,10 +195,9 @@ def test_prepared_labels_match_brute_force_across_score_vectors():
     assert any(np.unique(v).size == v.size for v in vectors)
     assert any(np.unique(v).size < v.size for v in vectors)
     for scores in vectors:
-        for tie_value in (0.0, 0.5):
-            got = empirical_rank_risk(scores, prepared, tie_value)
-            assert got == empirical_rank_risk(scores, labels, tie_value)
-            assert got == pytest.approx(brute_risk(scores, labels, tie_value), abs=1e-15)
+        got = empirical_rank_risk(scores, prepared)
+        assert got == empirical_rank_risk(scores, labels)
+        assert got == pytest.approx(brute_risk(scores, labels, 0.5), abs=1e-15)
         for policy in ("strict", "half"):
             got = auc(scores, prepared, policy)
             assert got == auc(scores, labels, policy)
@@ -221,10 +220,12 @@ def test_prepared_labels_keep_every_check():
             assert str(ready.value) == str(raw.value)
     with pytest.raises(ValueError, match="1-d arrays of equal length"):
         PreparedLabels([[1.0, -1.0], [1.0, -1.0]])
-    one_class = [1.0, 1.0, 1.0]
-    assert empirical_rank_risk([3.0, 1.0, 2.0], PreparedLabels(one_class)) == 0.0
-    with pytest.raises(DegenerateDataError):
-        auc([3.0, 1.0, 2.0], PreparedLabels(one_class))
-    with pytest.raises(DegenerateDataError):
-        empirical_rank_risk([1.0], PreparedLabels([1.0]))
+    for one_class in ([], [1.0], [-1.0], [1.0, 1.0, 1.0], [0.0, -1.0]):
+        with pytest.raises(DegenerateDataError, match="labels contain a single class"):
+            PreparedLabels(one_class)
+    # the class check comes first, before the NaN and shape checks
+    for call in (auc, empirical_rank_risk):
+        for scores in ([np.nan, 1.0, 2.0], [1.0, 2.0]):
+            with pytest.raises(DegenerateDataError):
+                call(scores, [1.0, 1.0, 1.0])
     assert not prepared.weights.flags.writeable and not prepared.ranks.flags.writeable

@@ -17,7 +17,7 @@ from gibbsrank.basis import (
 )
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import BALL_RADIUS, GibbsConfig, log_gibbs, log_prior, tilted_size_log_weights
-from gibbsrank.risk import PreparedLabels
+from gibbsrank.risk import DegenerateDataError, PreparedLabels, empirical_rank_risk
 from gibbsrank.sampler import (
     MOVE_PROB,
     RIDGE_LAMBDA,
@@ -26,7 +26,6 @@ from gibbsrank.sampler import (
     ChainState,
     SamplerConfig,
     StepRecord,
-    chain_risk,
     initial_state,
     mcmc_step,
     propose_neighborhood,
@@ -398,7 +397,7 @@ def test_self_proposal_is_always_accepted():
     model = active(5, [2])
     mean = bench.fit(model)
     theta = SparseCoef(model, values=mean.copy())
-    r = chain_risk(score(theta, fm), data.y)
+    r = empirical_rank_risk(score(theta, fm), data.y)
     state = ChainState(
         theta=theta,
         risk=r,
@@ -478,6 +477,33 @@ def test_run_chain_refuses_a_prior_for_another_shape(d, M):
         run_chain(build_features(data.X), data.y, gcfg, STEP_CFG, np.random.default_rng(0))
 
 
+def test_run_chain_refuses_one_class_labels_before_its_first_step(monkeypatch):
+    """One-class labels used to run the chain to its end with every risk
+    0.0; they are refused where the labels are prepared, before any step
+    or draw."""
+    data = gen_synthetic(30, d=5, seed=9)
+    steps = []
+
+    def counted_step(*args):
+        steps.append(args)
+        return mcmc_step(*args)
+
+    monkeypatch.setattr(sampler, "mcmc_step", counted_step)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for y, counts in ((np.ones(data.n), "30 positive, 0 negative"),
+                      (-np.ones(data.n), "0 positive, 30 negative")):
+        with pytest.raises(DegenerateDataError,
+                           match=f"^labels contain a single class: {counts}$"):
+            run_chain(build_features(data.X), y, tilted_config(delta=10.0, d=5),
+                      SamplerConfig(iters=20, burnin=10, sigma2=0.01), rng)
+    assert steps == []
+    assert rng.bit_generator.state == state
+    for labels in ([], [1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(DegenerateDataError):
+            PreparedLabels(labels)
+
+
 def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
     """The step with its neighborhood built model by model, one
     standard_normal call and one log_proposal_density call per candidate,
@@ -500,7 +526,7 @@ def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
             cands.append((theta, math.nan, -math.inf, math.nan))
             log_w[i] = -math.inf
             continue
-        r = chain_risk(score(theta, features), labels)
+        r = empirical_rank_risk(score(theta, features), labels)
         lg = -gcfg.delta * r + lp
         lq = log_proposal_density(values, mean, scfg.sigma2)
         cands.append((theta, r, lg, lq))
