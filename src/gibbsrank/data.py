@@ -234,31 +234,26 @@ def map_to_unit(data: Dataset, source: str, ranges=None) -> Dataset:
     return replace(data, X=X)
 
 
-def make_splits(n: int, k: int, seed: int, labels) -> tuple[np.ndarray, ...]:
-    """Seeded stratified split of n labelled indices into k folds.
+def make_splits(labels, k: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Seeded stratified split of the indices of labels into k folds.
 
-    Returns k disjoint sorted index arrays covering 0..n-1.  Each class is
-    permuted and dealt round-robin, so each fold's positive count is within
-    one of the proportional share.
+    Returns k disjoint sorted index arrays covering 0..n-1, n = labels.size.
+    The positives (label > 0), then the rest, are each permuted and dealt
+    round-robin as one sequence, so each fold's positive count is within
+    one of the proportional share.  Every fold holds both classes, so each
+    class needs at least k members.
     """
+    labels = np.asarray(labels)
     if k < 2:
         raise ValueError("k must be at least 2")
-    if k > n:
-        raise DataError(f"cannot split {n} rows into {k} folds")
+    if k > labels.size:
+        raise DataError(f"cannot split {labels.size} rows into {k} folds")
+    classes = (labels > 0, labels <= 0)
+    if min(np.count_nonzero(c) for c in classes) < k:
+        raise DataError("stratification impossible: a fold has a single class")
     rng = np.random.default_rng(seed)
-    labels = np.asarray(labels)
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    slot = 0
-    for cls in (labels > 0, labels <= 0):
-        for i in rng.permutation(np.flatnonzero(cls)):
-            buckets[slot % k].append(int(i))
-            slot += 1
-    folds = tuple(np.sort(np.array(b, dtype=int)) for b in buckets)
-    for f in folds:
-        fl = labels[f]
-        if np.all(fl > 0) or np.all(fl <= 0):
-            raise DataError("stratification impossible: a fold has a single class")
-    return folds
+    dealt = np.concatenate([rng.permutation(np.flatnonzero(c)) for c in classes])
+    return tuple(np.sort(dealt[f::k]) for f in range(k))
 
 
 def derive_seed(root_seed: int, *tags) -> np.random.SeedSequence:

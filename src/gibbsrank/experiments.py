@@ -330,7 +330,7 @@ class CvResult:
 
 def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> CvResult:
     """Stratified k-fold cross-validation of both estimators; a failed fold is raised."""
-    folds = make_splits(dataset.n, cfg.folds, cfg.seed, dataset.y)
+    folds = make_splits(dataset.y, cfg.folds, cfg.seed)
     jobs = [(dataset, test_idx, cfg, i) for i, test_idx in enumerate(folds)]
     (metrics,) = _run_batches(_run_cv_fold, [jobs], cfg.workers, "raise")
     return CvResult(fold_auc_averaged=[m["test_auc_averaged"] for m in metrics],

@@ -15,7 +15,6 @@ in log-space; delta can be large without overflow.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -97,9 +96,6 @@ def tilted_size_log_weights(d: int, beta: float, sigma2: float,
     )
 
 
-# Both constants depend only on the model size; each GibbsConfig tabulates
-# them once, and the grid's many configs share the values.
-@functools.cache
 def log_ball_volume(dim: int, radius: float) -> float:
     """log of the volume of the l2-ball of the given dimension and radius."""
     if dim == 0:
@@ -107,7 +103,6 @@ def log_ball_volume(dim: int, radius: float) -> float:
     return 0.5 * dim * math.log(math.pi) + dim * math.log(radius) - math.lgamma(0.5 * dim + 1.0)
 
 
-@functools.cache
 def log_binomial(d: int, k: int) -> float:
     return math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
 

@@ -197,17 +197,19 @@ def _log_proposal_rows(values: np.ndarray, means: np.ndarray, sigma2: float) -> 
     return quad - 0.5 * values.shape[1] * math.log(2.0 * math.pi * sigma2)
 
 
-def mcmc_step(state: ChainState, features: FeatureMatrix, labels,
-              gcfg: GibbsConfig, scfg: SamplerConfig,
+def mcmc_step(state: ChainState, labels, gcfg: GibbsConfig, scfg: SamplerConfig,
               bench: BenchmarkCache, rng: np.random.Generator) -> tuple[ChainState, StepRecord]:
     """One transdimensional Metropolis-Hastings transition.
 
-    Every model of a neighborhood has the same size, so one standard_normal
-    call of shape (K, k * M) draws the noise of all K candidates: the same
-    numbers, in the same order, as one call per candidate, and nothing at
-    all for the empty model (k = 0).  Each candidate is a row view of that
-    draw, taken as a SparseCoef without a copy.
+    Candidates are scored on bench.features, the features their ridge fits
+    came from.  Every model of a neighborhood has the same size, so one
+    standard_normal call of shape (K, k * M) draws the noise of all K
+    candidates: the same numbers, in the same order, as one call per
+    candidate, and nothing at all for the empty model (k = 0).  Each
+    candidate is a row view of that draw, taken as a SparseCoef without a
+    copy.
     """
+    features = bench.features
     move, rows = propose_neighborhood(state.theta.active, features.d, rng)
     means = np.array([bench.fit(active) for active in rows])  # (K, k * M)
     values = means + math.sqrt(scfg.sigma2) * rng.standard_normal(means.shape)
@@ -309,7 +311,7 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     for t in range(T):
         if t:
             try:
-                state, rec = mcmc_step(state, features, prepared, gcfg, scfg, bench, rng)
+                state, rec = mcmc_step(state, prepared, gcfg, scfg, bench, rng)
             except ChainError as exc:
                 raise ChainError(f"iteration {t}: {exc}") from exc
             accepted[t] = rec.accepted

@@ -154,7 +154,7 @@ def test_criterion_7b_self_proposal_acceptance():
                        log_prop=log_proposal_density(mean, mean, scfg.sigma2))
     # stay move with zero proposal noise: the candidate equals the state, so
     # the ratio is exactly 1 and even a uniform draw of 1 - 1e-12 accepts
-    _, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench,
+    _, rec = mcmc_step(state, data.y, gcfg, scfg, bench,
                        FakeRng([0.99, 0.5, 1.0 - 1e-12]))
     report(7, rec.accepted, "(b) self-proposal stay move accepted with ratio exactly 1")
 

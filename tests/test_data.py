@@ -20,6 +20,7 @@ from gibbsrank.data import (
     read_table,
     save_csv,
 )
+from oracles import dealt_splits
 
 
 def test_eta_minimum_is_clamped():
@@ -284,7 +285,7 @@ def test_read_table_closes_its_file_when_the_caller_raises_mid_file(tmp_path, mo
 
 
 def test_kfold_partition():
-    folds = make_splits(10, 5, 0, np.array([1.0, -1.0] * 5))
+    folds = make_splits(np.array([1.0, -1.0] * 5), 5, 0)
     assert len(folds) == 5
     all_idx = np.sort(np.concatenate(folds))
     assert np.array_equal(all_idx, np.arange(10))
@@ -295,8 +296,8 @@ def test_kfold_partition():
 
 def test_split_determinism():
     labels = np.array([1.0, -1.0] * 20)
-    a = make_splits(40, 4, 9, labels)
-    b = make_splits(40, 4, 9, labels)
+    a = make_splits(labels, 4, 9)
+    b = make_splits(labels, 4, 9)
     for fa, fb in zip(a, b):
         assert np.array_equal(fa, fb)
 
@@ -305,23 +306,51 @@ def test_stratified_kfold_balances_positives():
     rng = np.random.default_rng(5)
     labels = np.array([1.0] * 60 + [-1.0] * 40)
     rng.shuffle(labels)
-    for fold in make_splits(100, 5, 1, labels):
+    for fold in make_splits(labels, 5, 1):
         n_pos = int(np.sum(labels[fold] > 0))
         assert abs(n_pos - 12) <= 1
 
 
 def test_split_validation_errors():
     labels = np.array([1.0, -1.0] * 5)
-    with pytest.raises(ValueError):
-        make_splits(10, 1, 0, labels)
-    with pytest.raises(DataError, match="cannot split 10 rows into 11 folds"):
-        make_splits(10, 11, 0, labels)
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        make_splits(labels, 1, 0)
+    with pytest.raises(DataError, match="^cannot split 10 rows into 11 folds$"):
+        make_splits(labels, 11, 0)
 
 
 def test_stratified_single_class_fold_raises():
     labels = np.array([1.0] * 9 + [-1.0])
-    with pytest.raises(DataError):
-        make_splits(10, 5, 0, labels)
+    with pytest.raises(DataError, match="^stratification impossible: a fold has a single class$"):
+        make_splits(labels, 5, 0)
+
+
+def test_make_splits_matches_the_one_at_a_time_deal():
+    """The same folds, values and dtype, as dealing each index in turn, and
+    the same error for the same input, over random sizes, fold counts,
+    seeds and class mixes (labels > 0 are positive)."""
+    rng = np.random.default_rng(27)
+    outcomes = set()
+    for _ in range(400):
+        n, k = int(rng.integers(0, 40)), int(rng.integers(1, 10))
+        seed = int(rng.integers(2**32))
+        negative, positive = [(-1.0, 1.0), (0.0, 1.0), (-3.0, 2.0)][rng.integers(3)]
+        labels = np.where(rng.random(n) < rng.random(), positive, negative)
+        try:
+            want = dealt_splits(n, k, seed, labels)
+        except ValueError as exc:  # DataError included
+            with pytest.raises(ValueError) as refused:
+                make_splits(labels, k, seed)
+            assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+            outcomes.add(str(exc).split()[0])
+            continue
+        got = make_splits(labels, k, seed)
+        assert len(got) == len(want) == k
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        outcomes.add("folds")
+    assert outcomes == {"folds", "k", "cannot", "stratification"}
 
 
 def test_derive_seed_is_stable_and_distinct():

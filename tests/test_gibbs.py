@@ -20,7 +20,7 @@ from gibbsrank.gibbs import (
     tilted_size_log_weights,
 )
 from gibbsrank.sampler import SamplerConfig, run_chain
-from oracles import active as active_indices, geometric_config
+from oracles import active as active_indices, closed_form_target, geometric_config, pair_risk
 
 
 def unit_coef(d, active, M, norm=1.0):
@@ -187,6 +187,51 @@ def test_chain_samples_its_size_prior_vector():
     assert tv_geometric > 0.5
 
 
+def target_instance():
+    """The d=2, M=1 instance of the target check: 20 rows, 10 of each class."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 2))
+    y = np.sign(X[:, 0] + 0.5 * X[:, 1] + 0.8 * rng.standard_normal(20))
+    return X, y
+
+
+def test_closed_form_target_on_the_d2_instance():
+    X, y = target_instance()
+    # the empty model's all-zero scorer ties every opposite-label pair
+    assert pair_risk(np.zeros(20), y) == 10 * 10 / (20 * 19)
+    target = closed_form_target(X, y, geometric_size_log_weights(2, 0.5, M=1), delta=20.0)
+    assert np.array_equal(np.round(target, 3), [0.034, 0.435, 0.257, 0.273])
+
+
+def test_closed_form_target_matches_importance_draws_from_the_prior():
+    """Draws from the prior, each weighted by exp(-delta L_n), estimate the
+    target's model masses; the oracle must lie within four delta-method
+    standard errors of each estimate, summed as a TV distance."""
+    X, y = target_instance()
+    size_log_weights, delta = geometric_size_log_weights(2, 0.5, M=1), 20.0
+    target = closed_form_target(X, y, size_log_weights, delta)
+    rng = np.random.default_rng(11)
+    draws = 200_000
+    p_size = np.exp(size_log_weights) / np.sum(np.exp(size_log_weights))
+    size = rng.choice(3, size=draws, p=p_size)
+    # models (), (1,), (2,), (1, 2); a size-1 draw takes either covariate
+    model = np.where(size == 1, 1 + rng.integers(0, 2, size=draws), np.where(size == 2, 3, 0))
+    on = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)[model]
+    # uniform on the model's ball: a uniform direction at radius R u^(1/k)
+    direction = rng.standard_normal((draws, 2)) * on
+    norm = np.where(on.any(axis=1), np.hypot(direction[:, 0], direction[:, 1]), 1.0)
+    radius = BALL_RADIUS * rng.random(draws) ** (1.0 / np.maximum(size, 1))
+    theta = direction * (radius / norm)[:, None]
+    weights = np.concatenate([np.exp(-delta * pair_risk(chunk @ X.T, y))
+                              for chunk in np.array_split(theta, 8)])
+    estimate = np.bincount(model, weights=weights, minlength=4) / weights.sum()
+    member = model[:, None] == np.arange(4)
+    se = np.sqrt(np.sum((weights[:, None] * (member - estimate)) ** 2, axis=0)) / weights.sum()
+    bound = 0.5 * float(np.sum(4.0 * se))
+    assert bound < 0.02  # tight enough to tell exp(w_0 - delta L_n(0)) from exp(w_0 - delta / 2)
+    assert 0.5 * float(np.abs(estimate - target).sum()) < bound
+
+
 @pytest.mark.parametrize("index", [-1, 7])
 def test_log_prior_refuses_an_active_index_outside_the_config(index):
     """At d=5, index -1 was taken as a size-1 model and index 7 was accepted
@@ -258,21 +303,15 @@ def test_gammaln_consistency_of_volume():
 
 def test_log_binomial_matches_gammaln_oracle():
     # the package computes with math.lgamma; scipy's gammaln is the oracle
-    try:
-        for d in range(1, 1001):
-            k = np.arange(d + 1)
-            oracle = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)
-            got = np.array([log_binomial(d, int(j)) for j in k])
-            assert np.max(np.abs(got - oracle)) <= 1e-10, d
-    finally:
-        log_binomial.cache_clear()  # half a million entries no other test needs
+    for d in range(1, 1001):
+        k = np.arange(d + 1)
+        oracle = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)
+        got = np.array([log_binomial(d, int(j)) for j in k])
+        assert np.max(np.abs(got - oracle)) <= 1e-10, d
 
 
 def test_log_ball_volume_matches_gammaln_oracle():
     dims = np.arange(1, 13001)
     oracle = 0.5 * dims * math.log(math.pi) + dims * math.log(2.0) - gammaln(0.5 * dims + 1.0)
-    try:
-        got = np.array([log_ball_volume(int(dim), 2.0) for dim in dims])
-    finally:
-        log_ball_volume.cache_clear()
+    got = np.array([log_ball_volume(int(dim), 2.0) for dim in dims])
     assert np.max(np.abs(got - oracle)) <= 1e-10

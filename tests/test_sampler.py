@@ -407,7 +407,7 @@ def test_self_proposal_is_always_accepted():
     # scripted rng: stay move, zero proposal noise, selection uniform,
     # acceptance uniform ~ 1
     rng = FakeRng([0.99, 0.5, 1.0 - 1e-12])
-    new_state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
+    new_state, rec = mcmc_step(state, data.y, gcfg, scfg, bench, rng)
     assert rec.accepted
     assert rec.move == "stay"
     assert np.array_equal(new_state.theta.values, mean)
@@ -430,7 +430,7 @@ def test_all_candidates_outside_ball_are_rejected():
     # add move, and noise so large (norm 100 * sqrt(13)) that every candidate
     # falls outside the prior ball; no selection or acceptance draw is reached
     rng = FarRng([0.1])
-    new_state, rec = mcmc_step(state, fm, data.y, gcfg, scfg, bench, rng)
+    new_state, rec = mcmc_step(state, data.y, gcfg, scfg, bench, rng)
     assert not rec.accepted
     assert new_state is state
 
@@ -445,7 +445,7 @@ def test_a_state_of_zero_posterior_density_is_a_chain_error(seed):
     bench = BenchmarkCache(fm, data.y)
     state = replace(initial_state(fm, data.y, gcfg), log_post=-math.inf)
     with pytest.raises(ChainError, match=r"^non-finite acceptance ratio for move (add|stay)$"):
-        mcmc_step(state, fm, data.y, gcfg, STEP_CFG, bench, np.random.default_rng(seed))
+        mcmc_step(state, data.y, gcfg, STEP_CFG, bench, np.random.default_rng(seed))
 
 
 def test_run_chain_names_the_iteration_of_a_chain_error(monkeypatch):
@@ -556,7 +556,7 @@ def test_batched_neighborhood_draw_matches_per_candidate_draws(seed):
     state = oracle = initial_state(fm, data.y, gcfg)
     seen = set()
     for _ in range(300):
-        state, rec = mcmc_step(state, fm, prepared, gcfg, scfg, bench, rng)
+        state, rec = mcmc_step(state, prepared, gcfg, scfg, bench, rng)
         oracle, oracle_rec = per_candidate_step(oracle, fm, data.y, gcfg, scfg, oracle_bench,
                                                 oracle_rng)
         assert (rec.move, rec.accepted) == (oracle_rec.move, oracle_rec.accepted)
