@@ -21,6 +21,7 @@ from .data import (DataError, derive_seed, gen_synthetic, load_csv, map_to_unit,
                    refuse_one_class, save_csv)
 from .experiments import (
     ExperimentConfig,
+    auc_summary,
     fit_and_evaluate,
     grid_to_csv,
     run_cv,
@@ -168,7 +169,7 @@ def cmd_fit(args) -> int:
             "averaged": result.estimators.averaged.tolist(),
         }, fh, indent=2)
         fh.write("\n")
-    metrics = result.metrics()
+    metrics = result.metrics
     with open(out / "metrics.json", "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -225,13 +226,13 @@ def cmd_cv(args) -> int:
                        positive_label_value=args.positive_label)
     dataset = map_to_unit(dataset, args.data)
     # run_cv refuses folds it cannot stratify, so no output directory is left behind
-    result = run_cv(dataset, cfg)
+    folds = run_cv(dataset, cfg)
     out = _outdir(args)
-    summary = result.summary()
+    summary = {"cv_" + key: value for key, value in auc_summary(folds).items()}
     with open(out / "cv.csv", "w") as fh:
         fh.write("fold,auc_averaged,auc_randomized\n")
-        for i, (a, r) in enumerate(zip(result.fold_auc_averaged, result.fold_auc_randomized)):
-            fh.write(f"{i},{a:.6f},{r:.6f}\n")
+        for i, m in enumerate(folds):
+            fh.write(f"{i},{m['test_auc_averaged']:.6f},{m['test_auc_randomized']:.6f}\n")
     write_metadata(out / "cv_metadata.json", cfg, COMMAND_SETTINGS["cv"],
                    {**summary, "size_prior": size_prior(cfg, dataset.d)})
     print(f"CV AUC: averaged {summary['cv_auc_averaged_mean']:.3f} "

@@ -241,13 +241,17 @@ def make_splits(labels, k: int, seed: int) -> tuple[np.ndarray, ...]:
     The positives (label > 0), then the rest, are each permuted and dealt
     round-robin as one sequence, so each fold's positive count is within
     one of the proportional share.  Every fold holds both classes, so each
-    class needs at least k members.
+    class needs at least k members.  A NaN label, in neither class, is
+    refused naming its index.
     """
     labels = np.asarray(labels)
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > labels.size:
         raise DataError(f"cannot split {labels.size} rows into {k} folds")
+    nan = np.flatnonzero(np.isnan(labels))
+    if nan.size:
+        raise DataError(f"NaN label at index {nan[0]}")
     classes = (labels > 0, labels <= 0)
     if min(np.count_nonzero(c) for c in classes) < k:
         raise DataError("stratification impossible: a fold has a single class")

@@ -30,7 +30,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,28 +102,17 @@ def size_prior(cfg: ExperimentConfig, d: int) -> list[float]:
 
 @dataclass
 class FitResult:
-    train_auc_averaged: float
-    train_auc_randomized: float
-    test_auc_averaged: float
-    test_auc_randomized: float
+    # what metrics.json holds: {train,test}_auc_{averaged,randomized},
+    # acceptance_rate and the per-covariate selection_frequency
+    metrics: dict
     trace: ChainTrace
     estimators: FinalEstimators
 
-    def metrics(self) -> dict:
-        return {
-            "train_auc_averaged": self.train_auc_averaged,
-            "train_auc_randomized": self.train_auc_randomized,
-            "test_auc_averaged": self.test_auc_averaged,
-            "test_auc_randomized": self.test_auc_randomized,
-            "acceptance_rate": self.trace.acceptance_rate,
-            "selection_frequency": self.trace.selection_frequency().tolist(),
-        }
 
-
-def _estimator_aucs(estimators: FinalEstimators, features, labels) -> tuple[float, float]:
-    """AUCs of the averaged and the randomized estimator on features."""
-    return (auc(score_dense(estimators.averaged, features), labels),
-            auc(score(estimators.randomized, features), labels))
+def _estimator_aucs(estimators: FinalEstimators, features, labels, split: str) -> dict:
+    """{split}_auc_averaged and {split}_auc_randomized: both estimators' AUCs on features."""
+    return {f"{split}_auc_averaged": auc(score_dense(estimators.averaged, features), labels),
+            f"{split}_auc_randomized": auc(score(estimators.randomized, features), labels)}
 
 
 def _on_support(estimators: FinalEstimators, d: int):
@@ -156,32 +145,25 @@ def fit_and_evaluate(train: Dataset, test: Dataset, cfg: ExperimentConfig,
     gcfg, scfg = chain_configs(cfg, train.n, train.d)
     features = build_features(train.X)
     trace, estimators = run_chain(features, train.y, gcfg, scfg, rng)
-    train_aucs = _estimator_aucs(estimators, features, train.y)
+    metrics = _estimator_aucs(estimators, features, train.y, "train")
     del features
     support, restricted = _on_support(estimators, train.d)
-    test_aucs = _estimator_aucs(restricted, build_features(test.X, support), test.y)
-    return FitResult(
-        train_auc_averaged=train_aucs[0],
-        train_auc_randomized=train_aucs[1],
-        test_auc_averaged=test_aucs[0],
-        test_auc_randomized=test_aucs[1],
-        trace=trace,
-        estimators=estimators,
-    )
+    metrics.update(_estimator_aucs(restricted, build_features(test.X, support), test.y, "test"))
+    metrics["acceptance_rate"] = trace.acceptance_rate
+    metrics["selection_frequency"] = trace.selection_frequency().tolist()
+    return FitResult(metrics, trace, estimators)
 
 
 def _run_grid_replication(args) -> dict:
-    cfg_dict, delta, sigma2, rep = args
-    cfg = replace(ExperimentConfig(**cfg_dict), delta=delta, sigma2=sigma2)
-    ss = derive_seed(cfg.seed, "grid", repr(delta), repr(sigma2), rep)
+    cfg, rep = args  # cfg carries its cell's delta and sigma2
+    ss = derive_seed(cfg.seed, "grid", repr(cfg.delta), repr(cfg.sigma2), rep)
     data_rng, chain_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
     train = gen_synthetic(cfg.n_train, cfg.d, seed=data_rng)
     test = gen_synthetic(cfg.n_test, cfg.d, seed=data_rng)
     # a one-class draw has no AUC, so it fails before its chain
     refuse_one_class(train, "train draw", "train")
     refuse_one_class(test, "test draw", "test")
-    result = fit_and_evaluate(train, test, cfg, chain_rng)
-    return result.metrics()
+    return fit_and_evaluate(train, test, cfg, chain_rng).metrics
 
 
 def _run_cv_fold(args) -> dict:
@@ -190,7 +172,7 @@ def _run_cv_fold(args) -> dict:
     chain_rng = np.random.default_rng(derive_seed(cfg.seed, "cv", fold))
     # only the metrics outlive the fold, not its trace
     return fit_and_evaluate(dataset.subset(train_idx), dataset.subset(test_idx),
-                            cfg, chain_rng).metrics()
+                            cfg, chain_rng).metrics
 
 
 def _outcome(call, *args, on_error: str):
@@ -230,12 +212,17 @@ def _run_batches(fn, batches: list, workers: int, on_error: str) -> list[list]:
     return outcomes
 
 
-def _mean_var(values) -> tuple[float, float]:
-    """Mean and variance (ddof 1 from two values on) of values; NaN for none."""
-    if not values:
-        return math.nan, math.nan
-    values = np.array(values)
-    return float(values.mean()), float(values.var(ddof=1 if values.size > 1 else 0))
+def auc_summary(metrics: list[dict]) -> dict:
+    """auc_{averaged,randomized}_{mean,var}: the mean and variance (ddof 1
+    from two fits on) of both test AUCs over fits' metrics; NaN for none."""
+    summary = {}
+    for estimator in ("averaged", "randomized"):
+        values = np.array([m[f"test_auc_{estimator}"] for m in metrics])
+        empty = values.size == 0
+        summary[f"auc_{estimator}_mean"] = math.nan if empty else float(values.mean())
+        summary[f"auc_{estimator}_var"] = (
+            math.nan if empty else float(values.var(ddof=1 if values.size > 1 else 0)))
+    return summary
 
 
 @dataclass
@@ -263,16 +250,10 @@ def _grid_row(cfg: ExperimentConfig, delta: float, sigma2: float, outcomes: list
                          delta, sigma2, rep, exc_info=outcome)
         else:
             metrics.append(outcome)
-    avg_mean, avg_var = _mean_var([m["test_auc_averaged"] for m in metrics])
-    rand_mean, rand_var = _mean_var([m["test_auc_randomized"] for m in metrics])
     freq = (np.mean([m["selection_frequency"] for m in metrics], axis=0) if metrics
             else np.full(cfg.d, math.nan))
-    return GridResultRow(
-        delta=delta, sigma2=sigma2,
-        auc_averaged_mean=avg_mean, auc_averaged_var=avg_var,
-        auc_randomized_mean=rand_mean, auc_randomized_var=rand_var,
-        selection_frequency=freq, failures=len(outcomes) - len(metrics),
-    )
+    return GridResultRow(delta=delta, sigma2=sigma2, **auc_summary(metrics),
+                         selection_frequency=freq, failures=len(outcomes) - len(metrics))
 
 
 def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float) -> GridResultRow:
@@ -288,7 +269,7 @@ def run_grid(cfg: ExperimentConfig, deltas, sigma2s) -> list[GridResultRow]:
     every replication failed.
     """
     cells = [(delta, sigma2) for delta in deltas for sigma2 in sigma2s]
-    batches = [[(asdict(cfg), delta, sigma2, rep) for rep in range(cfg.reps)]
+    batches = [[(replace(cfg, delta=delta, sigma2=sigma2), rep) for rep in range(cfg.reps)]
                for delta, sigma2 in cells]
     outcomes = _run_batches(_run_grid_replication, batches, cfg.workers, "record")
     return [_grid_row(cfg, delta, sigma2, cell) for (delta, sigma2), cell in zip(cells, outcomes)]
@@ -312,29 +293,13 @@ def grid_to_csv(rows: list[GridResultRow], path) -> None:
             writer.writerow(record)
 
 
-@dataclass
-class CvResult:
-    fold_auc_averaged: list
-    fold_auc_randomized: list
-
-    def summary(self) -> dict:
-        avg_mean, avg_var = _mean_var(self.fold_auc_averaged)
-        rand_mean, rand_var = _mean_var(self.fold_auc_randomized)
-        return {
-            "cv_auc_averaged_mean": avg_mean,
-            "cv_auc_averaged_var": avg_var,
-            "cv_auc_randomized_mean": rand_mean,
-            "cv_auc_randomized_var": rand_var,
-        }
-
-
-def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> CvResult:
-    """Stratified k-fold cross-validation of both estimators; a failed fold is raised."""
+def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> list[dict]:
+    """Stratified k-fold cross-validation of both estimators: each fold's
+    metrics, in fold order; a failed fold is raised."""
     folds = make_splits(dataset.y, cfg.folds, cfg.seed)
     jobs = [(dataset, test_idx, cfg, i) for i, test_idx in enumerate(folds)]
     (metrics,) = _run_batches(_run_cv_fold, [jobs], cfg.workers, "raise")
-    return CvResult(fold_auc_averaged=[m["test_auc_averaged"] for m in metrics],
-                    fold_auc_randomized=[m["test_auc_randomized"] for m in metrics])
+    return metrics
 
 
 def write_metadata(path, cfg: ExperimentConfig, settings, extra: dict | None = None) -> None:
@@ -343,5 +308,5 @@ def write_metadata(path, cfg: ExperimentConfig, settings, extra: dict | None = N
     if extra:
         record.update(extra)
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=str)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

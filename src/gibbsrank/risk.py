@@ -45,8 +45,9 @@ class PreparedLabels:
 
     weights holds 1.0 at the positives (label > 0) and 0.0 elsewhere, and
     ranks is arange(n), both float64 and read-only: the tie-free rank-sum
-    dot and the tie path's group counts both read weights.  Labels without
-    both classes, n < 2 included, raise DegenerateDataError.
+    dot and the tie path's group counts both read weights.  A NaN label,
+    which belongs to neither class, raises ValueError naming its index, and
+    labels without both classes, n < 2 included, raise DegenerateDataError.
     """
 
     __slots__ = ("weights", "ranks", "n_pos", "n_neg")
@@ -55,6 +56,9 @@ class PreparedLabels:
         labels = np.asarray(labels)
         if labels.ndim != 1:
             raise ValueError("scores and labels must be 1-d arrays of equal length")
+        nan = np.flatnonzero(np.isnan(labels))
+        if nan.size:
+            raise ValueError(f"NaN label at index {nan[0]}")
         weights = (labels > 0).astype(float)
         ranks = np.arange(labels.size, dtype=float)
         for array in (weights, ranks):

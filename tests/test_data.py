@@ -325,6 +325,12 @@ def test_stratified_single_class_fold_raises():
         make_splits(labels, 5, 0)
 
 
+def test_make_splits_refuses_a_nan_label():
+    # such an index used to be left out of every fold
+    with pytest.raises(DataError, match="^NaN label at index 2$"):
+        make_splits([1.0, -1.0, np.nan, 1.0, -1.0, 1.0, -1.0], 2, 0)
+
+
 def test_make_splits_matches_the_one_at_a_time_deal():
     """The same folds, values and dtype, as dealing each index in turn, and
     the same error for the same input, over random sizes, fold counts,

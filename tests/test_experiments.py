@@ -14,6 +14,7 @@ from gibbsrank.risk import auc
 from gibbsrank.sampler import FinalEstimators
 from gibbsrank.experiments import (
     ExperimentConfig,
+    auc_summary,
     chain_configs,
     effective_delta,
     fit_and_evaluate,
@@ -30,7 +31,7 @@ _real_replication = experiments._run_grid_replication
 
 def _flaky_replication(args):
     # module level, so a pool worker can unpickle it
-    if args[3] == 1:
+    if args[1] == 1:
         raise RuntimeError("replication 1 broke")
     return _real_replication(args)
 
@@ -41,7 +42,7 @@ def _failing_fold(args):
 
 def _dying_replication(args):
     # replication 1 of the delta=1 cell kills its pool worker outright
-    if args[1] == 1.0 and args[3] == 1:
+    if args[0].delta == 1.0 and args[1] == 1:
         os._exit(1)
     return _real_replication(args)
 
@@ -87,7 +88,7 @@ def test_fit_and_evaluate_metrics_shape():
     train = gen_synthetic(80, seed=0)
     test = gen_synthetic(80, seed=1)
     result = fit_and_evaluate(train, test, cfg, np.random.default_rng(cfg.seed))
-    metrics = result.metrics()
+    metrics = result.metrics
     for key in ("train_auc_averaged", "test_auc_averaged",
                 "train_auc_randomized", "test_auc_randomized"):
         assert 0.0 <= metrics[key] <= 1.0
@@ -118,8 +119,8 @@ def test_test_features_cover_exactly_the_estimators_support(monkeypatch, delta, 
     assert built[0][1] is None and list(built[1][1]) == support
     # the unrestricted estimators on every test column score exactly alike
     full = build_features(test.X)
-    assert result.test_auc_averaged == auc(score_dense(est.averaged, full), test.y)
-    assert result.test_auc_randomized == auc(score(est.randomized, full), test.y)
+    assert result.metrics["test_auc_averaged"] == auc(score_dense(est.averaged, full), test.y)
+    assert result.metrics["test_auc_randomized"] == auc(score(est.randomized, full), test.y)
 
 
 def test_estimators_on_their_support_score_bit_for_bit_alike():
@@ -168,7 +169,7 @@ def test_failed_replication_is_counted_not_fatal(monkeypatch):
     real = experiments._run_grid_replication
 
     def flaky(args):
-        if args[3] == 1:
+        if args[1] == 1:
             raise RuntimeError("replication 1 broke")
         return real(args)
 
@@ -178,7 +179,8 @@ def test_failed_replication_is_counted_not_fatal(monkeypatch):
     monkeypatch.setattr(experiments, "_run_grid_replication", flaky)
     row = run_grid(cfg, deltas=(1.0,), sigma2s=(0.01,))[0]
     assert row.failures == 1
-    survivors = [real((asdict(cfg), 1.0, 0.01, rep))["test_auc_averaged"] for rep in (0, 2)]
+    cell = replace(cfg, delta=1.0, sigma2=0.01)
+    survivors = [real((cell, rep))["test_auc_averaged"] for rep in (0, 2)]
     assert row.auc_averaged_mean == pytest.approx(np.mean(survivors), abs=1e-15)
     assert row.auc_averaged_var == pytest.approx(np.var(survivors, ddof=1), abs=1e-15)
     assert np.all(np.isfinite(row.selection_frequency))
@@ -260,12 +262,12 @@ def test_cv_agrees_with_holdout_fit(tmp_path):
     path = tmp_path / "cv.csv"
     save_csv(data, path)
     reloaded = load_csv(path)
-    cv = run_cv(reloaded, cfg)
-    summary = cv.summary()
+    folds = run_cv(reloaded, cfg)
+    summary = auc_summary(folds)
     holdout = fit_and_evaluate(gen_synthetic(1000, seed=5),
                                gen_synthetic(1000, seed=6), cfg, np.random.default_rng(cfg.seed))
-    assert len(cv.fold_auc_averaged) == 5
-    assert abs(summary["cv_auc_averaged_mean"] - holdout.test_auc_averaged) <= 0.03
+    assert len(folds) == 5
+    assert abs(summary["auc_averaged_mean"] - holdout.metrics["test_auc_averaged"]) <= 0.03
 
 
 def test_pooled_cv_uses_one_pool_and_matches_in_process_folds(pool_starts):
@@ -275,8 +277,8 @@ def test_pooled_cv_uses_one_pool_and_matches_in_process_folds(pool_starts):
     assert len(pool_starts) == 1
     alone = run_cv(data, replace(cfg, workers=1))
     assert len(pool_starts) == 1
-    assert pooled.fold_auc_averaged == alone.fold_auc_averaged
-    assert pooled.fold_auc_randomized == alone.fold_auc_randomized
+    for key in ("test_auc_averaged", "test_auc_randomized"):
+        assert [m[key] for m in pooled] == [m[key] for m in alone]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -111,6 +111,17 @@ def test_nan_score_raises_with_its_index():
             call([0.1, np.nan, 0.3, np.nan], [1.0, -1.0, -1.0, 1.0])
 
 
+def test_nan_label_raises_with_its_index():
+    """A NaN label is in neither class: it used to be counted as a negative,
+    so auc([.1, .2, .3, .4], [1, nan, -1, 1]) read 0.5."""
+    for call in (auc, empirical_rank_risk):
+        with pytest.raises(ValueError, match="^NaN label at index 1$"):
+            call([0.1, 0.2, 0.3, 0.4], [1.0, np.nan, -1.0, np.nan])
+    # refused before the class count, which would call [1, nan] two classes
+    with pytest.raises(ValueError, match="^NaN label at index 1$"):
+        PreparedLabels([1.0, np.nan])
+
+
 def test_infinite_scores_are_ranked():
     scores = [-np.inf, 0.0, np.inf, np.inf]
     labels = [-1.0, 1.0, -1.0, 1.0]

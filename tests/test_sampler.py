@@ -504,6 +504,21 @@ def test_run_chain_refuses_one_class_labels_before_its_first_step(monkeypatch):
             PreparedLabels(labels)
 
 
+def test_run_chain_refuses_a_nan_label_before_its_first_step(monkeypatch):
+    """A NaN label used to reach the ridge fits and stop the chain on a
+    NaN score at index 0; it is refused by its own index where the labels
+    are prepared."""
+    data = gen_synthetic(30, d=5, seed=9)
+    y = data.y.copy()
+    y[[7, 12]] = np.nan
+    steps = []
+    monkeypatch.setattr(sampler, "mcmc_step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="^NaN label at index 7$"):
+        run_chain(build_features(data.X), y, tilted_config(delta=10.0, d=5),
+                  SamplerConfig(iters=20, burnin=10, sigma2=0.01), np.random.default_rng(0))
+    assert steps == []
+
+
 def per_candidate_step(state, features, labels, gcfg, scfg, bench, rng):
     """The step with its neighborhood built model by model, one
     standard_normal call and one log_proposal_density call per candidate,
