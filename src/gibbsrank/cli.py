@@ -213,10 +213,10 @@ def cmd_grid(args) -> int:
         "size_prior": {repr(s): size_prior(replace(cfg, sigma2=s), cfg.d) for s in sigma2s},
     })
     for row in rows:
-        print(f"delta={row.delta:g} sigma2={row.sigma2:g} "
-              f"averaged {row.auc_averaged_mean:.3f} ({row.auc_averaged_var:.3f}) "
-              f"randomized {row.auc_randomized_mean:.3f} ({row.auc_randomized_var:.3f}) "
-              f"junk {row.junk_frequency_sum():.4f}")
+        print("delta={delta:g} sigma2={sigma2:g} "
+              "averaged {auc_averaged_mean:.3f} ({auc_averaged_var:.3f}) "
+              "randomized {auc_randomized_mean:.3f} ({auc_randomized_var:.3f}) "
+              "junk {junk_frequency_sum:.4f}".format(**row))
     return 0
 
 

@@ -193,7 +193,11 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     raw_labels = table[:, label_idx]
     values = np.unique(raw_labels)
     if values.size != 2:
-        raise DataError(f"{path}: labels must take exactly two values, got {values.tolist()}")
+        # a label column of floats may hold thousands of values: show the least five
+        shown = values[:5].tolist()
+        first = f", the first {len(shown)}" if values.size > len(shown) else ""
+        raise DataError(f"{path}: labels must take exactly two values, "
+                        f"got {values.size} distinct{first}: {shown}")
     if positive_label_value not in values:
         raise DataError(
             f"{path}: positive label {positive_label_value} not among values {values.tolist()}"

@@ -225,24 +225,10 @@ def auc_summary(metrics: list[dict]) -> dict:
     return summary
 
 
-@dataclass
-class GridResultRow:
-    delta: float
-    sigma2: float
-    auc_averaged_mean: float
-    auc_averaged_var: float
-    auc_randomized_mean: float
-    auc_randomized_var: float
-    selection_frequency: np.ndarray  # per covariate, averaged over replications
-    failures: int = 0
-
-    def junk_frequency_sum(self) -> float:
-        """Summed selection frequency of the covariates outside SIGNAL_COVARIATES (1-based)."""
-        signal = {j - 1 for j in SIGNAL_COVARIATES}
-        return float(sum(f for j, f in enumerate(self.selection_frequency) if j not in signal))
-
-
-def _grid_row(cfg: ExperimentConfig, delta: float, sigma2: float, outcomes: list) -> GridResultRow:
+def _grid_row(cfg: ExperimentConfig, delta: float, sigma2: float, outcomes: list) -> dict:
+    """One cell's grid.csv row: delta, sigma2, auc_summary's keys, freq_1 ...
+    freq_d (the mean selection frequency per covariate), junk_frequency_sum
+    (summed over the covariates outside SIGNAL_COVARIATES) and failures."""
     metrics = []
     for rep, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
@@ -251,17 +237,20 @@ def _grid_row(cfg: ExperimentConfig, delta: float, sigma2: float, outcomes: list
         else:
             metrics.append(outcome)
     freq = (np.mean([m["selection_frequency"] for m in metrics], axis=0) if metrics
-            else np.full(cfg.d, math.nan))
-    return GridResultRow(delta=delta, sigma2=sigma2, **auc_summary(metrics),
-                         selection_frequency=freq, failures=len(outcomes) - len(metrics))
+            else np.full(cfg.d, math.nan)).tolist()
+    row = {"delta": delta, "sigma2": sigma2, **auc_summary(metrics)}
+    row.update({f"freq_{j}": f for j, f in enumerate(freq, 1)})
+    row["junk_frequency_sum"] = sum(f for j, f in enumerate(freq, 1) if j not in SIGNAL_COVARIATES)
+    row["failures"] = len(outcomes) - len(metrics)
+    return row
 
 
-def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float) -> GridResultRow:
+def run_grid_cell(cfg: ExperimentConfig, delta: float, sigma2: float) -> dict:
     """Run all replications of one (delta, sigma2) cell and aggregate: a one-cell run_grid."""
     return run_grid(cfg, (delta,), (sigma2,))[0]
 
 
-def run_grid(cfg: ExperimentConfig, deltas, sigma2s) -> list[GridResultRow]:
+def run_grid(cfg: ExperimentConfig, deltas, sigma2s) -> list[dict]:
     """Sweep the (delta, sigma2) grid, one batch of cfg.reps replications per cell.
 
     A failed replication is logged and counted in `failures`, and its row
@@ -275,22 +264,17 @@ def run_grid(cfg: ExperimentConfig, deltas, sigma2s) -> list[GridResultRow]:
     return [_grid_row(cfg, delta, sigma2, cell) for (delta, sigma2), cell in zip(cells, outcomes)]
 
 
-def grid_to_csv(rows: list[GridResultRow], path) -> None:
-    d = rows[0].selection_frequency.size if rows else 0
-    header = ["delta", "sigma2", "auc_averaged_mean", "auc_averaged_var",
-              "auc_randomized_mean", "auc_randomized_var"]
-    header += [f"freq_{j + 1}" for j in range(d)]
-    header += ["junk_frequency_sum", "failures"]
+def grid_to_csv(rows: list[dict], path) -> None:
+    """rows as run_grid returns them, under the first row's keys: delta and
+    sigma2 by repr, failures as an integer, every statistic to 6 places."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        if rows:
+            writer.writerow(rows[0])
         for row in rows:
-            record = [repr(row.delta), repr(row.sigma2),
-                      f"{row.auc_averaged_mean:.6f}", f"{row.auc_averaged_var:.6f}",
-                      f"{row.auc_randomized_mean:.6f}", f"{row.auc_randomized_var:.6f}"]
-            record += [f"{f:.6f}" for f in row.selection_frequency]
-            record += [f"{row.junk_frequency_sum():.6f}", str(row.failures)]
-            writer.writerow(record)
+            writer.writerow([repr(value) if key in ("delta", "sigma2")
+                             else str(value) if key == "failures" else f"{value:.6f}"
+                             for key, value in row.items()])
 
 
 def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> list[dict]:

@@ -80,17 +80,17 @@ def test_criterion_2_oracle_auc():
 
 def test_criterion_3_best_cell_auc(grid_cells):
     row = grid_cells[(0.1, 0.001)]
-    ok = abs(row.auc_averaged_mean - 0.731) <= 0.02
+    ok = abs(row["auc_averaged_mean"] - 0.731) <= 0.02
     report(3, ok,
-           f"cell delta=0.1 sigma2=0.001: mean test AUC {row.auc_averaged_mean:.4f} "
-           f"(var {row.auc_averaged_var:.4f}) vs 0.731 +- 0.02 over R=20")
+           f"cell delta=0.1 sigma2=0.001: mean test AUC {row['auc_averaged_mean']:.4f} "
+           f"(var {row['auc_averaged_var']:.4f}) vs 0.731 +- 0.02 over R=20")
 
 
 def test_criterion_4_variable_selection(grid_cells):
     row = grid_cells[(1.0, 0.01)]
-    f3 = row.selection_frequency[2]
-    f5 = row.selection_frequency[4]
-    junk = row.junk_frequency_sum()
+    f3 = row["freq_3"]
+    f5 = row["freq_5"]
+    junk = row["junk_frequency_sum"]
     ok = f3 >= 0.99 and f5 >= 0.99 and junk <= 0.15
     report(4, ok,
            f"cell delta=1 sigma2=0.01: freq(x3)={f3:.4f}, freq(x5)={f5:.4f} (>= 0.99), "
@@ -98,8 +98,8 @@ def test_criterion_4_variable_selection(grid_cells):
 
 
 def test_criterion_5_ordering_property(grid_cells):
-    good = grid_cells[(0.1, 0.001)].auc_averaged_mean
-    bad = grid_cells[(0.01, 1.0)].auc_averaged_mean
+    good = grid_cells[(0.1, 0.001)]["auc_averaged_mean"]
+    bad = grid_cells[(0.01, 1.0)]["auc_averaged_mean"]
     gap = good - bad
     report(5, gap >= 0.03,
            f"mean AUC {good:.4f} at (0.1, 0.001) vs {bad:.4f} at (0.01, 1): gap {gap:.4f} (>= 0.03)")

@@ -538,6 +538,27 @@ def test_grid_replication_with_a_one_class_draw_fails_before_its_chain(tmp_path,
     assert "single-class" not in capsys.readouterr().err
 
 
+def test_grid_cell_where_every_replication_failed_writes_and_prints_nan(tmp_path, capsys):
+    """At --n-train 2 and seed 0 the only replication draws one class."""
+    out = tmp_path / "grid"
+    run_cli("grid", "--reps", "1", "--n-train", "2", "--n-test", "4", "--deltas", "1",
+            "--sigma2s", "0.01", "--iters", "5", "--burnin", "2", "--seed", "0",
+            "--out", str(out))
+    header, record = (out / "grid.csv").read_bytes().split(b"\r\n")[:2]
+    assert header.startswith(b"delta,sigma2,auc_averaged_mean,")
+    assert record == b"1.0,0.01," + b"nan," * 15 + b"1"
+    assert capsys.readouterr().out == (
+        "delta=1 sigma2=0.01 averaged nan (nan) randomized nan (nan) junk nan\n")
+
+
+def test_grid_stdout_of_two_cells(tmp_path, capsys):
+    run_cli("grid", "--reps", "2", "--deltas", "1,10", "--sigma2s", "0.01", "--seed", "0",
+            *FAST, "--out", str(tmp_path / "grid"))
+    assert capsys.readouterr().out == (
+        "delta=1 sigma2=0.01 averaged 0.571 (0.029) randomized 0.571 (0.029) junk 0.5000\n"
+        "delta=10 sigma2=0.01 averaged 0.628 (0.002) randomized 0.641 (0.003) junk 1.9250\n")
+
+
 def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
     data = gen_synthetic(40, seed=0)
     path = tmp_path / "one.csv"

@@ -232,6 +232,19 @@ def test_label_value_validation(tmp_path):
         load_csv(path, positive_label_value=7.0)
 
 
+def test_label_column_of_many_values_is_refused_by_count_and_five_least(tmp_path):
+    data = gen_synthetic(60, seed=0)
+    path = tmp_path / "synth.csv"
+    save_csv(data, path)
+    with pytest.raises(DataError) as exc:
+        load_csv(path, label_column="eta")
+    least = np.unique(data.eta)[:5].tolist()
+    message = str(exc.value)
+    assert message == (f"{path}: labels must take exactly two values, "
+                       f"got 60 distinct, the first 5: {least}")
+    assert len(message) < len(str(path)) + 200  # not the 60 values
+
+
 def test_empty_and_missing_column_errors(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("")

@@ -1,7 +1,7 @@
 """Experiment harness: temperature mapping, grid aggregation, CV."""
 
 import os
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,11 @@ from oracles import active, bits
 
 FAST = dict(iters=60, burnin=40, n_train=80, n_test=80, reps=1)
 _real_replication = experiments._run_grid_replication
+
+
+def frequencies(row: dict, d: int) -> np.ndarray:
+    """A grid row's freq_1 ... freq_d."""
+    return np.array([row[f"freq_{j}"] for j in range(1, d + 1)])
 
 
 def _flaky_replication(args):
@@ -153,8 +158,8 @@ def test_estimators_on_their_support_score_bit_for_bit_alike():
 def test_single_replication_cell_has_zero_variance(tmp_path):
     cfg = ExperimentConfig(**FAST)
     row = run_grid_cell(cfg, delta=1.0, sigma2=0.01)
-    assert row.auc_averaged_var == 0.0
-    assert row.failures == 0
+    assert row["auc_averaged_var"] == 0.0
+    assert row["failures"] == 0
     out = tmp_path / "grid.csv"
     grid_to_csv([row], out)
     lines = out.read_text().splitlines()
@@ -178,24 +183,24 @@ def test_failed_replication_is_counted_not_fatal(monkeypatch):
 
     monkeypatch.setattr(experiments, "_run_grid_replication", flaky)
     row = run_grid(cfg, deltas=(1.0,), sigma2s=(0.01,))[0]
-    assert row.failures == 1
+    assert row["failures"] == 1
     cell = replace(cfg, delta=1.0, sigma2=0.01)
     survivors = [real((cell, rep))["test_auc_averaged"] for rep in (0, 2)]
-    assert row.auc_averaged_mean == pytest.approx(np.mean(survivors), abs=1e-15)
-    assert row.auc_averaged_var == pytest.approx(np.var(survivors, ddof=1), abs=1e-15)
-    assert np.all(np.isfinite(row.selection_frequency))
+    assert row["auc_averaged_mean"] == pytest.approx(np.mean(survivors), abs=1e-15)
+    assert row["auc_averaged_var"] == pytest.approx(np.var(survivors, ddof=1), abs=1e-15)
+    assert np.all(np.isfinite(frequencies(row, cfg.d)))
 
     monkeypatch.setattr(experiments, "_run_grid_replication", broken)
     row = run_grid_cell(cfg, 1.0, 0.01)
-    assert row.failures == 3
-    assert np.isnan(row.auc_averaged_mean)
-    assert np.all(np.isnan(row.selection_frequency))
+    assert row["failures"] == 3
+    assert np.isnan(row["auc_averaged_mean"])
+    assert np.all(np.isnan(frequencies(row, cfg.d)))
 
 
 def test_run_grid_covers_requested_cells():
     cfg = ExperimentConfig(**FAST)
     rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
-    assert [(r.delta, r.sigma2) for r in rows] == [(1.0, 0.01), (0.1, 0.01)]
+    assert [(r["delta"], r["sigma2"]) for r in rows] == [(1.0, 0.01), (0.1, 0.01)]
 
 
 def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch, pool_starts):
@@ -203,15 +208,15 @@ def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch, pool_
     rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
     assert len(pool_starts) == 1
     for row in rows:
-        alone = run_grid_cell(replace(cfg, workers=1), row.delta, row.sigma2)
-        assert asdict(row).keys() == asdict(alone).keys()
-        for key, value in asdict(row).items():
-            assert np.array_equal(value, asdict(alone)[key]), key
+        alone = run_grid_cell(replace(cfg, workers=1), row["delta"], row["sigma2"])
+        assert list(row) == list(alone)
+        for key, value in row.items():
+            assert np.array_equal(value, alone[key]), key
 
     monkeypatch.setattr(experiments, "_run_grid_replication", _flaky_replication)
     rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
-    assert [row.failures for row in rows] == [1, 1]
-    assert all(np.isfinite(row.auc_averaged_mean) for row in rows)
+    assert [row["failures"] for row in rows] == [1, 1]
+    assert all(np.isfinite(row["auc_averaged_mean"]) for row in rows)
 
 
 def test_pooled_cell_is_a_one_cell_grid(pool_starts):
@@ -220,8 +225,8 @@ def test_pooled_cell_is_a_one_cell_grid(pool_starts):
     assert len(pool_starts) == 1
     alone = run_grid_cell(replace(cfg, workers=1), 1.0, 0.01)
     assert len(pool_starts) == 1
-    for key, value in asdict(row).items():
-        assert np.array_equal(value, asdict(alone)[key]), key
+    for key, value in row.items():
+        assert np.array_equal(value, alone[key]), key
 
 
 def test_worker_death_costs_only_the_cell_being_aggregated(monkeypatch, pool_starts):
@@ -229,29 +234,29 @@ def test_worker_death_costs_only_the_cell_being_aggregated(monkeypatch, pool_sta
     monkeypatch.setattr(experiments, "_run_grid_replication", _dying_replication)
     rows = run_grid(cfg, deltas=(1.0, 0.1, 0.01), sigma2s=(0.01,))
     assert len(pool_starts) == 2  # the broken pool and the fresh one
-    assert [(r.delta, r.sigma2) for r in rows] == [(1.0, 0.01), (0.1, 0.01), (0.01, 0.01)]
-    assert rows[0].failures >= 1
+    assert [(r["delta"], r["sigma2"]) for r in rows] == [(1.0, 0.01), (0.1, 0.01), (0.01, 0.01)]
+    assert rows[0]["failures"] >= 1
     for row in rows[1:]:
-        alone = run_grid_cell(replace(cfg, workers=1), row.delta, row.sigma2)
-        assert row.failures == 0
-        for key, value in asdict(row).items():
-            assert np.array_equal(value, asdict(alone)[key]), key
+        alone = run_grid_cell(replace(cfg, workers=1), row["delta"], row["sigma2"])
+        assert row["failures"] == 0
+        for key, value in row.items():
+            assert np.array_equal(value, alone[key]), key
 
 
 def test_grid_replication_is_deterministic():
     cfg = ExperimentConfig(**FAST)
     a = run_grid_cell(cfg, delta=1.0, sigma2=0.01)
     b = run_grid_cell(cfg, delta=1.0, sigma2=0.01)
-    assert a.auc_averaged_mean == b.auc_averaged_mean
-    assert np.array_equal(a.selection_frequency, b.selection_frequency)
+    assert a["auc_averaged_mean"] == b["auc_averaged_mean"]
+    assert np.array_equal(frequencies(a, cfg.d), frequencies(b, cfg.d))
 
 
 def test_junk_frequency_excludes_signal_covariates():
     cfg = ExperimentConfig(**FAST)
     row = run_grid_cell(cfg, delta=1.0, sigma2=0.01)
-    total = float(row.selection_frequency.sum())
-    signal = row.selection_frequency[2] + row.selection_frequency[4]
-    assert row.junk_frequency_sum() == pytest.approx(total - signal)
+    total = float(frequencies(row, cfg.d).sum())
+    signal = row["freq_3"] + row["freq_5"]
+    assert row["junk_frequency_sum"] == pytest.approx(total - signal)
 
 
 def test_cv_agrees_with_holdout_fit(tmp_path):
