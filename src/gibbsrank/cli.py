@@ -1,4 +1,4 @@
-"""Command-line harness.
+"""Command-line harness, and the writer of every file a run produces.
 
 Subcommands: synth, fit, grid, cv, auc.  Each of the first four takes as
 flags only the ExperimentConfig settings it reads (COMMAND_SETTINGS); a flat
@@ -17,20 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .data import (DataError, derive_seed, gen_synthetic, load_csv, map_to_unit, read_table,
                    refuse_one_class, save_csv)
-from .experiments import (
-    ExperimentConfig,
-    auc_summary,
-    fit_and_evaluate,
-    grid_to_csv,
-    run_cv,
-    run_grid,
-    size_prior,
-    write_metadata,
-)
+from .experiments import (ExperimentConfig, auc_summary, fit_and_evaluate, run_cv, run_grid,
+                          size_prior)
 from .risk import DegenerateDataError, auc
-from .sampler import trace_to_csv
 
 # each config field parses with the type of its default
 _CONFIG_FIELDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
@@ -45,9 +37,13 @@ COMMAND_SETTINGS = {
 
 
 def read_config_file(path) -> dict:
-    """Flat KEY=VALUE text; blank lines and #-comments ignored."""
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    """Flat KEY=VALUE text; blank lines and #-comments ignored, a key set twice refused."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+    values, first_line = {}, {}
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -58,6 +54,9 @@ def read_config_file(path) -> dict:
         kind = _CONFIG_FIELDS.get(key)
         if kind is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: {key} is set twice "
+                             f"(first on line {first_line[key]})")
         try:
             values[key] = kind(raw)
         except ValueError:
@@ -66,9 +65,7 @@ def read_config_file(path) -> dict:
 
 
 def build_config(args) -> ExperimentConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
+    values = read_config_file(args.config) if getattr(args, "config", None) else {}
     for name in _CONFIG_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -105,10 +102,45 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_json(path, record: dict) -> None:
+    """record as JSON, indented, keys sorted, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_metadata(args, extra: dict) -> None:
+    """The command's metadata in --out: the version, the settings it reads and extra."""
+    config = {name: getattr(args.cfg, name) for name in COMMAND_SETTINGS[args.command]}
+    _write_json(Path(args.out) / f"{args.command}_metadata.json",
+                {"version": __version__, "config": config, **extra})
+
+
+def trace_to_csv(trace, path) -> None:
+    """One row per ChainTrace iteration: t, model size, active covariates, risk, accepted, move."""
+    with open(path, "w") as fh:
+        fh.write("t,model_size,active,risk,accepted,move\n")
+        for t in range(trace.iters):
+            active = ";".join(str(j + 1) for j in np.flatnonzero(trace.masks[t]))
+            fh.write(f"{t},{int(trace.masks[t].sum())},{active},"
+                     f"{trace.risks[t]:.17g},{int(trace.accepted[t])},{trace.moves[t]}\n")
+
+
+def grid_to_csv(rows: list[dict], path) -> None:
+    """run_grid's rows under the first row's keys: delta and sigma2 by repr, failures
+    as an integer, every statistic to 6 places, in CRLF lines as csv.writer writes them."""
+    with open(path, "w", newline="") as fh:
+        if rows:
+            fh.write(",".join(rows[0]) + "\r\n")
+        for row in rows:
+            fh.write(",".join(repr(value) if key in ("delta", "sigma2")
+                              else str(value) if key == "failures" else f"{value:.6f}"
+                              for key, value in row.items()) + "\r\n")
+
+
 def cmd_synth(args) -> int:
     cfg = args.cfg
-    ss = derive_seed(cfg.seed, "synth")
-    rng = np.random.default_rng(ss)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "synth"))
     train = gen_synthetic(cfg.n_train, cfg.d, seed=rng)
     test = gen_synthetic(cfg.n_test, cfg.d, seed=rng)
     # refused before --out exists: a one-class test draw has no oracle AUC
@@ -118,8 +150,7 @@ def cmd_synth(args) -> int:
     save_csv(train, out / "train.csv")
     save_csv(test, out / "test.csv")
     oracle = auc(test.eta, test.y)
-    write_metadata(out / "synth_metadata.json", cfg, COMMAND_SETTINGS["synth"],
-                   {"oracle_auc_test": oracle})
+    write_metadata(args, {"oracle_auc_test": oracle})
     print(f"wrote {out / 'train.csv'} ({train.n} rows) and {out / 'test.csv'} ({test.n} rows)")
     print(f"oracle AUC of the true regression function on the test set: {oracle:.4f}")
     return 0
@@ -137,7 +168,8 @@ def _load_dataset(path_or_synth: str, cfg: ExperimentConfig, role: str):
 
 def cmd_fit(args) -> int:
     cfg = args.cfg
-    test_source = args.test or "synthetic"  # main() requires --test for a CSV --train
+    # main() requires --test for a CSV --train; any value but "synthetic" is a path
+    test_source = "synthetic" if args.test is None else args.test
     train = _load_dataset(args.train, cfg, "train")
     test = _load_dataset(test_source, cfg, "test")
     if test.d != train.d:
@@ -170,11 +202,8 @@ def cmd_fit(args) -> int:
         }, fh, indent=2)
         fh.write("\n")
     metrics = result.metrics
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_metadata(out / "fit_metadata.json", cfg, COMMAND_SETTINGS["fit"],
-                   {"size_prior": size_prior(cfg, train.d)})
+    _write_json(out / "metrics.json", metrics)
+    write_metadata(args, {"size_prior": size_prior(cfg, train.d)})
     print(f"test AUC: averaged {metrics['test_auc_averaged']:.4f}, "
           f"randomized {metrics['test_auc_randomized']:.4f} "
           f"(acceptance {metrics['acceptance_rate']:.3f})")
@@ -207,7 +236,7 @@ def cmd_grid(args) -> int:
     out = _outdir(args)
     rows = run_grid(cfg, deltas, sigma2s)
     grid_to_csv(rows, out / "grid.csv")
-    write_metadata(out / "grid_metadata.json", cfg, COMMAND_SETTINGS["grid"], {
+    write_metadata(args, {
         "deltas": list(deltas),
         "sigma2s": list(sigma2s),
         "size_prior": {repr(s): size_prior(replace(cfg, sigma2=s), cfg.d) for s in sigma2s},
@@ -233,8 +262,7 @@ def cmd_cv(args) -> int:
         fh.write("fold,auc_averaged,auc_randomized\n")
         for i, m in enumerate(folds):
             fh.write(f"{i},{m['test_auc_averaged']:.6f},{m['test_auc_randomized']:.6f}\n")
-    write_metadata(out / "cv_metadata.json", cfg, COMMAND_SETTINGS["cv"],
-                   {**summary, "size_prior": size_prior(cfg, dataset.d)})
+    write_metadata(args, {**summary, "size_prior": size_prior(cfg, dataset.d)})
     print(f"CV AUC: averaged {summary['cv_auc_averaged_mean']:.3f} "
           f"({summary['cv_auc_averaged_var']:.3f}), "
           f"randomized {summary['cv_auc_randomized_mean']:.3f} "

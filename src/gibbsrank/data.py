@@ -121,10 +121,15 @@ def read_table(path):
     """(header, rows) of a CSV with a header row: the stripped column names,
     and a generator of (data-row number, file line, cells) per data row, both
     1-based.  Every CSV input is read here, under one policy: utf-8-sig drops
-    a spreadsheet's byte-order mark, blank lines are skipped, and an empty
-    file, a column named twice, a ragged row and no data rows are DataErrors.
-    The file closes when the with block exits, also on a raise mid-file."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    a spreadsheet's byte-order mark, blank lines are skipped, and a file that
+    cannot be opened, an empty file, a column named twice, a ragged row and no
+    data rows are DataErrors.  The file closes when the with block exits, also
+    on a raise mid-file."""
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [cell.strip() for cell in next(reader)]

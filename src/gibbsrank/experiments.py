@@ -24,8 +24,6 @@ ridge penalty sampler.RIDGE_LAMBDA.  Run metadata records this prior as
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
 from .basis import SparseCoef, build_features, score, score_dense
 from .data import (SIGNAL_COVARIATES, Dataset, derive_seed, gen_synthetic, make_splits,
                    refuse_one_class)
@@ -264,19 +261,6 @@ def run_grid(cfg: ExperimentConfig, deltas, sigma2s) -> list[dict]:
     return [_grid_row(cfg, delta, sigma2, cell) for (delta, sigma2), cell in zip(cells, outcomes)]
 
 
-def grid_to_csv(rows: list[dict], path) -> None:
-    """rows as run_grid returns them, under the first row's keys: delta and
-    sigma2 by repr, failures as an integer, every statistic to 6 places."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if rows:
-            writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow([repr(value) if key in ("delta", "sigma2")
-                             else str(value) if key == "failures" else f"{value:.6f}"
-                             for key, value in row.items()])
-
-
 def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> list[dict]:
     """Stratified k-fold cross-validation of both estimators: each fold's
     metrics, in fold order; a failed fold is raised."""
@@ -285,12 +269,3 @@ def run_cv(dataset: Dataset, cfg: ExperimentConfig) -> list[dict]:
     (metrics,) = _run_batches(_run_cv_fold, [jobs], cfg.workers, "raise")
     return metrics
 
-
-def write_metadata(path, cfg: ExperimentConfig, settings, extra: dict | None = None) -> None:
-    """The version and cfg's values of settings, those the run read: all it needs to rerun."""
-    record = {"version": __version__, "config": {name: getattr(cfg, name) for name in settings}}
-    if extra:
-        record.update(extra)
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")

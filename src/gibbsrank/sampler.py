@@ -333,12 +333,3 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     )
     return trace, estimators
 
-
-def trace_to_csv(trace: ChainTrace, path) -> None:
-    """One row per iteration: t, model size, active covariates, risk, accepted, move."""
-    with open(path, "w") as fh:
-        fh.write("t,model_size,active,risk,accepted,move\n")
-        for t in range(trace.iters):
-            active = ";".join(str(j + 1) for j in np.flatnonzero(trace.masks[t]))
-            fh.write(f"{t},{int(trace.masks[t].sum())},{active},"
-                     f"{trace.risks[t]:.17g},{int(trace.accepted[t])},{trace.moves[t]}\n")

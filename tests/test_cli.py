@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import gibbsrank
 from gibbsrank import cli, experiments
 from gibbsrank.cli import build_config, main, read_config_file
 from gibbsrank.data import DataError, derive_seed, gen_synthetic, load_csv, save_csv
-from gibbsrank.experiments import ExperimentConfig, chain_configs, write_metadata
+from gibbsrank.experiments import ExperimentConfig, chain_configs
 from gibbsrank.gibbs import prior_size_distribution
 
 FAST = ["--iters", "60", "--burnin", "40", "--n-train", "80", "--n-test", "80"]
@@ -42,9 +44,11 @@ def flag(name):
 def settings_argv(command, flags, config_path):
     """flags, "--name value" pairs, as command's argv: the pair of a setting
     the command does not read goes as name=value into a --config file at
-    config_path instead, since a config file may set any setting."""
+    config_path instead, since a config file may set any setting.  A setting
+    given twice keeps its last value, as a repeated flag does, since a config
+    file refuses a key set twice."""
     argv, lines = [], []
-    for name, value in zip(flags[::2], flags[1::2]):
+    for name, value in dict(zip(flags[::2], flags[1::2])).items():
         setting = name[2:].replace("-", "_")
         if setting in SETTINGS_READ[command]:
             argv += [name, value]
@@ -107,9 +111,9 @@ def test_config_round_trips_through_file_and_metadata(tmp_path):
     assert ExperimentConfig(**read_config_file(path)) == cfg
     # each command records the settings it reads; together they are all of cfg
     recorded = {}
-    for command, settings in cli.COMMAND_SETTINGS.items():
-        write_metadata(tmp_path / "meta.json", cfg, settings)
-        config = json.loads((tmp_path / "meta.json").read_text())["config"]
+    for command in cli.COMMAND_SETTINGS:
+        cli.write_metadata(SimpleNamespace(command=command, cfg=cfg, out=tmp_path), {})
+        config = json.loads((tmp_path / f"{command}_metadata.json").read_text())["config"]
         assert set(config) == SETTINGS_READ[command]
         recorded.update(config)
     assert ExperimentConfig(**recorded) == cfg
@@ -136,6 +140,30 @@ def test_metadata_records_only_the_settings_its_command_reads(tmp_path, monkeypa
     recorded = json.loads((out / f"{command}_metadata.json").read_text())["config"]
     assert set(recorded) == SETTINGS_READ[command]
     assert recorded["seed"] == 9
+
+
+def test_config_file_refuses_a_key_set_twice(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed=1\n# a comment\nd=12\nseed=2\n")
+    with pytest.raises(ValueError, match=rf"^{path}:4: seed is set twice \(first on line 1\)$"):
+        read_config_file(path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), "--config", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"gibbsrank synth: error: {path}:4: seed is set twice (first on line 1)\n")
+    assert not out.exists()
+
+
+def test_missing_config_file_exits_2_before_any_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", "out", "--config", "nosuch.cfg"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "gibbsrank synth: error: cannot read 'nosuch.cfg': No such file or directory\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_rejects_malformed_line(tmp_path):
@@ -236,6 +264,17 @@ def test_synth_writes_expected_files(tmp_path):
     assert "label" in header
     meta = json.loads((out / "synth_metadata.json").read_text())
     assert abs(meta["oracle_auc_test"] - 0.7387) < 0.01
+
+
+def test_synth_metadata_bytes(tmp_path):
+    """The shared JSON writer: indent 2, keys sorted, a trailing newline.
+    The oracle AUC is a ratio of integer counts, so the bytes do not depend
+    on the platform."""
+    run_cli("synth", "--out", str(tmp_path), "--n-train", "50", "--n-test", "50", "--seed", "3")
+    assert (tmp_path / "synth_metadata.json").read_text() == (
+        '{\n  "config": {\n    "d": 10,\n    "n_test": 50,\n    "n_train": 50,\n'
+        '    "seed": 3\n  },\n  "oracle_auc_test": 0.6814449917898193,\n'
+        '  "version": "0.1.0"\n}\n')
 
 
 def test_synth_is_deterministic(tmp_path):
@@ -411,6 +450,42 @@ def test_fit_refuses_a_size_flag_no_synthetic_side_reads(tmp_path, capsys, train
              "--d": "--train and --test are CSVs"}[flags[0]]
     assert capsys.readouterr().err.endswith(
         f"gibbsrank fit: error: {flags[0]} applies only to synthetic data, and {sides}\n")
+    assert not out.exists()
+
+
+MISSING_INPUTS = [("fit", ["--train", "nosuch.csv", "--test", "a.csv"], "nosuch.csv",
+                   "No such file or directory"),
+                  ("fit", ["--train", "a.csv", "--test", "nosuch.csv"], "nosuch.csv",
+                   "No such file or directory"),
+                  ("fit", ["--test", ""], "", "No such file or directory"),
+                  ("cv", ["--data", "nosuch.csv"], "nosuch.csv", "No such file or directory"),
+                  ("cv", ["--data", "."], ".", "Is a directory"),
+                  ("auc", ["--data", "nosuch.csv"], "nosuch.csv", "No such file or directory")]
+
+
+@pytest.mark.parametrize("command, flags, path, reason", MISSING_INPUTS,
+                         ids=[shlex.join([command, *flags]) for command, flags, *_
+                              in MISSING_INPUTS])
+def test_an_input_file_that_cannot_be_read_exits_1_before_any_output(
+        tmp_path, capsys, monkeypatch, command, flags, path, reason):
+    """One gibbsrank <command>: line naming the path, not a traceback; fit's
+    --test '' is a path, as main() counts it, not a synthetic test side."""
+    monkeypatch.chdir(tmp_path)
+    save_csv(gen_synthetic(40, seed=0), "a.csv")
+    out = [] if command == "auc" else ["--out", "out", "--iters", "4", "--burnin", "2"]
+    assert main([command, *flags, *out]) == 1
+    assert capsys.readouterr().err == f"gibbsrank {command}: cannot read {path!r}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_counts_an_empty_test_as_a_csv(tmp_path, capsys):
+    """main() refuses --n-test beside --test '', as beside any CSV."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--out", str(out), "--test", "", "--n-test", "40"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "gibbsrank fit: error: --n-test applies only to synthetic data, and --test is a CSV\n")
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from gibbsrank import experiments
 from gibbsrank.basis import SparseCoef, build_features, score, score_dense
+from gibbsrank.cli import grid_to_csv
 from gibbsrank.data import gen_synthetic, save_csv, load_csv
 from gibbsrank.gibbs import tilted_size_log_weights
 from gibbsrank.risk import auc
@@ -18,7 +19,6 @@ from gibbsrank.experiments import (
     chain_configs,
     effective_delta,
     fit_and_evaluate,
-    grid_to_csv,
     run_cv,
     run_grid,
     run_grid_cell,

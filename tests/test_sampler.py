@@ -15,6 +15,7 @@ from gibbsrank.basis import (
     build_features,
     score,
 )
+from gibbsrank.cli import trace_to_csv
 from gibbsrank.data import gen_synthetic
 from gibbsrank.gibbs import BALL_RADIUS, GibbsConfig, log_gibbs, log_prior, tilted_size_log_weights
 from gibbsrank.risk import DegenerateDataError, PreparedLabels, empirical_rank_risk
@@ -31,7 +32,6 @@ from gibbsrank.sampler import (
     propose_neighborhood,
     run_chain,
     select_index,
-    trace_to_csv,
 )
 from oracles import active, bits, geometric_config, log_proposal_density, padded
 
