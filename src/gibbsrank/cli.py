@@ -37,11 +37,17 @@ COMMAND_SETTINGS = {
 
 
 def read_config_file(path) -> dict:
-    """Flat KEY=VALUE text; blank lines and #-comments ignored, a key set twice refused."""
+    """Flat KEY=VALUE UTF-8 text; blank lines and #-comments ignored, a key set twice refused."""
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, numbered as splitlines numbers the others
+        lineno = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ValueError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
     values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()

@@ -122,15 +122,22 @@ def read_table(path):
     and a generator of (data-row number, file line, cells) per data row, both
     1-based.  Every CSV input is read here, under one policy: utf-8-sig drops
     a spreadsheet's byte-order mark, blank lines are skipped, and a file that
-    cannot be opened, an empty file, a column named twice, a ragged row and no
-    data rows are DataErrors.  The file closes when the with block exits, also
-    on a raise mid-file."""
+    cannot be opened, a byte that is not UTF-8, an empty file, a column named
+    twice, a ragged row and no data rows are DataErrors.  The file closes when
+    the with block exits, also on a raise mid-file."""
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+
+    def lines():  # decoded a chunk at a time, in the header read or in any row
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(lines())
         try:
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:

@@ -49,6 +49,8 @@ class GibbsConfig:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if self.delta == math.inf:  # exp(-inf * L_n) leaves no finite posterior to sample
+            raise ValueError("delta is +inf; the Gibbs posterior needs a finite delta")
         weights = tuple(self.size_log_weights)
         if not weights:
             raise ValueError("size_log_weights needs an entry for size 0")

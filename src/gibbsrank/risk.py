@@ -17,15 +17,17 @@ kernels accept it wherever they accept labels, and convert raw labels to one
 at entry; a chain builds it once, since its labels never change across the
 many score vectors it ranks.
 
-Tie-free scores (in practice every scorer with an active covariate) take a
-rank-sum path: the sorted positions of the positives, ranks @ weights[order],
-add up to the number of instances below each positive, and subtracting the
-n_pos(n_pos-1)/2 positive/positive pairs leaves the negatives ranked below a
-positive.  With ties, runs of equal sorted scores form groups whose positive
-counts come from one reduction over the sorted weights, and pairs are
-counted group by group.  Both paths count in float64, which is exact: every
-partial sum and product is an integer below n^2, far below 2^53.  NaN
-scores have no rank and are rejected.
+One count drives the risk and both AUCs: u, the Mann-Whitney count of
+positive/negative pairs with the positive scored above, each tie counting
+1/2.  It is the positives' rank sum in ascending score order less the
+n_pos(n_pos-1)/2 positive/positive pairs, where a run of equal scores takes
+its midrank.  Tie-free scores (in practice every scorer with an active
+covariate) are ranked 0..n-1 and summed with one dot,
+ranks @ weights[order]; with ties the sorted weights are summed per run,
+and only the strict AUC reads the second count, tied, the opposite-label
+pairs inside a run.  Both are float64, which is exact: every term is an
+integer or half-integer below n^2, far below 2^53.  NaN scores have no rank
+and are rejected.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class PreparedLabels:
 
     weights holds 1.0 at the positives (label > 0) and 0.0 elsewhere, and
     ranks is arange(n), both float64 and read-only: the tie-free rank-sum
-    dot and the tie path's group counts both read weights.  A NaN label,
+    dot and the per-run positive counts both read weights.  A NaN label,
     which belongs to neither class, raises ValueError naming its index, and
     labels without both classes, n < 2 included, raise DegenerateDataError.
     """
@@ -73,13 +75,12 @@ class PreparedLabels:
 
 
 def _pair_counts(scores, labels):
-    """Exact pair counts between positive and negative instances.
+    """(u, tied, n_pos, n_neg): the half-tie Mann-Whitney count of
+    positive/negative pairs with the positive scored above, and the
+    opposite-label pairs with equal scores.
 
-    labels are raw labels or a PreparedLabels.  Returns (pos_below_neg,
-    neg_below_pos, tied, n_pos, n_neg) where pos_below_neg counts pairs with
-    the positive scored strictly below the negative, neg_below_pos the
-    reverse, and tied the opposite-label pairs with equal scores.  A NaN
-    score raises ValueError; +-inf are ordinary scores.
+    labels are raw labels or a PreparedLabels.  A NaN score raises
+    ValueError; +-inf are ordinary scores, and -0.0 ties +0.0.
     """
     if not isinstance(labels, PreparedLabels):
         labels = PreparedLabels(labels)
@@ -93,20 +94,16 @@ def _pair_counts(scores, labels):
         first = int(np.flatnonzero(np.isnan(scores))[0])
         raise ValueError(f"NaN score at index {first}")
     tied_next = s[1:] == s[:-1]
-    if not np.count_nonzero(tied_next):
-        rank_sum = int(labels.ranks @ labels.weights[order])
-        neg_below_pos = rank_sum - n_pos * (n_pos - 1) // 2
-        return n_pos * n_neg - neg_below_pos, neg_below_pos, 0, n_pos, n_neg
     p = labels.weights[order]
-    starts = np.flatnonzero(np.concatenate(([True], ~tied_next)))
-    pos_g = np.add.reduceat(p, starts)
-    neg_g = np.diff(np.append(starts, n)) - pos_g
-    below_pos = np.cumsum(pos_g) - pos_g  # positives strictly below each group
-    below_neg = np.cumsum(neg_g) - neg_g
-    pos_below_neg = int(np.sum(neg_g * below_pos))
-    neg_below_pos = int(np.sum(pos_g * below_neg))
-    tied = int(np.sum(pos_g * neg_g))
-    return pos_below_neg, neg_below_pos, tied, n_pos, n_neg
+    if not np.count_nonzero(tied_next):
+        rank_sum, tied = labels.ranks @ p, 0.0
+    else:
+        starts = np.flatnonzero(np.concatenate(([True], ~tied_next)))
+        sizes = np.diff(np.append(starts, n))
+        pos_run = np.add.reduceat(p, starts)
+        rank_sum = pos_run @ (starts + (sizes - 1) / 2)  # each run at its midrank
+        tied = pos_run @ (sizes - pos_run)
+    return float(rank_sum) - n_pos * (n_pos - 1) / 2, float(tied), n_pos, n_neg
 
 
 def empirical_rank_risk(scores, labels) -> float:
@@ -116,9 +113,9 @@ def empirical_rank_risk(scores, labels) -> float:
     all tie, the chance-level risk n_pos n_neg / (n(n-1)) instead of a
     spuriously perfect 0.  For tie-free scores the value is the strict L_n.
     """
-    pos_below_neg, _, tied, n_pos, n_neg = _pair_counts(scores, labels)
+    u, _, n_pos, n_neg = _pair_counts(scores, labels)
     n = n_pos + n_neg
-    return 2.0 * (pos_below_neg + 0.5 * tied) / (n * (n - 1))
+    return 2.0 * (n_pos * n_neg - u) / (n * (n - 1))
 
 
 def auc(scores, labels, tie_policy: str = "half") -> float:
@@ -129,6 +126,5 @@ def auc(scores, labels, tie_policy: str = "half") -> float:
     """
     if tie_policy not in ("strict", "half"):
         raise ValueError(f"unknown tie policy {tie_policy!r}")
-    _, neg_below_pos, tied, n_pos, n_neg = _pair_counts(scores, labels)
-    credit = neg_below_pos + (0.5 * tied if tie_policy == "half" else 0.0)
-    return credit / (n_pos * n_neg)
+    u, tied, n_pos, n_neg = _pair_counts(scores, labels)
+    return (u if tie_policy == "half" else u - tied / 2) / (n_pos * n_neg)

@@ -166,6 +166,18 @@ def test_missing_config_file_exits_2_before_any_output(tmp_path, capsys, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_with_a_byte_not_utf8_exits_2_naming_its_line(tmp_path, capsys):
+    """It used to exit with the decoder's message, which names no file or line."""
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed=1\r\n# \xc3\xa9t\xc3\xa9\n\nd=\xff5\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(out), "--config", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"gibbsrank synth: error: {path}:4: byte 0xff is not UTF-8\n"
+    assert not out.exists()
+
+
 def test_config_file_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("delta 0.5\n")
@@ -475,6 +487,35 @@ def test_an_input_file_that_cannot_be_read_exits_1_before_any_output(
     out = [] if command == "auc" else ["--out", "out", "--iters", "4", "--burnin", "2"]
     assert main([command, *flags, *out]) == 1
     assert capsys.readouterr().err == f"gibbsrank {command}: cannot read {path!r}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def csv_with_a_byte_not_utf8(path, late):
+    """A synthetic CSV whose score column is its eta, with byte 0xff in data
+    row 3, or, if late, in its last row, beyond the header read's first chunk."""
+    data = gen_synthetic(400 if late else 40, seed=0)
+    save_csv(data, path)
+    text = path.read_text().replace(",eta", ",score").encode()
+    lines = text.splitlines(keepends=True)
+    row = len(lines) - 1 if late else 3
+    lines[row] = lines[row].replace(b",", b",\xff", 1)
+    path.write_bytes(b"".join(lines))
+    assert (len(b"".join(lines[:row])) > 8192) == late
+    return path
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["header read", "row loop"])
+@pytest.mark.parametrize("command", ["fit", "cv", "auc"])
+def test_a_csv_byte_that_is_not_utf8_exits_1_before_any_output(tmp_path, capsys, monkeypatch,
+                                                                command, late):
+    """It used to end in a UnicodeDecodeError traceback."""
+    monkeypatch.chdir(tmp_path)
+    csv_with_a_byte_not_utf8(tmp_path / "bad.csv", late)
+    flags = {"fit": ["--train", "bad.csv", "--test", "synthetic"], "cv": ["--data", "bad.csv"],
+             "auc": ["--data", "bad.csv"]}[command]
+    out = [] if command == "auc" else ["--out", "out", "--iters", "4", "--burnin", "2"]
+    assert main([command, *flags, *out]) == 1
+    assert capsys.readouterr() == ("", f"gibbsrank {command}: bad.csv: byte 0xff is not UTF-8\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -278,6 +278,27 @@ def test_ragged_rows_are_rejected(tmp_path, rows, where):
 
 
 
+def test_read_table_refuses_a_byte_that_is_not_utf8_in_its_header_read(tmp_path):
+    """The first read decodes a whole chunk, so a bad byte in an early row is
+    refused before the header is returned."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"score,label\n0.9,1\n\xff\xfe,0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: byte 0xff is not UTF-8$"):
+        with read_table(path):
+            pass
+
+
+def test_read_table_refuses_a_byte_that_is_not_utf8_in_its_row_loop(tmp_path):
+    path = tmp_path / "late.csv"
+    rows = "".join(f"0.{i:04d},{i % 2}\n" for i in range(3000))  # ~27 KB, beyond the first chunk
+    path.write_bytes(b"score,label\n" + rows.encode() + b"0.5,\xfe\n")
+    with read_table(path) as (header, rows):
+        assert header == ["score", "label"]
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: byte 0xfe is not UTF-8$"):
+            for _ in rows:
+                pass
+
+
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "b.csv"
     path.write_text("x1,label\n0.1,1\n\n0.2,0\n\n")

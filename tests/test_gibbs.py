@@ -42,6 +42,13 @@ def test_config_validation():
     assert (cfg.d, cfg.M) == (5, 3)
 
 
+def test_config_refuses_a_plus_inf_delta():
+    """delta = +inf used to pass, and its chain never moved: the initial log
+    posterior was -inf and every candidate's weight -inf or NaN."""
+    with pytest.raises(ValueError, match=r"^delta is \+inf; the Gibbs posterior needs a finite delta$"):
+        GibbsConfig(delta=math.inf, size_log_weights=(0.0,) * 6)
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.5, math.nan])
 def test_both_size_prior_builders_refuse_a_beta_outside_the_unit_interval(beta):
     with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):

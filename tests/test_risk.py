@@ -6,6 +6,7 @@ import pytest
 from gibbsrank.risk import (
     DegenerateDataError,
     PreparedLabels,
+    _pair_counts,
     auc,
     empirical_rank_risk,
 )
@@ -103,6 +104,42 @@ def test_all_tied_scores():
     )
     for policy in ("strict", "half"):
         assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
+
+
+def brute_pair_counts(scores, labels):
+    """O(n^2) oracle of _pair_counts' (u, tied): positive/negative pairs with
+    the positive above, each tie counting 1/2, and the tied pairs."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    pairs = [(a, b) for a in scores[labels > 0] for b in scores[labels <= 0]]
+    tied = sum(a == b for a, b in pairs)
+    return sum(a > b for a, b in pairs) + tied / 2, tied
+
+
+TIE_HEAVY = [
+    ([0.0, 1.0, 1.0, 1.0, 2.0, 2.0], [1, -1, 1, -1, -1, 1]),  # runs of equal scores
+    ([3.0] * 5, [1, -1, -1, 1, 1]),  # all tied: the empty model's scorer
+    ([-np.inf, np.inf, -np.inf, np.inf, 0.0], [1, -1, -1, 1, 1]),  # tied infinities
+    ([-0.0, 0.0], [1, -1]),  # -0.0 equals +0.0: a tie, whichever sign the positive has
+    ([0.0, -0.0, 1.0], [1, -1, -1]),
+]
+
+
+@pytest.mark.parametrize("scores, labels", TIE_HEAVY)
+def test_pair_counts_match_brute_force_on_ties(scores, labels):
+    u, tied, n_pos, n_neg = _pair_counts(scores, labels)
+    assert (u, tied) == brute_pair_counts(scores, labels)
+    assert (n_pos, n_neg) == (sum(y > 0 for y in labels), sum(y <= 0 for y in labels))
+
+
+def test_pair_counts_match_brute_force_on_random_ties():
+    rng = np.random.default_rng(11)
+    values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+    for _ in range(200):
+        scores, labels = random_instance(rng)
+        if rng.random() < 0.5:
+            scores = values[scores.astype(int)]
+        assert _pair_counts(scores, labels)[:2] == brute_pair_counts(scores, labels)
 
 
 def test_nan_score_raises_with_its_index():
