@@ -9,6 +9,7 @@ over the file.  No parser accepts an abbreviated flag.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import sys
@@ -37,9 +38,11 @@ COMMAND_SETTINGS = {
 
 
 def read_config_file(path) -> dict:
-    """Flat KEY=VALUE UTF-8 text; blank lines and #-comments ignored, a key set twice refused."""
+    """Flat KEY=VALUE UTF-8 text, a leading byte-order mark dropped as in every CSV
+    input; blank lines and #-comments ignored, a key set twice refused."""
     try:
-        raw = Path(path).read_bytes()
+        # the mark leaves the bytes, not through utf-8-sig, so a decode error's start indexes raw
+        raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise ValueError(f"cannot read {str(path)!r}: {exc.strerror}") from None
     try:

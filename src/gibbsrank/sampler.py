@@ -105,10 +105,10 @@ def propose_neighborhood(active: np.ndarray, d: int,
 
     active is the current model's ascending indices among d covariates.
     The K models of the neighborhood are the rows of one read-only
-    (K, k +- 1) index array.  An add neighborhood is active with each free
-    covariate inserted in sorted position, listed by added covariate
-    ascending; a remove neighborhood is active with each entry dropped in
-    turn, listed by removed covariate ascending.  Empty neighborhoods (add
+    (K, k +- 1) index array.  An add neighborhood is active plus one free
+    covariate of a d-long mask per row, each row then sorted, listed by added
+    covariate ascending; a remove neighborhood is k copies of active less
+    their diagonal, row i without entry i.  Empty neighborhoods (add
     at the full model, remove at the empty model) fall back to a stay move,
     whose one row is active itself.
     """
@@ -121,23 +121,14 @@ def propose_neighborhood(active: np.ndarray, d: int,
         move = MOVE_STAY
     k = active.size
     if move == MOVE_ADD and k < d:
-        # the free covariates lo..hi-1 between active[p - 1] and active[p]
-        # are a block of rows, each inserted at column p.  Slice writes
-        # only: a sort or a broadcast fancy index would page in about
-        # 0.2 MB more of numpy's kernels for every chain process
+        free = np.ones(d, dtype=bool)
+        free[active] = False
         rows = np.empty((d - k, k + 1), dtype=np.intp)
-        rows[:, 1:] = active
-        start = lo = 0
-        for p, hi in enumerate(active.tolist() + [d]):
-            end = start + hi - lo
-            rows[start:end, :p] = active[:p]
-            rows[start:end, p] = np.arange(lo, hi)
-            start, lo = end, hi + 1
+        rows[:, :k] = active
+        rows[:, k] = np.flatnonzero(free)
+        rows.sort(axis=1)
     elif move == MOVE_REMOVE and k:
-        rows = np.empty((k, k - 1), dtype=np.intp)
-        rows[:] = active[1:]
-        for i in range(1, k):  # row i keeps active[:i] and skips entry i
-            rows[i, :i] = active[:i]
+        rows = np.broadcast_to(active, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     else:
         return MOVE_STAY, active[None]
     rows.setflags(write=False)
@@ -213,32 +204,31 @@ def mcmc_step(state: ChainState, labels, gcfg: GibbsConfig, scfg: SamplerConfig,
     move, rows = propose_neighborhood(state.theta.active, features.d, rng)
     means = np.array([bench.fit(active) for active in rows])  # (K, k * M)
     values = means + math.sqrt(scfg.sigma2) * rng.standard_normal(means.shape)
-    log_q = _log_proposal_rows(values, means, scfg.sigma2).tolist()
+    log_q = _log_proposal_rows(values, means, scfg.sigma2)
 
-    thetas = [SparseCoef(active, row) for active, row in zip(rows, values)]
-    risks = [math.nan] * len(thetas)
-    log_posts = [-math.inf] * len(thetas)
-    log_w = np.empty(len(thetas))
-    for i, theta in enumerate(thetas):
+    risks = np.full(len(rows), math.nan)
+    log_posts = np.full(len(rows), -math.inf)
+    for i in range(len(rows)):
+        theta = SparseCoef(rows[i], values[i])
         lp = log_prior(theta, gcfg)
         if lp == -math.inf:
-            log_w[i] = -math.inf
             continue
         risks[i] = r = empirical_rank_risk(score(theta, features), labels)
-        log_posts[i] = lg = -gcfg.delta * r + lp
-        log_w[i] = lg - log_q[i]
+        log_posts[i] = -gcfg.delta * r + lp
+    log_w = log_posts - log_q
 
     if not np.isfinite(log_w).any():
         # every candidate fell outside the prior ball
         return state, StepRecord(move=move, accepted=False)
 
     idx = select_index(rng, log_w)
-    lg, lq = log_posts[idx], log_q[idx]
+    lg, lq = float(log_posts[idx]), float(log_q[idx])
     log_alpha = lg + state.log_prop - state.log_post - lq
     if not math.isfinite(log_alpha) and log_alpha != -math.inf:
         raise ChainError(f"non-finite acceptance ratio for move {move}")
     if math.log(rng.random()) < min(0.0, log_alpha):
-        new = ChainState(theta=thetas[idx], risk=risks[idx], log_post=lg, log_prop=lq)
+        new = ChainState(theta=SparseCoef(rows[idx], values[idx]), risk=float(risks[idx]),
+                         log_post=lg, log_prop=lq)
         return new, StepRecord(move=move, accepted=True)
     return state, StepRecord(move=move, accepted=False)
 

@@ -178,6 +178,22 @@ def test_config_file_with_a_byte_not_utf8_exits_2_naming_its_line(tmp_path, caps
     assert not out.exists()
 
 
+def test_config_file_with_a_byte_order_mark_parses_as_without_one(tmp_path):
+    """It used to be refused as unknown config key '\\ufeffseed'."""
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"seed=1\r\n# \xc3\xa9t\xc3\xa9\n\ndelta = 0.5\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_config_file(marked) == read_config_file(plain) == {"seed": 1, "delta": 0.5}
+
+
+def test_config_file_with_a_byte_order_mark_names_a_byte_not_utf8_and_its_line(tmp_path):
+    """The decode error's offset indexes the file's bytes less the mark."""
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xef\xbb\xbfseed=1\nd=\xff\n")
+    with pytest.raises(ValueError, match=f"^{path}:2: byte 0xff is not UTF-8$"):
+        read_config_file(path)
+
+
 def test_config_file_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("delta 0.5\n")

@@ -251,9 +251,10 @@ def independent_neighborhood(current, d, move):
 
 
 @pytest.mark.parametrize("move,u", [("add", 0.1), ("remove", 0.5)])
-@pytest.mark.parametrize("size", [0, 1, 2, 6, 7])
-def test_neighborhood_masks_match_independently_built_masks(move, u, size):
-    d = 7
+@pytest.mark.parametrize("d,size", [pytest.param(7, size, id=str(size)) for size in (0, 1, 2, 6, 7)]
+                         + [pytest.param(100, size, id=f"d100-{size}")
+                            for size in (0, 1, 2, 50, 99, 100)])
+def test_neighborhood_masks_match_independently_built_masks(move, u, d, size):
     listed = np.random.default_rng(size).permutation(d)[:size]
     current = active(d, listed)
     got_move, rows = propose_neighborhood(current, d, FakeRng([u]))
@@ -310,6 +311,24 @@ def test_large_add_neighborhood_peaks_at_its_index_array():
     assert move == "add" and len(rows) == d - 2
     assert peak < 2_000_000
     for row, want in zip(rows, independent_neighborhood(current, d, "add")):
+        assert row.tolist() == want.tolist()
+
+
+def test_large_remove_neighborhood_peaks_at_its_index_array():
+    """A remove neighborhood at d=4000 and |m|=1000 is one (1000, 999) index
+    array, 8 MB: its k x k diagonal mask and that mask's complement, 1 MB
+    each, are its only other allocations."""
+    d = 4000
+    current = active(d, np.random.default_rng(0).permutation(d)[:1000])
+    tracemalloc.start()
+    try:
+        move, rows = propose_neighborhood(current, d, FakeRng([0.5]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert move == "remove" and rows.shape == (1000, 999)
+    assert peak < 1.5 * rows.nbytes
+    for row, want in zip(rows, independent_neighborhood(current, d, "remove")):
         assert row.tolist() == want.tolist()
 
 
