@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .data import (DataError, derive_seed, gen_synthetic, load_csv, map_to_unit, read_table,
-                   refuse_one_class, save_csv)
+                   refuse_one_class, save_csv, write_csv)
 from .experiments import (ExperimentConfig, auc_summary, fit_and_evaluate, run_cv, run_grid,
                           size_prior)
 from .risk import DegenerateDataError, auc
@@ -113,7 +113,7 @@ def _outdir(args) -> Path:
 
 def _write_json(path, record: dict) -> None:
     """record as JSON, indented, keys sorted, ending in a newline."""
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -127,24 +127,22 @@ def write_metadata(args, extra: dict) -> None:
 
 def trace_to_csv(trace, path) -> None:
     """One row per ChainTrace iteration: t, model size, active covariates, risk, accepted, move."""
-    with open(path, "w") as fh:
-        fh.write("t,model_size,active,risk,accepted,move\n")
-        for t in range(trace.iters):
-            active = ";".join(str(j + 1) for j in np.flatnonzero(trace.masks[t]))
-            fh.write(f"{t},{int(trace.masks[t].sum())},{active},"
-                     f"{trace.risks[t]:.17g},{int(trace.accepted[t])},{trace.moves[t]}\n")
+    lines = ["t,model_size,active,risk,accepted,move"]
+    for t in range(trace.iters):
+        active = ";".join(str(j + 1) for j in np.flatnonzero(trace.masks[t]))
+        lines.append(f"{t},{int(trace.masks[t].sum())},{active},"
+                     f"{trace.risks[t]:.17g},{int(trace.accepted[t])},{trace.moves[t]}")
+    write_csv(path, lines)
 
 
 def grid_to_csv(rows: list[dict], path) -> None:
     """run_grid's rows under the first row's keys: delta and sigma2 by repr, failures
-    as an integer, every statistic to 6 places, in CRLF lines as csv.writer writes them."""
-    with open(path, "w", newline="") as fh:
-        if rows:
-            fh.write(",".join(rows[0]) + "\r\n")
-        for row in rows:
-            fh.write(",".join(repr(value) if key in ("delta", "sigma2")
-                              else str(value) if key == "failures" else f"{value:.6f}"
-                              for key, value in row.items()) + "\r\n")
+    as an integer, every statistic to 6 places."""
+    header = [",".join(rows[0])] if rows else []
+    write_csv(path, header + [
+        ",".join(repr(value) if key in ("delta", "sigma2")
+                 else str(value) if key == "failures" else f"{value:.6f}"
+                 for key, value in row.items()) for row in rows])
 
 
 def cmd_synth(args) -> int:
@@ -201,15 +199,13 @@ def cmd_fit(args) -> int:
     rng = np.random.default_rng(derive_seed(cfg.seed, "fit", "chain"))
     result = fit_and_evaluate(train, test, cfg, rng)
     trace_to_csv(result.trace, out / "trace.csv")
-    with open(out / "estimators.json", "w") as fh:
-        json.dump({
-            "randomized": {
-                "active_covariates": (result.estimators.randomized.active + 1).tolist(),
-                "values": result.estimators.randomized.values.tolist(),
-            },
-            "averaged": result.estimators.averaged.tolist(),
-        }, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "estimators.json", {
+        "randomized": {
+            "active_covariates": (result.estimators.randomized.active + 1).tolist(),
+            "values": result.estimators.randomized.values.tolist(),
+        },
+        "averaged": result.estimators.averaged.tolist(),
+    })
     metrics = result.metrics
     _write_json(out / "metrics.json", metrics)
     write_metadata(args, {"size_prior": size_prior(cfg, train.d)})
@@ -267,10 +263,9 @@ def cmd_cv(args) -> int:
     folds = run_cv(dataset, cfg)
     out = _outdir(args)
     summary = {"cv_" + key: value for key, value in auc_summary(folds).items()}
-    with open(out / "cv.csv", "w") as fh:
-        fh.write("fold,auc_averaged,auc_randomized\n")
-        for i, m in enumerate(folds):
-            fh.write(f"{i},{m['test_auc_averaged']:.6f},{m['test_auc_randomized']:.6f}\n")
+    write_csv(out / "cv.csv", ["fold,auc_averaged,auc_randomized"] + [
+        f"{i},{m['test_auc_averaged']:.6f},{m['test_auc_randomized']:.6f}"
+        for i, m in enumerate(folds)])
     write_metadata(args, {**summary, "size_prior": size_prior(cfg, dataset.d)})
     print(f"CV AUC: averaged {summary['cv_auc_averaged_mean']:.3f} "
           f"({summary['cv_auc_averaged_var']:.3f}), "

@@ -313,6 +313,30 @@ def test_synth_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_every_output_file_has_one_format(tmp_path):
+    """Every CSV a command writes ends each line in CRLF, and every JSON file
+    is laid out as the shared writer lays it out: indent 2, keys sorted, a
+    trailing newline."""
+    tiny = ["--iters", "6", "--burnin", "3", "--n-train", "40", "--n-test", "40"]
+    run_cli("synth", "--n-train", "40", "--n-test", "40", "--out", str(tmp_path / "synth"))
+    run_cli("fit", *tiny, "--out", str(tmp_path / "fit"))
+    run_cli("grid", *tiny, "--reps", "2", "--deltas", "1", "--sigma2s", "0.01",
+            "--out", str(tmp_path / "grid"))
+    run_cli("cv", "--iters", "6", "--burnin", "3", "--folds", "2",
+            "--data", str(tmp_path / "synth" / "train.csv"), "--out", str(tmp_path / "cv"))
+    files = {str(p.relative_to(tmp_path)): p.read_bytes() for p in tmp_path.rglob("*.*")}
+    assert sorted(files) == [
+        "cv/cv.csv", "cv/cv_metadata.json", "fit/estimators.json", "fit/fit_metadata.json",
+        "fit/metrics.json", "fit/trace.csv", "grid/grid.csv", "grid/grid_metadata.json",
+        "synth/synth_metadata.json", "synth/test.csv", "synth/train.csv"]
+    for name, raw in files.items():
+        if name.endswith(".csv"):
+            assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), name
+        else:
+            assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True)
+                           + "\n").encode(), name
+
+
 def test_fit_smoke_two_iterations(tmp_path):
     out = tmp_path / "fit"
     run_cli("fit", "--out", str(out), "--iters", "2", "--burnin", "1",
