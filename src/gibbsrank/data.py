@@ -61,8 +61,7 @@ class Dataset:
 
 def eta_function(X: np.ndarray) -> np.ndarray:
     """True regression function on [0, 1]^d, renormalized into (0, 1)."""
-    x3 = X[..., 2]
-    x5 = X[..., 4]
+    x3, x5 = (X[..., j - 1] for j in SIGNAL_COVARIATES)
     raw = x3 + 7.0 * x3**2 + 8.0 * np.sin(np.pi * x5)
     return np.clip(raw / 16.0, ETA_CLAMP, 1.0 - ETA_CLAMP)
 
@@ -72,8 +71,9 @@ def gen_synthetic(n: int, d: int = 10, seed=0) -> Dataset:
 
     seed may be an int, a SeedSequence, or a Generator.
     """
-    if d < 5:
-        raise ValueError("d must be at least 5: covariates 3 and 5 carry the signal")
+    if d < max(SIGNAL_COVARIATES):
+        raise ValueError(f"d must be at least {max(SIGNAL_COVARIATES)}: covariates "
+                         f"{' and '.join(map(str, SIGNAL_COVARIATES))} carry the signal")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     X = rng.random((n, d))
     eta = eta_function(X)

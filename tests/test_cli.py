@@ -14,7 +14,6 @@ import pytest
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
-import gibbsrank
 from gibbsrank import cli, experiments
 from gibbsrank.cli import build_config, main, read_config_file
 from gibbsrank.data import DataError, derive_seed, gen_synthetic, load_csv, save_csv
@@ -68,14 +67,6 @@ def chain_size_prior(d, **settings):
 
 def run_cli(*argv):
     assert main(list(argv)) == 0
-
-
-def test_every_exported_name_resolves():
-    namespace = {}
-    exec("from gibbsrank import *", namespace)
-    for name in gibbsrank.__all__:
-        assert getattr(gibbsrank, name) is namespace[name], name
-    assert len(set(gibbsrank.__all__)) == len(gibbsrank.__all__)
 
 
 def test_config_file_parsing(tmp_path):
@@ -855,14 +846,32 @@ def test_auc_on_single_class_labels_exits_1(tmp_path, capsys):
     assert captured.err == "gibbsrank auc: labels contain a single class: 2 positive, 0 negative\n"
 
 
-def test_import_does_not_load_scipy():
-    src = str(Path(gibbsrank.__file__).resolve().parents[1])
+def modules_loaded_by(module):
+    """The names in sys.modules of a fresh interpreter that imported module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, gibbsrank.cli; "
-                               "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_import_does_not_load_scipy():
+    assert not [m for m in modules_loaded_by("gibbsrank.cli") if m.startswith("scipy")]
+
+
+# each library module loads only the gibbsrank modules it calls, and no
+# process pool, since the package root imports none of them
+@pytest.mark.parametrize("module, loads", [
+    ("basis", {"basis"}),
+    ("risk", {"risk"}),
+    ("gibbs", {"basis", "gibbs"}),
+    ("data", {"data"}),
+    ("sampler", {"basis", "gibbs", "risk", "sampler"}),
+])
+def test_module_import_is_lean(module, loads):
+    loaded = modules_loaded_by(f"gibbsrank.{module}")
+    assert {m.removeprefix("gibbsrank.") for m in loaded if m.startswith("gibbsrank.")} == loads
+    assert "concurrent.futures" not in loaded
 
 
 def test_grid_single_cell(tmp_path):

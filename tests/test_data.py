@@ -55,7 +55,8 @@ def test_gen_synthetic_shapes_and_ranges():
 
 
 def test_gen_synthetic_rejects_small_d():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^d must be at least 5: covariates 3 and 5 carry the signal$"):
         gen_synthetic(10, d=4)
 
 
