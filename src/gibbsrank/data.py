@@ -69,12 +69,13 @@ def eta_function(X: np.ndarray) -> np.ndarray:
 def gen_synthetic(n: int, d: int = 10, seed=0) -> Dataset:
     """Draw n labeled points from the synthetic model.
 
-    seed may be an int, a SeedSequence, or a Generator.
+    seed may be an int, a SeedSequence, or a Generator, which is drawn from
+    as it stands.
     """
     if d < max(SIGNAL_COVARIATES):
         raise ValueError(f"d must be at least {max(SIGNAL_COVARIATES)}: covariates "
                          f"{' and '.join(map(str, SIGNAL_COVARIATES))} carry the signal")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     X = rng.random((n, d))
     eta = eta_function(X)
     y = np.where(eta > rng.random(n), 1.0, -1.0)

@@ -5,8 +5,11 @@ each check at its stated tolerance.  The heavy replicated grid cells are
 computed once and shared by criteria 3-5.
 """
 
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,25 +178,86 @@ def test_criterion_7c_prior_recovery_at_zero_temperature():
            f"(c) delta->0 model-size distribution within TV {tv:.4f} of the prior (< 0.1)")
 
 
+# The sha256 of each file criterion 8's runs write, by run and file name.  A
+# change that moves an output on purpose updates this table, and the pinned
+# estimators.json copies, and says so in CHANGES.md.
+PINNED_SHA256 = {
+    "cv/cv.csv": "24cc927f9b17abbca968c715e99c7c2e5e77b0ff23d8bb836329995bcee626cb",
+    "cv/cv_metadata.json": "4f4c79e955d309e980cc86c371b5e4f0b0b278d20d79ea4b560047f3f5509fd2",
+    "fit/fit_metadata.json": "2680a369a224eebde38da1889f34bd036ab2a9295e8a2ecad8c4d992d42431fd",
+    "fit/metrics.json": "71712e57d1db6dfe826478cf2976ce3bf6e23b9e8e69d5055c09f3cf1150051f",
+    "fit/trace.csv": "72f39203172d064e6cee0c8304daa5b5e969f4f1ba42f50ebb11e91065adda10",
+    "fit-burnin-0/fit_metadata.json":
+        "193241ffec7d0d84fbe6387a7a51973f61ddc7546bfb5ce6c6a7c44451319ef7",
+    "fit-burnin-0/metrics.json": "2c19d2b363ce001a45699e5c63a9e5d934abfcc6809b11a80267f0dfdc64bc9f",
+    "fit-burnin-0/trace.csv": "72f39203172d064e6cee0c8304daa5b5e969f4f1ba42f50ebb11e91065adda10",
+    "fit-d-100/fit_metadata.json":
+        "0195cf009c44dcf8d406fa202299f582c4d5c113066db4ad92b26bf07452b275",
+    "fit-d-100/metrics.json": "1d8f566f6695ccdc093ebe6e736afacd214d79348c25060b00a0c625ba8ea3ee",
+    "fit-d-100/trace.csv": "f8e5e7b803baf33ce3ea463a18d622e451620e4dac28c8e5c7a2d0f18e246446",
+    "grid/grid.csv": "4b4a96c84bbe23599aff9edab82f01892aa435c18e0f41117daf83bb1fd303fa",
+    "grid/grid_metadata.json": "086dc08c3b25387382d630605d260fc120050692b654b9ba46802c672f1eff7f",
+    "synth/synth_metadata.json": "6a9000350a162eb5a28e05f1f396544027231ab19aebf9f2ed2b91c17ade8b66",
+    "synth/test.csv": "3bb7231332e4e4b91f7719976133af1f37eb149f08995e1b13c798bccebeb54b",
+    "synth/train.csv": "610a4c2cdbf8b6c01364c97572c8e2c7cae45f8e6f33bf4ac15f280547d21b91",
+}
+# estimators.json carries ridge-solve coefficients, whose last bits follow the
+# BLAS kernel, so each is compared by value with its copy here instead
+PINNED_ESTIMATORS = Path(__file__).parent / "criterion_8"
+
+
+def estimators_mismatch(got: dict, want: dict) -> str | None:
+    """What sets two estimators.json records apart, or None if they name the
+    same active covariates and every value lies within 1e-12 of the pinned
+    record's largest |value|."""
+    if got["randomized"]["active_covariates"] != want["randomized"]["active_covariates"]:
+        return "the randomized estimator's active covariates differ"
+    got_values, want_values = (np.array(r["randomized"]["values"] + r["averaged"])
+                               for r in (got, want))
+    if got_values.shape != want_values.shape or not np.array_equal(got_values == 0,
+                                                                   want_values == 0):
+        return "the values' count or zero pattern differs"
+    worst = float(np.abs(got_values - want_values).max(initial=0.0))
+    scale = float(np.abs(want_values).max(initial=0.0))
+    return None if worst <= 1e-12 * scale else f"a value differs by {worst:.3g} (scale {scale:.3g})"
+
+
 def test_criterion_8_bitwise_determinism(tmp_path):
+    """Every file written by one synth, three fits (at the base settings, at
+    burn-in 0, and at d=100, whose add neighbourhoods hold about 98
+    candidates), a two-cell grid and a 2-fold cv matches its pinned sha256
+    or, for estimators.json, its pinned values."""
     from gibbsrank.cli import main
 
-    def run_all(out):
-        data = ["--seed", "5", "--n-train", "200", "--n-test", "200"]
-        base = [*data, "--iters", "150", "--burnin", "100"]
-        assert main(["synth", "--out", str(out / "synth"), *data]) == 0
-        assert main(["fit", "--out", str(out / "fit"), *base]) == 0
-        assert main(["grid", "--out", str(out / "grid"), "--reps", "2",
-                     "--deltas", "1", "--sigma2s", "0.01", *base]) == 0
+    data = ["--seed", "5", "--n-train", "200", "--n-test", "200"]
+    base = [*data, "--iters", "150", "--burnin", "100"]
+    for run, argv in {
+        "synth": ["synth", *data],
+        "fit": ["fit", *base],
+        "fit-burnin-0": ["fit", *base, "--burnin", "0"],
+        "fit-d-100": ["fit", *base, "--d", "100"],
+        "grid": ["grid", *base, "--reps", "2", "--deltas", "1", "--sigma2s", "0.01,0.1"],
+        "cv": ["cv", "--data", str(tmp_path / "synth" / "train.csv"), "--folds", "2",
+               "--seed", "5", "--iters", "150", "--burnin", "100"],
+    }.items():
+        assert main([*argv, "--out", str(tmp_path / run)]) == 0
 
-    a, b = tmp_path / "a", tmp_path / "b"
-    run_all(a)
-    run_all(b)
-    compared = []
-    for path_a in sorted(a.rglob("*")):
-        if path_a.is_file():
-            path_b = b / path_a.relative_to(a)
-            compared.append(path_a.name)
-            assert path_a.read_bytes() == path_b.read_bytes(), f"{path_a.name} differs"
-    report(8, len(compared) >= 7,
-           f"synth/fit/grid reruns bitwise-identical across {len(compared)} output files")
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if p.is_file())
+    pinned_estimators = sorted(p.relative_to(PINNED_ESTIMATORS).as_posix()
+                               for p in PINNED_ESTIMATORS.rglob("estimators.json"))
+    assert written == sorted([*PINNED_SHA256, *pinned_estimators])
+    mismatches = []
+    for name in written:
+        raw = (tmp_path / name).read_bytes()
+        digest = hashlib.sha256(raw).hexdigest()
+        if name in PINNED_SHA256:
+            problem = None if digest == PINNED_SHA256[name] else "its sha256 differs"
+        else:
+            problem = estimators_mismatch(json.loads(raw),
+                                          json.loads((PINNED_ESTIMATORS / name).read_text()))
+        if problem:
+            mismatches.append(f"{name} (new sha256 {digest}): {problem}")
+    report(8, not mismatches,
+           f"{len(written)} output files of synth, 3 fits, grid and cv match the pinned table"
+           if not mismatches else "outputs moved: " + "; ".join(mismatches))

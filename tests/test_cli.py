@@ -296,12 +296,12 @@ def test_synth_metadata_bytes(tmp_path):
         '  "version": "0.1.0"\n}\n')
 
 
-def test_synth_is_deterministic(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    run_cli("synth", "--out", str(a), "--n-train", "50", "--n-test", "50")
-    run_cli("synth", "--out", str(b), "--n-train", "50", "--n-test", "50")
-    for name in ("train.csv", "test.csv", "synth_metadata.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+def test_auc_of_the_true_eta_is_the_oracle_auc_synth_records(tmp_path, capsys):
+    run_cli("synth", "--out", str(tmp_path), "--n-train", "50", "--n-test", "50", "--seed", "3")
+    oracle = json.loads((tmp_path / "synth_metadata.json").read_text())["oracle_auc_test"]
+    capsys.readouterr()
+    run_cli("auc", "--data", str(tmp_path / "test.csv"), "--score-column", "eta")
+    assert capsys.readouterr().out.splitlines()[0] == f"auc_half {oracle:.6f}"
 
 
 def test_every_output_file_has_one_format(tmp_path):
@@ -573,7 +573,7 @@ def test_fit_csv_train_requires_test(tmp_path, capsys):
 
 BAD_SETTINGS = [("delta", ["--delta", "-1"]), ("delta", ["--delta", "inf"]),
                 ("sigma2", ["--sigma2", "0"]), ("sigma2", ["--sigma2", "nan"]),
-                ("beta", ["--beta", "1.5"]), ("beta", ["--beta", "0"]),
+                ("beta", ["--beta", "1.5"]), ("beta", ["--beta", "1"]), ("beta", ["--beta", "0"]),
                 ("beta", ["--beta", "nan"]), ("iters", ["--iters", "1"]),
                 ("burnin", ["--iters", "10", "--burnin", "20"]),
                 ("folds", ["--folds", "1"]), ("workers", ["--workers", "0"]),
@@ -704,6 +704,23 @@ def test_grid_stdout_of_two_cells(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "delta=1 sigma2=0.01 averaged 0.571 (0.029) randomized 0.571 (0.029) junk 0.5000\n"
         "delta=10 sigma2=0.01 averaged 0.628 (0.002) randomized 0.641 (0.003) junk 1.9250\n")
+
+
+@pytest.mark.parametrize("command", ["grid", "cv"])
+def test_a_pooled_run_writes_and_prints_what_a_serial_run_does(tmp_path, capsys, command):
+    """Every byte but the metadata's workers setting, stdout included."""
+    save_csv(gen_synthetic(80, seed=1), tmp_path / "data.csv")
+    argv = {"grid": ["grid", "--reps", "2", "--deltas", "1,10", "--sigma2s", "0.01", *FAST],
+            "cv": ["cv", "--data", str(tmp_path / "data.csv"), "--folds", "2", *FAST[:4]]}
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        run_cli(*argv[command], "--workers", str(workers), "--out", str(out))
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        metadata = json.loads(files.pop(f"{command}_metadata.json"))
+        assert metadata["config"].pop("workers") == workers
+        runs.append((capsys.readouterr().out, files, metadata))
+    assert runs[0] == runs[1]
 
 
 def test_cv_on_single_class_data_exits_1(tmp_path, capsys):
