@@ -8,8 +8,9 @@ candidate with probability proportional to posterior/proposal, and accepts
 it through a Metropolis-Hastings ratio.  The run yields the last state
 (randomized estimator) and the post-burn-in average of the zero-padded
 iterates (averaged estimator).  The coefficients are kept once per
-post-burn-in state, not once per iteration, and the average is a running
-sum over the iterations of those rows.
+post-burn-in state, not once per iteration, as that state's (k, M) block;
+the average is a running sum of those blocks over the iterations, and the
+trace's zero-padded rows are built once, after the last iteration.
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ class ChainTrace:
     the state at iteration burnin (the empty initial state when burnin is
     0) and each accepted post-burn-in step adds one row, so iteration
     burnin + i is row concatenate(([0], cumsum(accepted[burnin + 1:])))[i].
+    run_chain builds these rows in one array after its last iteration, so a
+    chain never holds two copies of them.
     """
 
     masks: np.ndarray       # (T, d) bool
@@ -278,10 +281,13 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     given the state of rng.  The risk kernel's label arrays are prepared once,
     refusing one-class labels before any step, and shared by every candidate.
 
-    The averaged estimator adds each post-burn-in iteration's row to a zero
-    vector in iteration order and divides by T - burnin: bit for bit the
-    mean over axis 0 of the (T - burnin, d * M) per-iteration rows, which
-    numpy also sums row by row from zero.
+    Each post-burn-in state is kept once, as its active indices and a copy
+    of its (k, M) coefficient block, and the zero-padded trace rows are
+    filled from those after the loop.  The averaged estimator adds each
+    post-burn-in iteration's block to the active rows of a zero (d, M) sum
+    in iteration order and divides by T - burnin: bit for bit the mean over
+    axis 0 of the (T - burnin, d * M) per-iteration rows, which numpy also
+    sums row by row from zero, since the rows it skips add only 0.0.
     """
     if (gcfg.d, gcfg.M) != (features.d, features.M):
         raise ValueError(f"prior has (d, M) = ({gcfg.d}, {gcfg.M}) but the features "
@@ -294,8 +300,8 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
     risks = np.zeros(T)
     accepted = np.zeros(T, dtype=bool)
     moves = ["init"]
-    rows = []  # one zero-padded row per post-burn-in state
-    total = np.zeros(d * M)
+    kept = []  # each post-burn-in state's (active, (k, M) coefficient block)
+    total = np.zeros((d, M))
 
     state = initial_state(features, prepared, gcfg)
     for t in range(T):
@@ -309,17 +315,20 @@ def run_chain(features: FeatureMatrix, labels, gcfg: GibbsConfig, scfg: SamplerC
         masks[t, state.theta.active] = True
         risks[t] = state.risk
         if t == burnin or (t > burnin and accepted[t]):
-            rows.append(np.zeros(d * M))
-            rows[-1].reshape(d, M)[state.theta.active] = state.theta.values.reshape(-1, M)
+            # a copy: the values are a row view of the step's whole draw
+            active, block = state.theta.active, state.theta.values.reshape(-1, M).copy()
+            kept.append((active, block))
         if t >= burnin:
-            total += rows[-1]
-    thetas = np.array(rows)
+            total[active] += block
+    thetas = np.zeros((len(kept), d * M))
+    for row, (active, block) in zip(thetas, kept):
+        row.reshape(d, M)[active] = block
 
     trace = ChainTrace(masks=masks, thetas=thetas, risks=risks, accepted=accepted,
                        moves=moves, burnin=burnin)
     estimators = FinalEstimators(
         randomized=SparseCoef(state.theta.active, state.theta.values.copy()),
-        averaged=total / (T - burnin),
+        averaged=total.ravel() / (T - burnin),
     )
     return trace, estimators
 

@@ -1,16 +1,24 @@
-"""Reference implementations that the tests compare the package against.
+"""Reference implementations that the tests compare the package against,
+and the helpers that more than one test module uses.
 
-log_proposal_density is the one-candidate form of the proposal density that
-the sampler computes a whole neighborhood at a time; padded is the dense
-d*M embedding of a sparse coefficient vector.  A model is its ascending,
-read-only intp array of active indices: active builds one from indices in
-any order and checks them, and bits is its (d,) bool inclusion vector.
-geometric_config is a GibbsConfig on the stated geometric size prior.
+This is the one home of both: a test module imports from here and from the
+package, never from another test module.
+
+pair_risk and brute_pair_counts are the ranking oracles, brute-force
+comparisons of every positive with every negative: pair_risk gives the risk
+L_n, and brute_pair_counts the Mann-Whitney count and the tied pairs from
+which pair_auc reads both AUC conventions.  random_instance draws the small tie-heavy
+instances they are checked on.  log_proposal_density is the one-candidate form of the
+proposal density that the sampler computes a whole neighborhood at a time;
+padded is the dense d*M embedding of a sparse coefficient vector.  A model
+is its ascending, read-only intp array of active indices: active builds one
+from indices in any order and checks them, and bits is its (d,) bool
+inclusion vector.  geometric_config is a GibbsConfig on the stated
+geometric size prior, and FakeRng scripts the draws of one step.
 dealt_splits is the one-index-at-a-time deal that data.make_splits must
 match.  closed_form_target is the exact model distribution of the Gibbs
 pseudo-posterior on a d=2, M=1 instance; it and the importance draws that
-check it take their risks from pair_risk, a brute-force comparison of every
-positive with every negative.
+check it take their risks from pair_risk.
 """
 
 import math
@@ -116,6 +124,52 @@ def pair_risk(scores, labels) -> np.ndarray:
     below = np.count_nonzero(pos < neg, axis=(-2, -1))
     tied = np.count_nonzero(pos == neg, axis=(-2, -1))
     return 2.0 * (below + 0.5 * tied) / (n * (n - 1))
+
+
+def brute_pair_counts(scores, labels) -> tuple[float, int]:
+    """The Mann-Whitney count u and the tied count of the (positive,
+    negative) pairs: u counts each pair with the positive above as 1 and
+    each tie as 1/2.  Both are exact half-integers, so the half AUC is
+    u / (n_pos n_neg) and the strict AUC (u - tied / 2) / (n_pos n_neg)."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    pairs = [(a, b) for a in scores[labels > 0] for b in scores[labels <= 0]]
+    tied = sum(a == b for a, b in pairs)
+    return sum(a > b for a, b in pairs) + tied / 2, tied
+
+
+def pair_auc(scores, labels, policy: str) -> float:
+    """auc's value under either tie policy, read from brute_pair_counts."""
+    u, tied = brute_pair_counts(scores, labels)
+    labels = np.asarray(labels)
+    pairs = np.count_nonzero(labels > 0) * np.count_nonzero(labels <= 0)
+    return (u if policy == "half" else u - tied / 2) / pairs
+
+
+def random_instance(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and +-1 labels of 2 to 50 rows with both classes; the coarse
+    integer scores 0..5 inject plenty of exact ties."""
+    n = int(rng.integers(2, 51))
+    scores = rng.integers(0, 6, size=n).astype(float)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if np.all(labels > 0) or np.all(labels <= 0):
+        labels[0] = -labels[0]
+    return scores, labels
+
+
+class FakeRng:
+    """Deterministic stand-in driving one scripted Metropolis-Hastings step:
+    random() returns the listed uniforms in order and the proposal noise is
+    zero."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, *args):
+        return self.uniforms.pop(0)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
 
 
 def closed_form_target(X, y, size_log_weights, delta: float) -> np.ndarray:

@@ -243,14 +243,6 @@ def test_worker_death_costs_only_the_cell_being_aggregated(monkeypatch, pool_sta
             assert np.array_equal(value, alone[key]), key
 
 
-def test_grid_replication_is_deterministic():
-    cfg = ExperimentConfig(**FAST)
-    a = run_grid_cell(cfg, delta=1.0, sigma2=0.01)
-    b = run_grid_cell(cfg, delta=1.0, sigma2=0.01)
-    assert a["auc_averaged_mean"] == b["auc_averaged_mean"]
-    assert np.array_equal(frequencies(a, cfg.d), frequencies(b, cfg.d))
-
-
 def test_junk_frequency_excludes_signal_covariates():
     cfg = ExperimentConfig(**FAST)
     row = run_grid_cell(cfg, delta=1.0, sigma2=0.01)

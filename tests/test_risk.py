@@ -10,53 +10,7 @@ from gibbsrank.risk import (
     auc,
     empirical_rank_risk,
 )
-
-
-def brute_risk(scores, labels, tie_value=0.0):
-    """O(n^2) oracle: average discordance over all ordered pairs.
-
-    Scores are compared, never subtracted, so equal infinite scores tie.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    n = len(scores)
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if labels[i] == labels[j]:
-                continue
-            hi, lo = (i, j) if labels[i] > labels[j] else (j, i)
-            if scores[hi] < scores[lo]:
-                total += 1.0
-            elif scores[hi] == scores[lo]:
-                total += tie_value
-    return total / (n * (n - 1))
-
-
-def brute_auc(scores, labels, tie_policy="half"):
-    """O(n^2) oracle over all (positive, negative) pairs."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    pos = np.flatnonzero(labels > 0)
-    neg = np.flatnonzero(labels <= 0)
-    credit = 0.0
-    for i in pos:
-        for j in neg:
-            if scores[i] > scores[j]:
-                credit += 1.0
-            elif scores[i] == scores[j] and tie_policy == "half":
-                credit += 0.5
-    return credit / (len(pos) * len(neg))
-
-
-def random_instance(rng):
-    n = int(rng.integers(2, 51))
-    # coarse integer scores inject plenty of exact ties
-    scores = rng.integers(0, 6, size=n).astype(float)
-    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    if np.all(labels > 0) or np.all(labels <= 0):
-        labels[0] = -labels[0]
-    return scores, labels
+from oracles import brute_pair_counts, pair_auc, pair_risk, random_instance
 
 
 def tie_free_instances(rng):
@@ -76,23 +30,14 @@ def test_risk_discordant_pair():
     assert empirical_rank_risk([2.0, 1.0], [-1.0, 1.0]) == 1.0
 
 
-def test_risk_matches_brute_force():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        scores, labels = random_instance(rng)
-        assert empirical_rank_risk(scores, labels) == pytest.approx(
-            brute_risk(scores, labels, 0.5), abs=1e-15
-        )
-
-
 def test_risk_matches_brute_force_without_ties():
     rng = np.random.default_rng(43)
     for scores, labels in tie_free_instances(rng):
         assert np.unique(scores).size == scores.size
-        # without ties the half-cost risk is the strict L_n
-        assert brute_risk(scores, labels, 0.5) == brute_risk(scores, labels, 0.0)
+        # no opposite-label pair ties, so the half-cost risk is the strict L_n
+        assert brute_pair_counts(scores, labels)[1] == 0
         assert empirical_rank_risk(scores, labels) == pytest.approx(
-            brute_risk(scores, labels, 0.5), abs=1e-15
+            pair_risk(scores, labels), abs=1e-15
         )
 
 
@@ -100,20 +45,10 @@ def test_all_tied_scores():
     labels = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
     scores = np.full(5, 0.25)
     assert empirical_rank_risk(scores, labels) == pytest.approx(
-        brute_risk(scores, labels, 0.5), abs=1e-15
+        pair_risk(scores, labels), abs=1e-15
     )
     for policy in ("strict", "half"):
-        assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
-
-
-def brute_pair_counts(scores, labels):
-    """O(n^2) oracle of _pair_counts' (u, tied): positive/negative pairs with
-    the positive above, each tie counting 1/2, and the tied pairs."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    pairs = [(a, b) for a in scores[labels > 0] for b in scores[labels <= 0]]
-    tied = sum(a == b for a, b in pairs)
-    return sum(a > b for a, b in pairs) + tied / 2, tied
+        assert auc(scores, labels, policy) == pair_auc(scores, labels, policy)
 
 
 TIE_HEAVY = [
@@ -163,10 +98,10 @@ def test_infinite_scores_are_ranked():
     scores = [-np.inf, 0.0, np.inf, np.inf]
     labels = [-1.0, 1.0, -1.0, 1.0]
     for policy in ("strict", "half"):
-        assert auc(scores, labels, policy) == brute_auc(scores, labels, policy)
+        assert auc(scores, labels, policy) == pair_auc(scores, labels, policy)
     # the two +inf scores, one per class, are a tie, not a NaN pair
-    assert empirical_rank_risk(scores, labels) == brute_risk(scores, labels, 0.5)
-    assert brute_risk(scores, labels, 0.5) == (2 * 1 + 2 * 0.5) / 12
+    assert empirical_rank_risk(scores, labels) == pair_risk(scores, labels)
+    assert pair_risk(scores, labels) == (2 * 1 + 2 * 0.5) / 12
 
 
 def test_risk_needs_two_instances():
@@ -194,22 +129,12 @@ def test_auc_constant_scores():
     assert auc(scores, labels, "half") == 0.5
 
 
-def test_auc_matches_brute_force():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        scores, labels = random_instance(rng)
-        for policy in ("strict", "half"):
-            assert auc(scores, labels, policy) == pytest.approx(
-                brute_auc(scores, labels, policy), abs=1e-15
-            )
-
-
 def test_auc_matches_brute_force_without_ties():
     rng = np.random.default_rng(8)
     for scores, labels in tie_free_instances(rng):
         for policy in ("strict", "half"):
             assert auc(scores, labels, policy) == pytest.approx(
-                brute_auc(scores, labels, policy), abs=1e-15
+                pair_auc(scores, labels, policy), abs=1e-15
             )
 
 
@@ -245,11 +170,11 @@ def test_prepared_labels_match_brute_force_across_score_vectors():
     for scores in vectors:
         got = empirical_rank_risk(scores, prepared)
         assert got == empirical_rank_risk(scores, labels)
-        assert got == pytest.approx(brute_risk(scores, labels, 0.5), abs=1e-15)
+        assert got == pytest.approx(pair_risk(scores, labels), abs=1e-15)
         for policy in ("strict", "half"):
             got = auc(scores, prepared, policy)
             assert got == auc(scores, labels, policy)
-            assert got == pytest.approx(brute_auc(scores, labels, policy), abs=1e-15)
+            assert got == pytest.approx(pair_auc(scores, labels, policy), abs=1e-15)
     assert np.array_equal(prepared.weights, weights) and np.array_equal(prepared.ranks, ranks)
     assert (prepared.n_pos, prepared.n_neg) == (int(np.sum(labels > 0)), int(np.sum(labels <= 0)))
 
