@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (DataError, derive_seed, gen_synthetic, load_csv, map_to_unit, read_table,
-                   refuse_one_class, save_csv, write_csv)
+from .data import (DataError, derive_seed, gen_synthetic, label_values, load_csv, map_to_unit,
+                   read_table, refuse_one_class, save_csv, write_csv)
 from .experiments import (ExperimentConfig, auc_summary, fit_and_evaluate, run_cv, run_grid,
                           size_prior)
 from .risk import DegenerateDataError, auc
@@ -294,6 +294,7 @@ def cmd_auc(args) -> int:
                 if problem:
                     raise DataError(f"{args.data}: data row {i} (line {line}) has {problem}")
                 values.append(value)
+    label_values(args.data, labels)  # two values, as load_csv takes; auc's positives are > 0
     print(f"auc_half {auc(scores, labels, 'half'):.6f}")
     print(f"auc_strict {auc(scores, labels, 'strict'):.6f}")
     return 0

@@ -163,6 +163,19 @@ def read_table(path):
         yield header, rows()
 
 
+def label_values(path, labels) -> np.ndarray:
+    """The two distinct values of a label column, ascending; a DataError
+    when it takes any other number of values."""
+    values = np.unique(labels)
+    if values.size != 2:
+        # a label column of floats may hold thousands of values: show the least five
+        shown = values[:5].tolist()
+        first = f", the first {len(shown)}" if values.size > len(shown) else ""
+        raise DataError(f"{path}: labels must take exactly two values, "
+                        f"got {values.size} distinct{first}: {shown}")
+    return values
+
+
 def load_csv(path, label_column: str = "label", positive_label_value: float = 1.0) -> Dataset:
     """Load a delimited numeric table with a header row.
 
@@ -207,13 +220,7 @@ def load_csv(path, label_column: str = "label", positive_label_value: float = 1.
     feat_idx = [i for i in range(len(header)) if i not in (label_idx, eta_idx)]
 
     raw_labels = table[:, label_idx]
-    values = np.unique(raw_labels)
-    if values.size != 2:
-        # a label column of floats may hold thousands of values: show the least five
-        shown = values[:5].tolist()
-        first = f", the first {len(shown)}" if values.size > len(shown) else ""
-        raise DataError(f"{path}: labels must take exactly two values, "
-                        f"got {values.size} distinct{first}: {shown}")
+    values = label_values(path, raw_labels)
     if positive_label_value not in values:
         raise DataError(
             f"{path}: positive label {positive_label_value} not among values {values.tolist()}"

@@ -226,7 +226,8 @@ def test_criterion_8_bitwise_determinism(tmp_path):
     """Every file written by one synth, three fits (at the base settings, at
     burn-in 0, and at d=100, whose add neighbourhoods hold about 98
     candidates), a two-cell grid and a 2-fold cv matches its pinned sha256
-    or, for estimators.json, its pinned values."""
+    or, for estimators.json, its pinned values and the JSON writer's layout.
+    This is tier-1's one happy-path run of synth, fit, grid and cv."""
     from gibbsrank.cli import main
 
     data = ["--seed", "5", "--n-train", "200", "--n-test", "200"]
@@ -253,6 +254,8 @@ def test_criterion_8_bitwise_determinism(tmp_path):
         digest = hashlib.sha256(raw).hexdigest()
         if name in PINNED_SHA256:
             problem = None if digest == PINNED_SHA256[name] else "its sha256 differs"
+        elif raw != (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode():
+            problem = "it is not laid out by the JSON writer (indent 2, keys sorted, a newline)"
         else:
             problem = estimators_mismatch(json.loads(raw),
                                           json.loads((PINNED_ESTIMATORS / name).read_text()))

@@ -59,12 +59,6 @@ def settings_argv(command, flags, config_path):
     return argv
 
 
-def chain_size_prior(d, **settings):
-    """prior_size_distribution of the chains a run with these settings samples."""
-    gcfg, _ = chain_configs(ExperimentConfig(**settings), 100, d)
-    return prior_size_distribution(gcfg).tolist()
-
-
 def run_cli(*argv):
     assert main(list(argv)) == 0
 
@@ -285,47 +279,12 @@ def test_synth_writes_expected_files(tmp_path):
     assert abs(meta["oracle_auc_test"] - 0.7387) < 0.01
 
 
-def test_synth_metadata_bytes(tmp_path):
-    """The shared JSON writer: indent 2, keys sorted, a trailing newline.
-    The oracle AUC is a ratio of integer counts, so the bytes do not depend
-    on the platform."""
-    run_cli("synth", "--out", str(tmp_path), "--n-train", "50", "--n-test", "50", "--seed", "3")
-    assert (tmp_path / "synth_metadata.json").read_text() == (
-        '{\n  "config": {\n    "d": 10,\n    "n_test": 50,\n    "n_train": 50,\n'
-        '    "seed": 3\n  },\n  "oracle_auc_test": 0.6814449917898193,\n'
-        '  "version": "0.1.0"\n}\n')
-
-
 def test_auc_of_the_true_eta_is_the_oracle_auc_synth_records(tmp_path, capsys):
     run_cli("synth", "--out", str(tmp_path), "--n-train", "50", "--n-test", "50", "--seed", "3")
     oracle = json.loads((tmp_path / "synth_metadata.json").read_text())["oracle_auc_test"]
     capsys.readouterr()
     run_cli("auc", "--data", str(tmp_path / "test.csv"), "--score-column", "eta")
     assert capsys.readouterr().out.splitlines()[0] == f"auc_half {oracle:.6f}"
-
-
-def test_every_output_file_has_one_format(tmp_path):
-    """Every CSV a command writes ends each line in CRLF, and every JSON file
-    is laid out as the shared writer lays it out: indent 2, keys sorted, a
-    trailing newline."""
-    tiny = ["--iters", "6", "--burnin", "3", "--n-train", "40", "--n-test", "40"]
-    run_cli("synth", "--n-train", "40", "--n-test", "40", "--out", str(tmp_path / "synth"))
-    run_cli("fit", *tiny, "--out", str(tmp_path / "fit"))
-    run_cli("grid", *tiny, "--reps", "2", "--deltas", "1", "--sigma2s", "0.01",
-            "--out", str(tmp_path / "grid"))
-    run_cli("cv", "--iters", "6", "--burnin", "3", "--folds", "2",
-            "--data", str(tmp_path / "synth" / "train.csv"), "--out", str(tmp_path / "cv"))
-    files = {str(p.relative_to(tmp_path)): p.read_bytes() for p in tmp_path.rglob("*.*")}
-    assert sorted(files) == [
-        "cv/cv.csv", "cv/cv_metadata.json", "fit/estimators.json", "fit/fit_metadata.json",
-        "fit/metrics.json", "fit/trace.csv", "grid/grid.csv", "grid/grid_metadata.json",
-        "synth/synth_metadata.json", "synth/test.csv", "synth/train.csv"]
-    for name, raw in files.items():
-        if name.endswith(".csv"):
-            assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), name
-        else:
-            assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True)
-                           + "\n").encode(), name
 
 
 def test_fit_smoke_two_iterations(tmp_path):
@@ -339,7 +298,8 @@ def test_fit_smoke_two_iterations(tmp_path):
     estimators = json.loads((out / "estimators.json").read_text())
     assert "randomized" in estimators and "averaged" in estimators
     meta = json.loads((out / "fit_metadata.json").read_text())
-    assert meta["size_prior"] == chain_size_prior(10)
+    gcfg, _ = chain_configs(ExperimentConfig(), 40, 10)
+    assert meta["size_prior"] == prior_size_distribution(gcfg).tolist()
 
 
 def test_fit_tiny_delta_is_chance_level(tmp_path):
@@ -348,16 +308,6 @@ def test_fit_tiny_delta_is_chance_level(tmp_path):
             "--iters", "100", "--burnin", "50", "--n-train", "150", "--n-test", "400")
     metrics = json.loads((out / "metrics.json").read_text())
     assert abs(metrics["test_auc_averaged"] - 0.5) <= 0.1
-
-
-def test_fit_from_csv(tmp_path):
-    data = gen_synthetic(80, seed=0)
-    path = tmp_path / "train.csv"
-    save_csv(data, path)
-    out = tmp_path / "fit_csv"
-    run_cli("fit", "--out", str(out), "--train", str(path), "--test", str(path),
-            "--iters", "30", "--burnin", "20")
-    assert (out / "metrics.json").exists()
 
 
 def spy_on_fit(monkeypatch) -> list:
@@ -389,6 +339,7 @@ def test_fit_csv_test_uses_training_ranges(tmp_path, monkeypatch, caplog):
     assert np.array_equal(te.X[:, 0], [0.25, 0.75])
     assert np.array_equal(te.X[:, 1], [-0.5, 1.5])  # outside the training range
     assert np.array_equal(te.y, [-1.0, 1.0])
+    assert (tmp_path / "out" / "metrics.json").exists()
     # test values beyond the training range are clamped when the test features are built
     assert any("outside [0, 1]; clamping" in r.getMessage() for r in caplog.records)
 
@@ -855,8 +806,9 @@ def test_cv_refuses_unstratifiable_folds_before_any_output(tmp_path, capsys):
 
 
 def test_auc_on_single_class_labels_exits_1(tmp_path, capsys):
+    """Two label values, but both above 0, so both positives."""
     path = tmp_path / "scores.csv"
-    path.write_text("score,label\n0.9,1\n0.1,1\n")
+    path.write_text("score,label\n0.9,1\n0.1,2\n")
     assert main(["auc", "--data", str(path)]) == 1
     captured = capsys.readouterr()
     assert "auc_half" not in captured.out
@@ -891,49 +843,6 @@ def test_module_import_is_lean(module, loads):
     assert "concurrent.futures" not in loaded
 
 
-def test_grid_single_cell(tmp_path):
-    out = tmp_path / "grid"
-    run_cli("grid", "--out", str(out), "--reps", "1", "--deltas", "1",
-            "--sigma2s", "0.01", *FAST)
-    lines = (out / "grid.csv").read_text().splitlines()
-    assert len(lines) == 2
-    record = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert float(record["auc_averaged_var"]) == 0.0
-    assert record["failures"] == "0"
-    meta = json.loads((out / "grid_metadata.json").read_text())
-    assert meta["size_prior"] == {"0.01": chain_size_prior(10, sigma2=0.01)}
-
-
-def test_cv_two_folds(tmp_path):
-    data = gen_synthetic(120, seed=1)
-    path = tmp_path / "data.csv"
-    save_csv(data, path)
-    out = tmp_path / "cv"
-    run_cli("cv", "--out", str(out), "--data", str(path), "--folds", "2",
-            "--iters", "40", "--burnin", "20")
-    lines = (out / "cv.csv").read_text().splitlines()
-    assert len(lines) == 3
-    summary = json.loads((out / "cv_metadata.json").read_text())
-    assert "cv_auc_averaged_mean" in summary
-    assert summary["size_prior"] == chain_size_prior(10)
-
-
-def test_cv_reads_a_csv_behind_a_byte_order_mark(tmp_path):
-    """The mark sits on the first header cell, here the label column's."""
-    data = gen_synthetic(60, seed=1)
-    rows = ["label," + ",".join(f"x{j + 1}" for j in range(data.d))]
-    rows += [f"{int(y > 0)}," + ",".join(f"{v:.6f}" for v in x) for x, y in zip(data.X, data.y)]
-    text = ("\n".join(rows) + "\n").encode()
-    outs = []
-    for name, raw in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
-        path, out = tmp_path / f"{name}.csv", tmp_path / f"cv-{name}"
-        path.write_bytes(raw)
-        run_cli("cv", "--out", str(out), "--data", str(path), "--folds", "2",
-                "--iters", "20", "--burnin", "10")
-        outs.append((out / "cv.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_cv_handles_constant_feature_column(tmp_path):
     rng = np.random.default_rng(2)
     n = 60
@@ -951,9 +860,6 @@ def test_cv_handles_constant_feature_column(tmp_path):
 
 
 def test_auc_subcommand(tmp_path):
-    import subprocess
-    import sys
-
     path = tmp_path / "scores.csv"
     path.write_text("score,label\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n")
     proc = subprocess.run(
@@ -963,7 +869,7 @@ def test_auc_subcommand(tmp_path):
     assert "auc_half 1.000000" in proc.stdout
     assert "auc_strict 1.000000" in proc.stdout
     # tied scores, and labels other than +-1: a label above 0 is a positive
-    path.write_text("score,label\n0.9,2\n0.1,0\n0.5,-3\n0.5,1\n0.2,0\n0.9,0\n")
+    path.write_text("score,label\n0.9,2\n0.1,-3\n0.5,-3\n0.5,2\n0.2,-3\n0.9,-3\n")
     proc = subprocess.run(
         [sys.executable, "-m", "gibbsrank.cli", "auc", "--data", str(path)],
         capture_output=True, text=True, check=True,
@@ -1033,39 +939,16 @@ def test_cv_and_auc_word_a_missing_label_column_alike(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text, message", [("score,label\n", "no data rows"),
-                                           ("", "empty file")], ids=["header-only", "empty"])
-def test_auc_subcommand_refuses_a_file_without_rows(tmp_path, capsys, text, message):
-    path = tmp_path / "scores.csv"
-    path.write_text(text)
-    assert main(["auc", "--data", str(path)]) == 1
-    assert capsys.readouterr().err == f"gibbsrank auc: {path}: {message}\n"
-
-
-@pytest.mark.parametrize("header, column", [("score,label,score", "score"),
-                                            ("label,score, label", "label")])
-def test_auc_subcommand_refuses_a_column_named_twice(tmp_path, capsys, header, column):
-    # read as a dict, the last score column would stand for the first
-    path = tmp_path / "scores.csv"
-    path.write_text(f"{header}\n0.9,1,0.1\n0.1,0,0.9\n")
-    assert main(["auc", "--data", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"gibbsrank auc: {path}: column {column!r} is named twice")
-
-
-def test_auc_subcommand_strips_header_cells_as_load_csv_does(tmp_path, capsys):
-    path = tmp_path / "scores.csv"
-    path.write_text("score , label\n0.9,1\n0.1,0\n")
-    assert main(["auc", "--data", str(path)]) == 0
-    assert "auc_half 1.000000" in capsys.readouterr().out
-
-
-def test_auc_subcommand_reads_a_header_behind_a_byte_order_mark(tmp_path, capsys):
-    path = tmp_path / "scores.csv"
-    path.write_bytes(b"\xef\xbb\xbfscore,label\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n")
-    assert main(["auc", "--data", str(path)]) == 0
-    assert "auc_half 1.000000" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["cv", "auc"])
+def test_cv_and_auc_refuse_a_label_column_of_three_values(tmp_path, capsys, command):
+    """auc used to class {2, 0, 1} by sign and print an AUC."""
+    path = tmp_path / "data.csv"
+    path.write_text("score,label\n0.9,2\n0.1,0\n0.8,1\n0.2,0\n")
+    out = ["--out", str(tmp_path / "out")] if command == "cv" else []
+    assert main([command, "--data", str(path), *out]) == 1
+    assert capsys.readouterr() == ("", f"gibbsrank {command}: {path}: labels must take exactly "
+                                       "two values, got 3 distinct: [0.0, 1.0, 2.0]\n")
+    assert not (tmp_path / "out").exists()
 
 
 PLAIN_SCORES = "score,label\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n"
@@ -1077,12 +960,13 @@ PLAIN_SCORES = "score,label\n0.9,1\n0.1,0\n0.8,1\n0.2,0\n"
     ("score,label,score\n0.9,1,0.1\n0.1,0,0.9\n",
      "column 'score' is named twice in header ['score', 'label', 'score']"),
     ("\ufeff" + PLAIN_SCORES, None),  # write_text encodes \ufeff as the byte-order mark
+    (PLAIN_SCORES.replace("score,label", "score , label"), None),
     ("score,label\n\n0.9,1\n0.1,0\n\n0.8,1\n0.2,0\n\n", None),
     ("score,label\n0.9,1\n0.1\n", "ragged rows: data row 2 (line 3) has 1 cells, the header has 2"),
     ("score,label\n0.9,1\n\n0.1,0,1\n",
      "ragged rows: data row 2 (line 4) has 3 cells, the header has 2"),
-], ids=["empty", "header-only", "named-twice", "byte-order-mark", "blank-lines", "short-row",
-        "long-row"])
+], ids=["empty", "header-only", "named-twice", "byte-order-mark", "spaced-header", "blank-lines",
+        "short-row", "long-row"])
 def test_load_csv_and_auc_read_a_table_by_one_policy(tmp_path, capsys, text, message):
     """Both refuse a file with the same words after its path, and both read a
     marked or spaced file as the plain one."""

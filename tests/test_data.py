@@ -261,16 +261,6 @@ def test_label_column_of_many_values_is_refused_by_count_and_five_least(tmp_path
     assert len(message) < len(str(path)) + 200  # not the 60 values
 
 
-def test_empty_and_missing_column_errors(tmp_path):
-    path = tmp_path / "e.csv"
-    path.write_text("")
-    with pytest.raises(DataError):
-        load_csv(path)
-    path.write_text("x1,y\n0.1,1\n")
-    with pytest.raises(DataError):
-        load_csv(path, label_column="label")
-
-
 @pytest.mark.parametrize("header, column", [("label,x1,label", "label"), ("x1,x2 ,x2", "x2")])
 def test_load_csv_refuses_a_column_named_twice(tmp_path, header, column):
     # a second label column would otherwise enter the model as a feature
@@ -278,47 +268,6 @@ def test_load_csv_refuses_a_column_named_twice(tmp_path, header, column):
     path.write_text(f"{header}\n1,0.1,1\n0,0.2,0\n")
     with pytest.raises(DataError, match=re.escape(f"{path}: column {column!r} is named twice")):
         load_csv(path)
-
-
-@pytest.mark.parametrize("rows, where", [
-    ("0.1,0.2,1\n0.3,0\n", "data row 2 (line 3)"),
-    ("0.1,0.2,1\n0.3,0.4,0,9\n", "data row 2 (line 3)"),
-    ("0.1,0\n0.3,1\n", "data row 1 (line 2)"),
-    ("0.1,0.2,1\n\n0.3,0\n", "data row 2 (line 4)"),  # a blank line is not a data row
-])
-def test_ragged_rows_are_rejected(tmp_path, rows, where):
-    path = tmp_path / "r.csv"
-    path.write_text("x1,x2,label\n" + rows)
-    with pytest.raises(DataError, match=re.escape(f"ragged rows: {where} has")):
-        load_csv(path)
-
-
-
-def test_read_table_refuses_a_byte_that_is_not_utf8_in_its_header_read(tmp_path):
-    """The first read decodes a whole chunk, so a bad byte in an early row is
-    refused before the header is returned."""
-    path = tmp_path / "bad.csv"
-    path.write_bytes(b"score,label\n0.9,1\n\xff\xfe,0\n")
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: byte 0xff is not UTF-8$"):
-        with read_table(path):
-            pass
-
-
-def test_read_table_refuses_a_byte_that_is_not_utf8_in_its_row_loop(tmp_path):
-    path = tmp_path / "late.csv"
-    rows = "".join(f"0.{i:04d},{i % 2}\n" for i in range(3000))  # ~27 KB, beyond the first chunk
-    path.write_bytes(b"score,label\n" + rows.encode() + b"0.5,\xfe\n")
-    with read_table(path) as (header, rows):
-        assert header == ["score", "label"]
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: byte 0xfe is not UTF-8$"):
-            for _ in rows:
-                pass
-
-
-def test_blank_lines_are_skipped(tmp_path):
-    path = tmp_path / "b.csv"
-    path.write_text("x1,label\n0.1,1\n\n0.2,0\n\n")
-    assert load_csv(path).n == 2
 
 
 def test_read_table_closes_its_file_when_the_caller_raises_mid_file(tmp_path, monkeypatch):
