@@ -54,12 +54,6 @@ def dictionary_at(t):
     return build_features(x[:, None]).blocks[0]
 
 
-def test_first_two_legendre_functions():
-    values = dictionary_at(0.3)
-    assert values[0, 0] == 1.0
-    assert values[1, 0] == pytest.approx(0.3, abs=1e-15)
-
-
 def test_quadratic_legendre_matches_closed_form():
     t = np.linspace(-1.0, 1.0, 101)
     assert np.allclose(dictionary_at(t)[2], (3.0 * t**2 - 1.0) / 2.0, atol=1e-14)
@@ -79,18 +73,6 @@ def test_feature_row_at_center():
     expected = [1.0, 0.0, -0.5, 0.0, 3.0 / 8.0, 0.0, -5.0 / 16.0,
                 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     assert np.allclose(fm.blocks[0, :, 0], expected, atol=1e-14)
-
-
-def test_identical_rows_give_identical_features():
-    X = np.array([[0.3, 0.8], [0.3, 0.8]])
-    fm = build_features(X)
-    assert np.array_equal(fm.blocks[:, :, 0], fm.blocks[:, :, 1])
-
-
-def test_dictionary_values_bounded():
-    rng = np.random.default_rng(0)
-    fm = build_features(rng.random((5, 3)))
-    assert np.all(np.abs(fm.blocks) <= 1.0 + 1e-12)
 
 
 def test_build_features_rejects_non_finite():
@@ -177,39 +159,6 @@ def test_score_empty_mask_is_zero():
     assert np.array_equal(score(coef, fm), np.zeros(6))
 
 
-def test_score_constant_function():
-    fm = build_features(np.random.default_rng(2).random((6, 3)))
-    values = np.zeros(13)
-    values[0] = 1.0  # weight 1 on the constant dictionary function
-    coef = SparseCoef(active(3, [1]), values=values)
-    assert np.allclose(score(coef, fm), 1.0, atol=1e-14)
-
-
-def naive_score(theta_full, X):
-    """Double-loop oracle for the additive scoring function."""
-    n, d = X.shape
-    M = DICTIONARY_SIZE
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(d):
-            t = 2.0 * X[i, j] - 1.0
-            phi = concatenated_dictionary(np.array(t))
-            for k in range(M):
-                out[i] += theta_full[j * M + k] * phi[k]
-    return out
-
-
-def test_score_matches_naive_evaluation():
-    rng = np.random.default_rng(3)
-    X = rng.random((7, 4))
-    fm = build_features(X)
-    values = rng.standard_normal(2 * 13)
-    coef = SparseCoef(active(4, [0, 2]), values=values)
-    expected = naive_score(padded(coef, 4, 13), X)
-    assert np.allclose(score(coef, fm), expected, atol=1e-10)
-    assert np.allclose(score_dense(padded(coef, 4, 13), fm), expected, atol=1e-10)
-
-
 def row_major_features(X):
     """The (n, d * M) feature matrix, columns grouped by covariate."""
     return concatenated_dictionary(rescale(X)).reshape(X.shape[0], -1)
@@ -270,14 +219,3 @@ def test_score_dimension_mismatch():
         score(coef, fm)
     with pytest.raises(ValueError):
         score_dense(np.zeros(5), fm)
-
-
-@pytest.mark.parametrize("index", [-1, 7])
-def test_score_refuses_an_active_index_outside_the_features(index):
-    """At d=5, index -1 would wrap to covariate 4 and index 7 would be a bare
-    IndexError; both are a ValueError naming the index and d."""
-    fm = build_features(np.random.default_rng(4).random((6, 5)))
-    model = np.array([index], dtype=np.intp)
-    coef = SparseCoef(model, values=np.ones(13))
-    with pytest.raises(ValueError, match=f"active index {index} outside 0..4 for d=5"):
-        score(coef, fm)

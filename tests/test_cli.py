@@ -527,7 +527,8 @@ BAD_SETTINGS = [("delta", ["--delta", "-1"]), ("delta", ["--delta", "inf"]),
                 ("beta", ["--beta", "1.5"]), ("beta", ["--beta", "1"]), ("beta", ["--beta", "0"]),
                 ("beta", ["--beta", "nan"]), ("iters", ["--iters", "1"]),
                 ("burnin", ["--iters", "10", "--burnin", "20"]),
-                ("folds", ["--folds", "1"]), ("workers", ["--workers", "0"]),
+                ("reps", ["--reps", "0"]), ("folds", ["--folds", "1"]),
+                ("workers", ["--workers", "0"]),
                 ("seed", ["--seed", "-1"]), ("seed", ["--seed", "4294967296"]),
                 ("d", ["--d", "4"]), ("n_train", ["--n-train", "1"]),
                 ("n_test", ["--n-test", "1"])]

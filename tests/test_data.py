@@ -283,47 +283,6 @@ def test_read_table_closes_its_file_when_the_caller_raises_mid_file(tmp_path, mo
     assert opened[0].closed
 
 
-def test_kfold_partition():
-    folds = make_splits(np.array([1.0, -1.0] * 5), 5, 0)
-    assert len(folds) == 5
-    all_idx = np.sort(np.concatenate(folds))
-    assert np.array_equal(all_idx, np.arange(10))
-    for a in range(5):
-        for b in range(a + 1, 5):
-            assert not set(folds[a]) & set(folds[b])
-
-
-def test_split_determinism():
-    labels = np.array([1.0, -1.0] * 20)
-    a = make_splits(labels, 4, 9)
-    b = make_splits(labels, 4, 9)
-    for fa, fb in zip(a, b):
-        assert np.array_equal(fa, fb)
-
-
-def test_stratified_kfold_balances_positives():
-    rng = np.random.default_rng(5)
-    labels = np.array([1.0] * 60 + [-1.0] * 40)
-    rng.shuffle(labels)
-    for fold in make_splits(labels, 5, 1):
-        n_pos = int(np.sum(labels[fold] > 0))
-        assert abs(n_pos - 12) <= 1
-
-
-def test_split_validation_errors():
-    labels = np.array([1.0, -1.0] * 5)
-    with pytest.raises(ValueError, match="^k must be at least 2$"):
-        make_splits(labels, 1, 0)
-    with pytest.raises(DataError, match="^cannot split 10 rows into 11 folds$"):
-        make_splits(labels, 11, 0)
-
-
-def test_stratified_single_class_fold_raises():
-    labels = np.array([1.0] * 9 + [-1.0])
-    with pytest.raises(DataError, match="^stratification impossible: a fold has a single class$"):
-        make_splits(labels, 5, 0)
-
-
 def test_make_splits_refuses_a_nan_label():
     # such an index used to be left out of every fold
     with pytest.raises(DataError, match="^NaN label at index 2$"):

@@ -66,11 +66,6 @@ def pool_starts(monkeypatch):
     return starts
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(reps=0)
-
-
 def test_effective_delta_mappings():
     base = ExperimentConfig(delta=0.1)
     assert effective_delta(base, 1000) == 1.5 * 1000 * 0.1**0.70
@@ -86,18 +81,6 @@ def test_chain_configs_carry_settings():
     assert scfg.sigma2 == 0.5
     # beta reaches the chain only through the size prior it builds
     assert gcfg.size_log_weights == tilted_size_log_weights(7, 0.4, cfg.sigma2)
-
-
-def test_fit_and_evaluate_metrics_shape():
-    cfg = ExperimentConfig(**FAST)
-    train = gen_synthetic(80, seed=0)
-    test = gen_synthetic(80, seed=1)
-    result = fit_and_evaluate(train, test, cfg, np.random.default_rng(cfg.seed))
-    metrics = result.metrics
-    for key in ("train_auc_averaged", "test_auc_averaged",
-                "train_auc_randomized", "test_auc_randomized"):
-        assert 0.0 <= metrics[key] <= 1.0
-    assert len(metrics["selection_frequency"]) == 10
 
 
 @pytest.mark.parametrize("delta, sigma2, seed, support", [
@@ -197,12 +180,6 @@ def test_failed_replication_is_counted_not_fatal(monkeypatch):
     assert np.all(np.isnan(frequencies(row, cfg.d)))
 
 
-def test_run_grid_covers_requested_cells():
-    cfg = ExperimentConfig(**FAST)
-    rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
-    assert [(r["delta"], r["sigma2"]) for r in rows] == [(1.0, 0.01), (0.1, 0.01)]
-
-
 def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch, pool_starts):
     cfg = ExperimentConfig(**{**FAST, "reps": 2, "workers": 2})
     rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
@@ -217,16 +194,6 @@ def test_pooled_grid_uses_one_pool_and_matches_isolated_cells(monkeypatch, pool_
     rows = run_grid(cfg, deltas=(1.0, 0.1), sigma2s=(0.01,))
     assert [row["failures"] for row in rows] == [1, 1]
     assert all(np.isfinite(row["auc_averaged_mean"]) for row in rows)
-
-
-def test_pooled_cell_is_a_one_cell_grid(pool_starts):
-    cfg = ExperimentConfig(**{**FAST, "reps": 2, "workers": 2})
-    row = run_grid_cell(cfg, 1.0, 0.01)
-    assert len(pool_starts) == 1
-    alone = run_grid_cell(replace(cfg, workers=1), 1.0, 0.01)
-    assert len(pool_starts) == 1
-    for key, value in row.items():
-        assert np.array_equal(value, alone[key]), key
 
 
 def test_worker_death_costs_only_the_cell_being_aggregated(monkeypatch, pool_starts):

@@ -101,25 +101,6 @@ def test_log_binomial_exact_small_values():
     assert log_binomial(20, 0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_empty_model_log_prior_is_zero():
-    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
-    theta = SparseCoef(active_indices(5, []), values=np.zeros(0))
-    assert log_prior(theta, cfg) == 0.0
-
-
-def test_outside_ball_is_minus_infinity():
-    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
-    theta = unit_coef(5, [0], cfg.M, norm=BALL_RADIUS * 1.25)
-    assert log_prior(theta, cfg) == -math.inf
-
-
-def test_dimension_mismatch_raises():
-    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
-    theta = unit_coef(6, [5], cfg.M)  # a model over 6 covariates naming the sixth
-    with pytest.raises(ValueError):
-        log_prior(theta, cfg)
-
-
 def test_log_prior_reads_the_closed_form_size_term_bit_for_bit():
     """log_prior's size term is -log C(d, k) + w[k] - log Vol_kM(R), the same
     double for every k, whether w is the geometric, the tilted or an
@@ -217,16 +198,6 @@ def test_closed_form_target_matches_importance_draws_from_the_prior():
     assert 0.5 * float(np.abs(estimate - target).sum()) < bound
 
 
-@pytest.mark.parametrize("index", [-1, 7])
-def test_log_prior_refuses_an_active_index_outside_the_config(index):
-    """At d=5, index -1 was taken as a size-1 model and index 7 was accepted
-    too; both are a ValueError naming the index and d."""
-    cfg = geometric_config(delta=1.0, d=5, beta=0.5)
-    theta = SparseCoef(np.array([index], dtype=np.intp), values=np.ones(cfg.M))
-    with pytest.raises(ValueError, match=f"active index {index} outside 0..4 for d=5"):
-        log_prior(theta, cfg)
-
-
 @pytest.mark.parametrize("listed, index", [([3, -1], -1), ([7, 1], 7)])
 def test_score_and_log_prior_bound_every_index_of_an_unsorted_model(listed, index):
     """A public SparseCoef need not be ascending: at d=5, [3, -1] once scored
@@ -277,14 +248,6 @@ def test_large_delta_stays_finite():
     theta = unit_coef(5, [0], cfg.M)
     value = log_gibbs(theta, 0.4, cfg)
     assert math.isfinite(value)
-
-
-def test_gammaln_consistency_of_volume():
-    gammaln = pytest.importorskip("scipy.special", exc_type=ImportError).gammaln
-    # independent identity: V_d(r) = pi^(d/2) r^d / Gamma(d/2 + 1)
-    for dim in (5, 13, 26):
-        direct = 0.5 * dim * math.log(math.pi) + dim * math.log(2.0) - gammaln(dim / 2 + 1)
-        assert log_ball_volume(dim, 2.0) == pytest.approx(direct, abs=1e-12)
 
 
 def test_log_binomial_matches_gammaln_oracle():

@@ -22,14 +22,6 @@ def tie_free_instances(rng):
         yield scores, labels
 
 
-def test_risk_concordant_pair():
-    assert empirical_rank_risk([1.0, 2.0], [-1.0, 1.0]) == 0.0
-
-
-def test_risk_discordant_pair():
-    assert empirical_rank_risk([2.0, 1.0], [-1.0, 1.0]) == 1.0
-
-
 def test_risk_matches_brute_force_without_ties():
     rng = np.random.default_rng(43)
     for scores, labels in tie_free_instances(rng):
@@ -104,29 +96,10 @@ def test_infinite_scores_are_ranked():
     assert pair_risk(scores, labels) == (2 * 1 + 2 * 0.5) / 12
 
 
-def test_risk_needs_two_instances():
-    with pytest.raises(DegenerateDataError):
-        empirical_rank_risk([1.0], [1.0])
-
-
 def test_risk_single_class_raises():
     for labels in ([1.0, 1.0, 1.0], [-1.0, 0.0, -2.0]):
         with pytest.raises(DegenerateDataError, match="labels contain a single class"):
             empirical_rank_risk([3.0, 1.0, 2.0], labels)
-
-
-def test_auc_perfect_separation():
-    scores = np.array([-1.0, 1.0, -1.0, 1.0])
-    labels = scores.copy()
-    assert auc(scores, labels, "strict") == 1.0
-    assert auc(scores, labels, "half") == 1.0
-
-
-def test_auc_constant_scores():
-    labels = np.array([1.0, -1.0, 1.0, -1.0])
-    scores = np.zeros(4)
-    assert auc(scores, labels, "strict") == 0.0
-    assert auc(scores, labels, "half") == 0.5
 
 
 def test_auc_matches_brute_force_without_ties():
@@ -141,16 +114,6 @@ def test_auc_matches_brute_force_without_ties():
 def test_auc_rejects_unknown_policy():
     with pytest.raises(ValueError):
         auc([1.0, 2.0], [-1.0, 1.0], "lenient")
-
-
-def test_auc_single_class_raises():
-    with pytest.raises(DegenerateDataError):
-        auc([1.0, 2.0], [1.0, 1.0])
-
-
-def test_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        empirical_rank_risk([1.0, 2.0, 3.0], [1.0, -1.0])
 
 
 def test_prepared_labels_match_brute_force_across_score_vectors():

@@ -78,34 +78,6 @@ def test_benchmark_cache_returns_identical_result():
     assert first is second
 
 
-def test_benchmark_matches_independent_solve():
-    rng = np.random.default_rng(2)
-    X = rng.random((20, 1))
-    # four of the dictionary's functions: P0, P1, sin(pi t) and cos(pi t)
-    fm = FeatureMatrix(blocks=build_features(X).blocks[:, [0, 1, 7, 10]])
-    y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
-    values = BenchmarkCache(fm, y).fit(active(1, [0]))
-    Phi = fm.blocks[0].T
-    direct = np.linalg.inv(Phi.T @ Phi + RIDGE_LAMBDA * np.eye(4)) @ (Phi.T @ y)
-    assert np.linalg.norm(direct) < BALL_RADIUS  # no shrink
-    assert np.allclose(values, direct, atol=1e-10)
-
-
-def test_benchmark_assembles_blocks_of_a_non_adjacent_mask():
-    # the off-diagonal blocks of {0, 2, 3} and their transposes land where the
-    # gathered columns put them, with the ridge on the diagonal only
-    rng = np.random.default_rng(4)
-    X = rng.random((30, 4))
-    fm = build_features(X)
-    y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
-    cache = BenchmarkCache(fm, y)
-    values = cache.fit(active(4, [0, 2, 3]))
-    Phi = np.hstack([fm.blocks[j].T for j in (0, 2, 3)])
-    direct = np.linalg.solve(Phi.T @ Phi + RIDGE_LAMBDA * np.eye(Phi.shape[1]), Phi.T @ y)
-    assert np.linalg.norm(direct) < BALL_RADIUS  # no shrink
-    assert np.allclose(values, direct, rtol=0.0, atol=1e-10)
-
-
 def assembled_fit(features, labels, model):
     """A ridge fit solved from its Gram assembled block by block: pair (i, j)
     of the model is blocks[i] @ blocks[j].T, mirrored below the diagonal."""
@@ -207,10 +179,10 @@ def independent_neighborhood(current, d, move):
 
 
 @pytest.mark.parametrize("move,u", [("add", 0.1), ("remove", 0.5)])
-@pytest.mark.parametrize("d,size", [pytest.param(7, size, id=str(size)) for size in (0, 1, 2, 6, 7)]
-                         + [pytest.param(100, size, id=f"d100-{size}")
-                            for size in (0, 1, 2, 50, 99, 100)])
-def test_neighborhood_masks_match_independently_built_masks(move, u, d, size):
+@pytest.mark.parametrize("size", [pytest.param(size, id=f"d100-{size}")
+                                  for size in (0, 1, 2, 50, 99, 100)])
+def test_neighborhood_masks_match_independently_built_masks(move, u, size):
+    d = 100
     listed = np.random.default_rng(size).permutation(d)[:size]
     current = active(d, listed)
     got_move, rows = propose_neighborhood(current, d, FakeRng([u]))
@@ -560,16 +532,6 @@ def test_run_chain_matches_the_per_candidate_chain(seed):
     assert len({m.tobytes() for m in masks}) > 2  # the chain moves
 
 
-def test_initial_state_is_empty_model():
-    data = gen_synthetic(20, d=5, seed=7)
-    fm = build_features(data.X)
-    gcfg = geometric_config(delta=1.0, d=5, beta=0.5)
-    state = initial_state(fm, data.y, gcfg)
-    assert state.theta.active.size == 0
-    # with half-credit ties the all-zero scorer sits at chance level
-    assert state.risk > 0.0
-
-
 @pytest.mark.parametrize("burnin", [5, 0])
 def test_run_chain_keeps_post_burnin_thetas(burnin):
     data = gen_synthetic(60, d=5, seed=8)
@@ -654,14 +616,3 @@ def test_run_chain_smoke_two_iterations(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 3  # header + 2 iterations
     assert lines[0].startswith("t,model_size")
-
-
-def test_trace_summaries():
-    data = gen_synthetic(40, d=5, seed=10)
-    gcfg = tilted_config(delta=200.0, d=5)
-    scfg = SamplerConfig(iters=60, burnin=30, sigma2=0.01)
-    trace, _ = run_chain(build_features(data.X), data.y, gcfg, scfg, np.random.default_rng(3))
-    freq = trace.selection_frequency()
-    assert freq.shape == (5,)
-    assert np.all((0.0 <= freq) & (freq <= 1.0))
-    assert 0.0 <= trace.acceptance_rate <= 1.0
